@@ -31,7 +31,6 @@ from .fpcat import (
     functor_from_json,
     to_finite,
 )
-from .kernel import KERNEL_BACKEND
 from .model_structure import (
     DEFAULT_PRODUCT_BOUND,
     NotDecided,
@@ -387,16 +386,31 @@ def _cmd_sheaf_classify(args) -> int:
 # Parser
 
 
+def _int_at_least(lo: int):
+    """argparse type: an int no smaller than ``lo``, else a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(p, bound=False, budget=False, product=False):
     if bound:
-        p.add_argument("--bound", type=int, default=DEFAULT_HOM_BOUND,
+        p.add_argument("--bound", type=_int_at_least(1), default=DEFAULT_HOM_BOUND,
                        help="hom-set enumeration bound")
     if budget:
-        p.add_argument("--budget", type=int, default=DEFAULT_RULE_BUDGET,
+        p.add_argument("--budget", type=_int_at_least(0), default=DEFAULT_RULE_BUDGET,
                        help="completion rule budget")
     if product:
-        p.add_argument("--product-bound", type=int, default=DEFAULT_PRODUCT_BOUND,
-                       help="functor search size cap")
+        p.add_argument("--product-bound", type=_int_at_least(1),
+                       default=DEFAULT_PRODUCT_BOUND, help="functor search size cap")
     p.add_argument("--json", action="store_true", help="machine-readable report")
 
 
@@ -404,8 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="catcw",
         description="Finitely presented categories: model structure, CW "
-        "classification, K-theory witnesses, sheaf checks "
-        f"(rewrite kernel: {KERNEL_BACKEND})",
+        "classification, K-theory witnesses, sheaf checks",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -416,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_check)
 
     p = sub.add_parser("sphere", help="emit the n-sphere presentation")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_at_least(0))
     p.add_argument("--to-finite", action="store_true")
     _add_common(p, bound=True, budget=True)
     p.set_defaults(handler=_cmd_sphere)

@@ -47,6 +47,18 @@ class NonParallelRelation(CatError):
     pass
 
 
+class BudgetTooSmall(CatError, ValueError):
+    """The rule budget cannot even hold the presentation's relations.
+
+    A ``ValueError`` too, so callers that caught the untyped error still do.
+    """
+
+    def __init__(self, budget: int, relations: int):
+        self.budget = budget
+        self.relations = relations
+        super().__init__(f"rule budget {budget} is below the relation count {relations}")
+
+
 class IncompleteSystem(CatError):
     """An operation needed a confluent rewriting system and did not get one."""
 
@@ -438,7 +450,7 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
     strings here; no extra composability bookkeeping is needed.
     """
     if budget < len(cat.relations):
-        raise ValueError("budget smaller than the number of relations")
+        raise BudgetTooSmall(budget, len(cat.relations))
     idx = cat.quiver.gen_index
     rules: list[tuple] = []
     for lhs, rhs in cat.relations:
@@ -501,47 +513,51 @@ def _require_complete(cat: FpCategory, budget: int) -> RewritingSystem:
     return rs
 
 
-def irreducible_words(
-    cat: FpCategory, max_len: int, budget: int = DEFAULT_RULE_BUDGET
-) -> dict[tuple[str, str], list[Path]]:
-    """All normal-form words of length <= max_len, grouped by hom-set.
+def _normal_forms(
+    cat: FpCategory, rs: RewritingSystem
+) -> Iterator[tuple[str, str, tuple[int, ...]]]:
+    """Yield ``(src, dst, word)`` for every irreducible word, one at a time.
 
     Irreducible words form a factor-closed language, so breadth-first
-    extension by single generators enumerates them exactly.
+    extension by single generators enumerates them exactly: the identities
+    in object order, then each length level in the order its words extend
+    the previous level.  The stream is infinite when the language is.
     """
-    rs = _require_complete(cat, budget)
     idx = cat.quiver.gen_index
     lhs_set = {tuple(idx[n] for n in l.gens) for l, _ in rs.rules}
     max_lhs = max((len(l) for l in lhs_set), default=0)
-    out_gens: dict[str, list[Generator]] = {x: [] for x in cat.objects}
+    out_gens: dict[str, list[tuple[int, str]]] = {x: [] for x in cat.objects}
     for g in cat.quiver.generators:
-        out_gens[g.src].append(g)
+        out_gens[g.src].append((idx[g.name], g.dst))
 
-    by_hom: dict[tuple[str, str], list[Path]] = {}
-    level: list[tuple[str, str, tuple[int, ...]]] = []
-    for x in cat.objects:
-        by_hom.setdefault((x, x), []).append(Path(x))
-        level.append((x, x, ()))
-    names = tuple(g.name for g in cat.quiver.generators)
-    for _ in range(max_len):
+    level: list[tuple[str, str, tuple[int, ...]]] = [(x, x, ()) for x in cat.objects]
+    yield from level
+    while level:
         nxt: list[tuple[str, str, tuple[int, ...]]] = []
         for src, dst, word in level:
-            for g in out_gens[dst]:
-                w2 = word + (idx[g.name],)
-                ok = True
+            for gi, gdst in out_gens[dst]:
+                w2 = word + (gi,)
+                # the prefix is irreducible, so only suffixes can be redexes
                 for l in range(1, min(len(w2), max_lhs) + 1):
                     if w2[-l:] in lhs_set:
-                        ok = False
                         break
-                if not ok:
-                    continue
-                by_hom.setdefault((src, g.dst), []).append(
-                    Path(src, tuple(names[i] for i in w2))
-                )
-                nxt.append((src, g.dst, w2))
-        if not nxt:
-            break
+                else:
+                    yield src, gdst, w2
+                    nxt.append((src, gdst, w2))
         level = nxt
+
+
+def irreducible_words(
+    cat: FpCategory, max_len: int, budget: int = DEFAULT_RULE_BUDGET
+) -> dict[tuple[str, str], list[Path]]:
+    """All normal-form words of length <= max_len, grouped by hom-set."""
+    rs = _require_complete(cat, budget)
+    names = tuple(g.name for g in cat.quiver.generators)
+    by_hom: dict[tuple[str, str], list[Path]] = {}
+    for src, dst, word in _normal_forms(cat, rs):
+        if len(word) > max_len:
+            break
+        by_hom.setdefault((src, dst), []).append(Path(src, tuple(names[i] for i in word)))
     return by_hom
 
 
@@ -684,57 +700,24 @@ def to_finite(
     rs = _require_complete(cat, budget)
     idx = cat.quiver.gen_index
     names = tuple(g.name for g in cat.quiver.generators)
-    lhs_set = {tuple(idx[n] for n in l.gens) for l, _ in rs.rules}
-    max_lhs = max((len(l) for l in lhs_set), default=0)
-    out_gens: dict[str, list[Generator]] = {x: [] for x in cat.objects}
-    for g in cat.quiver.generators:
-        out_gens[g.src].append(g)
-
     words: list[tuple[str, tuple[int, ...]]] = []  # (src, word) in discovery order
     word_id: dict[tuple[str, tuple[int, ...]], int] = {}
-    hom_count: dict[tuple[str, str], int] = {}
-    hom_forms: dict[tuple[str, str], list[int]] = {}
-
-    def add(src: str, dst: str, word: tuple[int, ...]) -> int:
-        i = len(words)
-        words.append((src, word))
-        word_id[(src, word)] = i
-        hom_count[(src, dst)] = hom_count.get((src, dst), 0) + 1
-        hom_forms.setdefault((src, dst), []).append(i)
-        if hom_count[(src, dst)] > bound:
-            forms = [
-                Path(src, tuple(names[k] for k in words[j][1]))
-                for j in hom_forms[(src, dst)]
-            ]
-            raise NotFinite(src, dst, forms)
-        return i
-
+    hom_forms: dict[tuple[str, str], list[tuple[int, ...]]] = {}
     mor_src: list[str] = []
     mor_dst: list[str] = []
     identities: dict[str, int] = {}
-    for x in cat.objects:
-        identities[x] = add(x, x, ())
-        mor_src.append(x)
-        mor_dst.append(x)
-
-    level: list[tuple[str, str, tuple[int, ...]]] = [(x, x, ()) for x in cat.objects]
-    while level:
-        nxt: list[tuple[str, str, tuple[int, ...]]] = []
-        for src, dst, word in level:
-            for g in out_gens[dst]:
-                w2 = word + (idx[g.name],)
-                ok = True
-                for l in range(1, min(len(w2), max_lhs) + 1):
-                    if w2[-l:] in lhs_set:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                add(src, g.dst, w2)
-                mor_src.append(src)
-                mor_dst.append(g.dst)
-                nxt.append((src, g.dst, w2))
-        level = nxt
+    for src, dst, word in _normal_forms(cat, rs):
+        i = len(words)
+        words.append((src, word))
+        word_id[(src, word)] = i
+        mor_src.append(src)
+        mor_dst.append(dst)
+        if not word:
+            identities[src] = i
+        forms = hom_forms.setdefault((src, dst), [])
+        forms.append(word)
+        if len(forms) > bound:
+            raise NotFinite(src, dst, [Path(src, tuple(names[k] for k in w)) for w in forms])
 
     compose: dict[tuple[int, int], int] = {}
     for f, (fs, fw) in enumerate(words):

@@ -48,46 +48,15 @@ def is_cofibration(F: Functor) -> bool:
     return len(images) == len(set(images))
 
 
-def two_sided_inverses(C: FiniteCategory) -> dict[int, int]:
-    return dict(C.inverses())
-
-
-def _iso_ids_direct(C: FiniteCategory) -> set[int]:
-    return set(C.inverses().keys())
-
-
-def _iso_ids_tuple_construction(C: FiniteCategory) -> set[int]:
-    # pairs composing to an identity, then matched middles: 4-tuples
-    # (a, b, c, d) with a;b and c;d identities and b = c pick out exactly
-    # the morphisms with inverses on both sides
-    sections = []  # (a, b) with a;b an identity
-    for (a, b), h in C.compose_table.items():
-        if C.is_identity(h):
-            sections.append((a, b))
-    firsts = {a for a, _ in sections}
-    out = set()
-    for a, b in sections:
-        if b in firsts:  # some (c, d) with c = b completes the 4-tuple
-            out.add(b)
-    return out
-
-
 def iso_core(C: FiniteCategory) -> FiniteCategory:
-    """The wide subcategory of invertible morphisms.
-
-    Built by the identity-pair tuple construction and cross-checked against
-    the direct two-sided-inverse scan; a mismatch would be an internal error.
-    """
-    direct = _iso_ids_direct(C)
-    tupled = _iso_ids_tuple_construction(C)
-    if direct != tupled:
-        raise CatError("iso-core constructions disagree; composition table is inconsistent")
-    keep = sorted(direct)
+    """The wide subcategory of invertible morphisms."""
+    isos = C.inverses()
+    keep = sorted(isos)
     new_id = {old: i for i, old in enumerate(keep)}
     compose = {
         (new_id[f], new_id[g]): new_id[h]
         for (f, g), h in C.compose_table.items()
-        if f in direct and g in direct
+        if f in isos and g in isos
     }
     return FiniteCategory(
         C.objects,

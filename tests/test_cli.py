@@ -1,6 +1,7 @@
 """Exit codes, report formats, and certificate round trips for the CLI."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import arrow_cat, c2_cat, c3_cat, discrete2, terminal_cat
 
+import catcw
 from catcw import Path, build
 from catcw.cli import main
 from catcw.sheaftopos import discrete_two_point, sierpinski
@@ -66,6 +68,28 @@ def test_sphere_zero_is_finite(capsys):
     assert main(["sphere", "0", "--to-finite", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"sphere": 0, "finite": True, "morphisms": 2}
+
+
+def test_budget_below_relation_count_is_input_error(tmp_path, capsys):
+    path = cat_file(tmp_path, "c2.json", c2_cat())
+    assert main(["check", path, "--budget", "0"]) == 2
+    assert "BudgetTooSmall" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sphere", "-1"],
+        ["sphere", "1", "--to-finite", "--bound", "-1"],
+        ["sphere", "0", "--budget", "-1"],
+        ["sphere", "0", "--to-finite", "--bound", "many"],
+    ],
+)
+def test_out_of_range_counts_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
 
 
 def test_equiv_positive_and_negative(tmp_path, capsys):
@@ -243,10 +267,13 @@ def test_json_reports_are_byte_deterministic(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same catcw as this process, installed or not
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(catcw.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "catcw.cli", "sphere", "0", "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["objects"] == ["0.pt", "1.pt"]

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from catcw import (
+    BudgetTooSmall,
     CatError,
     DanglingEndpoint,
     DuplicateName,
@@ -136,6 +137,13 @@ def test_braid_relation_exhausts_budget_and_warns():
         rs.normalize(Path("x", ("b", "a", "b")))
 
 
+def test_budget_below_relation_count_is_a_value_error():
+    with pytest.raises(BudgetTooSmall) as exc:
+        complete(c2_cat(), budget=0)
+    assert isinstance(exc.value, ValueError)
+    assert (exc.value.budget, exc.value.relations) == (0, 1)
+
+
 def test_irreducible_words_z_counts():
     cat = z_cat()
     for k in range(11):
@@ -257,6 +265,16 @@ def test_to_finite_z_not_finite():
     err = exc.value
     assert (err.src, err.dst) == ("x", "x")
     assert len(err.forms) == 11
+    # raised at the first form over the bound, before the level is finished
+    with pytest.raises(NotFinite) as exc:
+        to_finite(z_cat(), bound=1)
+    assert exc.value.forms == (Path("x"), Path("x", ("a",)))
+
+
+def test_to_finite_morphism_order():
+    # identities in object order, then normal forms level by level
+    assert to_finite(path2_cat()).labels == ("id_a", "id_b", "id_c", "f", "g", "f;g")
+    assert to_finite(c3_cat()).labels == ("id_x", "t", "t^-1")
 
 
 def test_to_finite_respects_relations_order_independent():

@@ -32,6 +32,7 @@ from conftest import (
     c2_cat,
     c3_cat,
     discrete2,
+    groupoid_pool6,
     interval_cat,
     path2_cat,
     pool8,
@@ -65,6 +66,23 @@ def test_iso_core_interval_has_all_four():
     fin = to_finite(interval_cat())
     core = iso_core(fin)
     assert core.n == 4
+
+
+def _iso_ids_tuple_construction(C):
+    # pairs composing to an identity, then matched middles: 4-tuples
+    # (a, b, c, d) with a;b and c;d identities and b = c pick out exactly
+    # the morphisms with inverses on both sides
+    sections = [(a, b) for (a, b), h in C.compose_table.items() if C.is_identity(h)]
+    firsts = {a for a, _ in sections}
+    return {b for _, b in sections if b in firsts}
+
+
+def test_iso_core_matches_tuple_construction():
+    for C in [to_finite(c) for c in pool8()] + groupoid_pool6():
+        core = iso_core(C)
+        oracle = _iso_ids_tuple_construction(C)
+        assert core.n == len(oracle)
+        assert set(core.labels) == {C.labels[i] for i in oracle}
 
 
 def test_isofibration_examples():
