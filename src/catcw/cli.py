@@ -62,12 +62,16 @@ def _read_json(path: str):
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
-def _load_category(path: str) -> FpCategory:
+def _load(path: str, parse):
     obj = _read_json(path)
     try:
-        return category_from_json(obj)
+        return parse(obj)
     except (KeyError, TypeError) as exc:
         raise InputError(f"{path}: missing or malformed field {exc}")
+
+
+def _load_category(path: str) -> FpCategory:
+    return _load(path, category_from_json)
 
 
 def _load_pointed(path: str, basepoint: str | None) -> PointedCategory:
@@ -327,7 +331,7 @@ def _cmd_cw_build(args) -> int:
 
 def _cmd_sheaf_unit(args) -> int:
     A = to_finite(_load_category(args.category), args.bound, args.budget)
-    space = space_from_json(_read_json(args.space))
+    space = _load(args.space, space_from_json)
     result = unit_check(A, space)
     if isinstance(result, IsoCertificate):
         _emit(
@@ -370,7 +374,7 @@ def _cmd_sheaf_exotic(args) -> int:
 
 def _cmd_sheaf_classify(args) -> int:
     A = to_finite(_load_category(args.category), args.bound, args.budget)
-    space = space_from_json(_read_json(args.space))
+    space = _load(args.space, space_from_json)
     F = sheafify_constant(A, space)
     verdict = classify_cw_sheaf(F, args.product_bound)
     report = {"verdict": verdict.kind}

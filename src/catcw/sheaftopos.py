@@ -21,6 +21,7 @@ from .fpcat import (
     FiniteCategory,
     Functor,
     check_functor,
+    _json_list,
 )
 from .model_structure import (
     DEFAULT_PRODUCT_BOUND,
@@ -103,7 +104,10 @@ class FiniteSpace:
 
 def space_from_json(doc: Union[str, Mapping]) -> FiniteSpace:
     obj = json.loads(doc) if isinstance(doc, str) else doc
-    return FiniteSpace(obj["points"], obj["opens"])
+    return FiniteSpace(
+        _json_list(obj["points"], "points"),
+        [_json_list(u, "opens") for u in _json_list(obj["opens"], "opens")],
+    )
 
 
 def sierpinski() -> FiniteSpace:

@@ -238,6 +238,28 @@ def test_sheaf_unit_exit_codes(tmp_path, capsys):
     assert doc["reason"] == "object_count"
 
 
+def test_string_for_a_list_is_input_error(tmp_path, capsys):
+    obj = c2_cat().to_json_obj()
+    obj["objects"] = "x"
+    bad_cat = dump(tmp_path, "bad_cat.json", obj)
+    assert main(["check", bad_cat]) == 2
+    assert "malformed field 'objects': expected a list, got str" in capsys.readouterr().err
+    obj = sierpinski().to_json_obj()
+    obj["points"] = "uv"
+    bad_space = dump(tmp_path, "bad_space.json", obj)
+    c2 = cat_file(tmp_path, "c2.json", c2_cat())
+    for verb in ("sheaf-unit", "sheaf-classify"):
+        assert main([verb, c2, bad_space]) == 2
+        assert "malformed field 'points': expected a list, got str" in capsys.readouterr().err
+
+
+def test_space_missing_field_is_input_error(tmp_path, capsys):
+    c2 = cat_file(tmp_path, "c2.json", c2_cat())
+    bad_space = dump(tmp_path, "bad_space.json", {"points": ["u"]})
+    assert main(["sheaf-unit", c2, bad_space]) == 2
+    assert "missing or malformed field 'opens'" in capsys.readouterr().err
+
+
 def test_sheaf_exotic_variants(capsys):
     assert main(["sheaf-exotic", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -10,12 +10,15 @@ from catcw import (
     CatError,
     DanglingEndpoint,
     DuplicateName,
+    FiniteCategory,
     Functor,
+    IncompleteSystem,
     IncompleteSystemWarning,
     NonParallelRelation,
     NotFinite,
     Path,
     build,
+    chaotic,
     check_functor,
     complete,
     compose_functors,
@@ -28,7 +31,17 @@ from catcw import (
     normalize,
     to_finite,
 )
-from conftest import arrow_cat, c2_cat, c3_cat, interval_cat, path2_cat
+from catcw.fpcat import _normal_forms
+from conftest import (
+    arrow_cat,
+    c2_cat,
+    c3_cat,
+    groupoid_pool6,
+    interval_cat,
+    path2_cat,
+    pool8,
+    random_pointed,
+)
 
 
 def z_cat():
@@ -284,6 +297,174 @@ def test_to_finite_respects_relations_order_independent():
     assert set(inv) == {0, 1, 2}
 
 
+def _one_object(names, rels, invertible):
+    return build(
+        ["*"],
+        [(g, "*", "*") for g in names],
+        [(Path("*", lhs), Path("*", rhs)) for lhs, rhs in rels],
+        invertible,
+    )
+
+
+def coxeter(links):
+    """Coxeter group whose generators s0, s1, ... form a chain: ``links[i]``
+    is the order of s_i s_(i+1), and non-adjacent generators commute."""
+    names = [f"s{i}" for i in range(len(links) + 1)]
+    rels = [((g, g), ()) for g in names]
+    for i, a in enumerate(names):
+        for j in range(i + 1, len(names)):
+            m = links[i] if j == i + 1 else 2
+            b = names[j]
+            rels.append(((a, b) * (m // 2) + (a,) * (m % 2), (b, a) * (m // 2) + (b,) * (m % 2)))
+    return _one_object(names, rels, names)
+
+
+def dihedral(k):
+    return _one_object(
+        ["r", "f"],
+        [(("r",) * k, ()), (("f", "f"), ()), (("r", "f"), ("f",) + ("r",) * (k - 1))],
+        ["f"],
+    )
+
+
+def abelian(a, b):
+    return _one_object(
+        ["x", "y"], [(("x",) * a, ()), (("y",) * b, ()), (("y", "x"), ("x", "y"))], []
+    )
+
+
+def _table_per_pair_reduction(cat, budget):
+    """The finite backend as first written: one reduction per composable pair."""
+    rs = cat.completion(budget)
+    names = tuple(g.name for g in cat.quiver.generators)
+    forms = list(_normal_forms(cat, rs))  # finite: to_finite succeeded first
+    word_id = {(src, word): i for i, (src, _, word) in enumerate(forms)}
+    compose = {}
+    for f, (fs, fd, fw) in enumerate(forms):
+        for g, (gs, _, gw) in enumerate(forms):
+            if gs == fd:
+                compose[(f, g)] = word_id[(fs, rs.reduce_word(fw + gw))]
+    idx = cat.quiver.gen_index
+    return {
+        "labels": tuple(
+            ";".join(names[i] for i in w) if w else "id_" + s for s, _, w in forms
+        ),
+        "mor_src": tuple(s for s, _, _ in forms),
+        "mor_dst": tuple(d for _, d, _ in forms),
+        "identities": {s: i for i, (s, _, w) in enumerate(forms) if not w},
+        "gen_image": {
+            g.name: word_id[(g.src, rs.reduce_word((idx[g.name],)))]
+            for g in cat.quiver.generators
+        },
+        "compose_table": list(compose.items()),
+    }
+
+
+def _associative_all_triples(C):
+    """The associativity check as first written: every composable triple."""
+    mors_from = {x: [] for x in C.objects}
+    for h in range(C.n):
+        mors_from[C.mor_src[h]].append(h)
+    table = C.compose_table
+    return all(
+        table[(fg, h)] == table[(f, table[(g, h)])]
+        for (f, g), fg in table.items()
+        for h in mors_from[C.mor_dst[g]]
+    )
+
+
+def _assert_matches_oracles(cat, bound=64, budget=500):
+    fin = to_finite(cat, bound, budget)
+    oracle = _table_per_pair_reduction(cat, budget)
+    assert fin.labels == oracle["labels"]
+    assert fin.mor_src == oracle["mor_src"]
+    assert fin.mor_dst == oracle["mor_dst"]
+    assert fin.identities == oracle["identities"]
+    assert fin.gen_image == oracle["gen_image"]
+    # insertion order too: callers iterate the table
+    assert list(fin.compose_table.items()) == oracle["compose_table"]
+    assert _associative_all_triples(fin)
+    # Light's test ran over the generators, not over every morphism
+    assert fin._generating_set() == sorted(
+        {i for i in fin.gen_image.values() if not fin.is_identity(i)}
+    )
+
+
+ORACLE_CATS = {
+    "A3": lambda: coxeter([3, 3]),
+    "B3": lambda: coxeter([3, 4]),
+    "D12": lambda: dihedral(12),
+    "Z4xZ6": lambda: abelian(4, 6),
+    "chaotic5": lambda: chaotic([f"o{i}" for i in range(5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CATS))
+def test_to_finite_matches_per_pair_oracle(name):
+    cat = ORACLE_CATS[name]()
+    _assert_matches_oracles(cat, bound=64, budget=2000)
+
+
+def test_to_finite_matches_per_pair_oracle_on_pools():
+    # the groupoids come back as multiplication-table presentations
+    for cat in pool8() + [finite_to_fp(G) for G in groupoid_pool6()]:
+        _assert_matches_oracles(cat, bound=64)
+
+
+def test_to_finite_matches_per_pair_oracle_on_random_pointed():
+    rng = random.Random(2024)
+    checked = 0
+    for _ in range(80):
+        cat = random_pointed(rng).cat
+        try:
+            to_finite(cat, 32, 20)
+        except (IncompleteSystem, NotFinite):
+            continue
+        _assert_matches_oracles(cat, bound=32, budget=20)
+        checked += 1
+    assert checked >= 30
+
+
+def _magma(gen_image):
+    """A unital magma on id, a, b that is not associative.
+
+    a;a = b;b = id and a;b = b;a = b, so (a;b);b = id but a;(b;b) = a.
+    Every triple with a in the middle associates.
+    """
+    table = {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (2, 0): 2}
+    table.update({(1, 1): 0, (1, 2): 2, (2, 1): 2, (2, 2): 0})
+    return dict(
+        objects=["x"], mor_src=["x"] * 3, mor_dst=["x"] * 3, compose=table,
+        identities={"x": 0}, gen_image=gen_image,
+    )
+
+
+@pytest.mark.parametrize(
+    "gen_image",
+    [None, {"a": 1, "b": 2}, {"a": 1}],
+    ids=["no_gen_image", "generating", "not_generating"],
+)
+def test_validate_rejects_non_associative_magma(gen_image):
+    magma = _magma(gen_image)
+    table = magma["compose"]
+    # Light's test over {a} alone would pass: when gen_image names only a,
+    # which does not generate, only the fallback to every morphism catches it
+    assert all(
+        table[(table[(x, 1)], y)] == table[(x, table[(1, y)])]
+        for x in range(3)
+        for y in range(3)
+    )
+    with pytest.raises(NonParallelRelation, match="associativity fails"):
+        FiniteCategory(**magma)
+
+
+def test_validate_rejects_partial_table():
+    magma = _magma(None)
+    del magma["compose"][(1, 2)]
+    with pytest.raises(DanglingEndpoint, match="missing a composable pair"):
+        FiniteCategory(**magma)
+
+
 def test_finite_to_fp_round_trip():
     fin = to_finite(c3_cat())
     again = to_finite(finite_to_fp(fin), bound=16)
@@ -348,6 +529,26 @@ def test_json_lists_both_mates_and_loader_repairs():
     again = from_json(obj)
     assert again.inverses == {"a": "a^-1", "a^-1": "a"}
     assert len(again.relations) == len(cat.relations)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("objects", "xy"),
+        ("generators", ""),
+        ("relations", ""),
+        ("invertible", "t"),
+        ("gens", "tt"),
+    ],
+)
+def test_from_json_rejects_a_string_for_a_list(field, value):
+    obj = c2_cat().to_json_obj()
+    if field == "gens":
+        obj["relations"][0]["lhs"]["gens"] = value
+    else:
+        obj[field] = value
+    with pytest.raises(TypeError, match=f"'{field}': expected a list, got str"):
+        from_json(obj)
 
 
 def test_randomized_normalize_is_idempotent():

@@ -75,6 +75,17 @@ def test_space_json_round_trip():
     assert back.opens == s.opens
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("points", "uv"), ("opens", "uv"), ("opens", [[], "u", ["u", "v"]])],
+)
+def test_space_from_json_rejects_a_string_for_a_list(field, value):
+    obj = sierpinski().to_json_obj()
+    obj[field] = value
+    with pytest.raises(TypeError, match=f"'{field}': expected a list, got str"):
+        space_from_json(obj)
+
+
 def test_min_open_on_sierpinski():
     s = sierpinski()
     assert s.min_open("u") == frozenset(["u"])
