@@ -132,7 +132,7 @@ def pushout(f: Functor, g: Functor) -> PushoutResult:
     """
     if f.source != g.source:
         raise CatError("span legs must share their source")
-    if not (f.source_is_fp and f.target_is_fp and g.target_is_fp):
+    if not all(isinstance(c, FpCategory) for c in (f.source, f.target, g.target)):
         raise CatError("pushout works on presentations; convert finite inputs first")
     A, B, C = f.source, f.target, g.target
     b_objs = ["L." + x for x in B.objects]

@@ -19,7 +19,6 @@ checking, and everything downstream.
 
 from __future__ import annotations
 
-import itertools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -92,6 +91,18 @@ def _json_list(value, field: str) -> list | tuple:
     return value
 
 
+def _json_str(value, field: str) -> str:
+    """``value`` if it is a JSON string; else a TypeError naming ``field``."""
+    if not isinstance(value, str):
+        raise TypeError(f"{field!r}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def _json_names(value, field: str) -> list[str]:
+    """A JSON array of strings, checked entry by entry."""
+    return [_json_str(v, field) for v in _json_list(value, field)]
+
+
 @dataclass(frozen=True)
 class Generator:
     name: str
@@ -122,7 +133,7 @@ class Path:
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "Path":
-        return Path(obj["at"], tuple(_json_list(obj["gens"], "gens")))
+        return Path(_json_str(obj["at"], "at"), tuple(_json_names(obj["gens"], "gens")))
 
 
 Relation = tuple[Path, Path]
@@ -347,13 +358,16 @@ def build(
 def from_json(doc: Union[str, Mapping]) -> FpCategory:
     obj = json.loads(doc) if isinstance(doc, str) else doc
     return build(
-        _json_list(obj["objects"], "objects"),
-        [(g["name"], g["src"], g["dst"]) for g in _json_list(obj["generators"], "generators")],
+        _json_names(obj["objects"], "objects"),
+        [
+            tuple(_json_str(g[k], k) for k in ("name", "src", "dst"))
+            for g in _json_list(obj["generators"], "generators")
+        ],
         [
             (Path.from_json_obj(r["lhs"]), Path.from_json_obj(r["rhs"]))
             for r in _json_list(obj["relations"], "relations")
         ],
-        _json_list(obj.get("invertible", ()), "invertible"),
+        _json_names(obj.get("invertible", ()), "invertible"),
     )
 
 
@@ -716,6 +730,8 @@ class FiniteCategory:
         return self._inverses
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, FiniteCategory)
             and self.objects == other.objects
@@ -833,52 +849,48 @@ def finite_to_fp(C: FiniteCategory) -> FpCategory:
 # Functors
 
 
-class Functor:
-    """A functor between presented or finite categories.
+def _check_object_map(source, target, object_map: Mapping) -> None:
+    """Every source object has an image, and every image is a target object."""
+    for x in source.objects:
+        if x not in object_map:
+            raise DanglingEndpoint(f"object {x!r} has no image")
+    tgt_objects = set(target.objects)
+    for y in object_map.values():
+        if y not in tgt_objects:
+            raise DanglingEndpoint(f"object image {y!r} is not in the target")
 
-    ``gen_map`` is keyed by generator name (fp source) or morphism id (finite
-    source); values are Paths (fp target) or morphism ids (finite target).
-    Construction checks only shape; semantic validity is ``check_functor``.
+
+class Functor:
+    """A functor out of a presentation.
+
+    ``gen_map`` sends each generator name to a Path (presentation target) or
+    a morphism id (finite target).  Construction checks only shape; semantic
+    validity is ``check_functor``.
     """
 
-    def __init__(self, source, target, object_map: Mapping, gen_map: Mapping):
+    def __init__(
+        self, source: FpCategory, target: FpCategory | FiniteCategory,
+        object_map: Mapping, gen_map: Mapping,
+    ):
+        if not isinstance(source, FpCategory):
+            raise TypeError("Functor needs a presentation source; use FiniteFunctor")
+        if not isinstance(target, (FpCategory, FiniteCategory)):
+            raise TypeError(f"Functor target must be a category, got {type(target).__name__}")
         self.source = source
         self.target = target
         self.object_map = dict(object_map)
         self.gen_map = dict(gen_map)
-        src_objects = source.objects if hasattr(source, "objects") else ()
-        for x in src_objects:
-            if x not in self.object_map:
-                raise DanglingEndpoint(f"object {x!r} has no image")
-        tgt_objects = set(target.objects)
-        for x, y in self.object_map.items():
-            if y not in tgt_objects:
-                raise DanglingEndpoint(f"object image {y!r} is not in the target")
-        if isinstance(source, FpCategory):
-            for g in source.quiver.generators:
-                if g.name not in self.gen_map:
-                    raise DanglingEndpoint(f"generator {g.name!r} has no image")
-        else:
-            for i in range(source.n):
-                if not source.is_identity(i) and i not in self.gen_map:
-                    raise DanglingEndpoint(f"morphism {i} has no image")
-
-    @property
-    def source_is_fp(self) -> bool:
-        return isinstance(self.source, FpCategory)
-
-    @property
-    def target_is_fp(self) -> bool:
-        return isinstance(self.target, FpCategory)
+        _check_object_map(source, target, self.object_map)
+        for g in source.quiver.generators:
+            if g.name not in self.gen_map:
+                raise DanglingEndpoint(f"generator {g.name!r} has no image")
 
     def apply_obj(self, x: str) -> str:
         return self.object_map[x]
 
     def apply_path(self, p: Path):
         """Image of a source path: a Path (fp target) or morphism id (finite)."""
-        if not self.source_is_fp:
-            raise TypeError("apply_path needs an fp source")
-        if self.target_is_fp:
+        if isinstance(self.target, FpCategory):
             gens: list[str] = []
             for name in p.gens:
                 gens.extend(self.gen_map[name].gens)
@@ -888,15 +900,6 @@ class Functor:
         for name in p.gens:
             cur = C.compose_table[(cur, self.gen_map[name])]
         return cur
-
-    def apply_mor(self, i: int):
-        """Image of a source morphism id (finite source)."""
-        if self.source_is_fp:
-            raise TypeError("apply_mor needs a finite source")
-        if self.source.is_identity(i):
-            y = self.apply_obj(self.source.mor_src[i])
-            return self.target.identities[y] if not self.target_is_fp else Path(y)
-        return self.gen_map[i]
 
     def __eq__(self, other):
         if not isinstance(other, Functor):
@@ -914,109 +917,139 @@ class Functor:
         return f"Functor({self.source!r} -> {self.target!r})"
 
     def to_json_obj(self) -> dict:
-        gm = {}
-        for k, v in self.gen_map.items():
-            key = k if isinstance(k, str) else str(k)
-            gm[key] = v.to_json_obj() if isinstance(v, Path) else v
+        gm = {k: v.to_json_obj() if isinstance(v, Path) else v for k, v in self.gen_map.items()}
         return {"object_map": dict(self.object_map), "gen_map": gm}
 
 
-def functor_from_json(source, target, obj: Mapping) -> Functor:
-    gm: dict = {}
-    for k, v in obj["gen_map"].items():
-        key = k if isinstance(source, FpCategory) else int(k)
-        gm[key] = Path.from_json_obj(v) if isinstance(v, Mapping) else v
-    return Functor(source, target, obj["object_map"], gm)
+class FiniteFunctor:
+    """A functor between finite categories, dense on morphisms.
 
+    ``mor[i]`` is the image of source morphism ``i``, identities included.
+    Construction checks the object map, the length of ``mor`` and that
+    identities go to identities; the rest of validity is ``check_functor``.
+    """
 
-def identity_functor(C) -> Functor:
-    if isinstance(C, FpCategory):
-        return Functor(
-            C,
-            C,
-            {x: x for x in C.objects},
-            {g.name: Path(g.src, (g.name,)) for g in C.quiver.generators},
+    def __init__(
+        self, source: FiniteCategory, target: FiniteCategory,
+        object_map: Mapping, mor: Sequence[int],
+    ):
+        if not isinstance(source, FiniteCategory) or not isinstance(target, FiniteCategory):
+            raise TypeError("FiniteFunctor needs finite source and target; use Functor")
+        self.source = source
+        self.target = target
+        self.object_map = dict(object_map)
+        self.mor = tuple(mor)
+        _check_object_map(source, target, self.object_map)
+        if len(self.mor) != source.n:
+            raise DanglingEndpoint(
+                f"{len(self.mor)} morphism images for {source.n} source morphisms"
+            )
+        for x, i in source.identities.items():
+            if self.mor[i] != target.identities[self.object_map[x]]:
+                raise DanglingEndpoint(f"identity of {x!r} is not sent to an identity")
+
+    def apply_obj(self, x: str) -> str:
+        return self.object_map[x]
+
+    def __eq__(self, other):
+        if not isinstance(other, FiniteFunctor):
+            return NotImplemented
+        return (
+            self.mor == other.mor
+            and self.object_map == other.object_map
+            and self.source == other.source
+            and self.target == other.target
         )
-    return Functor(
-        C,
-        C,
-        {x: x for x in C.objects},
-        {i: i for i in range(C.n) if not C.is_identity(i)},
-    )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self):
+        return f"FiniteFunctor({self.source!r} -> {self.target!r})"
+
+    def to_json_obj(self) -> dict:
+        """Non-identity images keyed by ``str(id)``, as ``functor_from_json`` reads."""
+        gm = {str(i): j for i, j in enumerate(self.mor) if not self.source.is_identity(i)}
+        return {"object_map": dict(self.object_map), "gen_map": gm}
 
 
-def check_functor(F: Functor, budget: int = DEFAULT_RULE_BUDGET) -> bool:
-    """True iff object/endpoint compatibility and relation preservation hold."""
+def functor_from_json(source, target, obj: Mapping) -> Functor | FiniteFunctor:
+    """Read ``to_json_obj`` output back; the source's kind picks the class."""
+    object_map = obj["object_map"]
+    if isinstance(source, FiniteCategory) and isinstance(target, FiniteCategory):
+        _check_object_map(source, target, object_map)
+        mor = {int(k): v for k, v in obj["gen_map"].items()}
+        for x, i in source.identities.items():
+            mor[i] = target.identities[object_map[x]]
+        missing = [i for i in range(source.n) if i not in mor]
+        if missing:
+            raise DanglingEndpoint(f"morphism {missing[0]} has no image")
+        return FiniteFunctor(source, target, object_map, [mor[i] for i in range(source.n)])
+    gm = {
+        k: Path.from_json_obj(v) if isinstance(v, Mapping) else v
+        for k, v in obj["gen_map"].items()
+    }
+    return Functor(source, target, object_map, gm)
+
+
+def identity_functor(C: FpCategory | FiniteCategory) -> Functor | FiniteFunctor:
+    objects = {x: x for x in C.objects}
+    if isinstance(C, FpCategory):
+        return Functor(C, C, objects, {g.name: Path(g.src, (g.name,)) for g in C.generators})
+    return FiniteFunctor(C, C, objects, range(C.n))
+
+
+def check_functor(F: Functor | FiniteFunctor, budget: int = DEFAULT_RULE_BUDGET) -> bool:
+    """True iff object/endpoint compatibility and relation preservation hold.
+
+    A finite functor must preserve endpoints and every cell of the source's
+    composition table; a functor out of a presentation must send generators
+    to arrows with the right endpoints and preserve every relation.
+    """
     src, tgt = F.source, F.target
-    if isinstance(src, FpCategory):
+    if isinstance(F, FiniteFunctor):
+        mor = F.mor
+        for i, img in enumerate(mor):
+            if not isinstance(img, int) or not (0 <= img < tgt.n):
+                return False
+            if (
+                tgt.mor_src[img] != F.object_map[src.mor_src[i]]
+                or tgt.mor_dst[img] != F.object_map[src.mor_dst[i]]
+            ):
+                return False
+        table = tgt.compose_table
+        return all(table[(mor[f], mor[g])] == mor[h] for (f, g), h in src.compose_table.items())
+
+    if isinstance(tgt, FiniteCategory):
         for g in src.quiver.generators:
             img = F.gen_map[g.name]
-            if isinstance(tgt, FpCategory):
-                if not isinstance(img, Path):
-                    return False
-                try:
-                    tgt.quiver.check_path(img)
-                except CatError:
-                    return False
-                if img.at != F.apply_obj(g.src) or tgt.quiver.path_dst(img) != F.apply_obj(g.dst):
-                    return False
-            else:
-                if not isinstance(img, int) or not (0 <= img < tgt.n):
-                    return False
-                if tgt.mor_src[img] != F.apply_obj(g.src) or tgt.mor_dst[img] != F.apply_obj(g.dst):
-                    return False
-        if isinstance(tgt, FpCategory):
-            rs = tgt.completion(budget)
-            for lhs, rhs in src.relations:
-                li, ri = F.apply_path(lhs), F.apply_path(rhs)
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", IncompleteSystemWarning)
-                    ln, rn = rs.normalize(li), rs.normalize(ri)
-                if ln != rn:
-                    if not rs.complete:
-                        raise IncompleteSystem(
-                            "cannot decide relation preservation under an incomplete system"
-                        )
-                    return False
-        else:
-            for lhs, rhs in src.relations:
-                if F.apply_path(lhs) != F.apply_path(rhs):
-                    return False
-        return True
+            if not isinstance(img, int) or not (0 <= img < tgt.n):
+                return False
+            if tgt.mor_src[img] != F.apply_obj(g.src) or tgt.mor_dst[img] != F.apply_obj(g.dst):
+                return False
+        return all(F.apply_path(lhs) == F.apply_path(rhs) for lhs, rhs in src.relations)
 
-    # finite source: images must respect endpoints, identities, and the table
-    for i in range(src.n):
-        img = F.apply_mor(i)
-        x, y = F.apply_obj(src.mor_src[i]), F.apply_obj(src.mor_dst[i])
-        if isinstance(tgt, FpCategory):
-            if not isinstance(img, Path):
-                return False
-            try:
-                tgt.quiver.check_path(img)
-            except CatError:
-                return False
-            if img.at != x or tgt.quiver.path_dst(img) != y:
-                return False
-        else:
-            if tgt.mor_src[img] != x or tgt.mor_dst[img] != y:
-                return False
-    if isinstance(tgt, FpCategory):
-        rs = tgt.completion(budget)
+    for g in src.quiver.generators:
+        img = F.gen_map[g.name]
+        if not isinstance(img, Path):
+            return False
+        try:
+            tgt.quiver.check_path(img)
+        except CatError:
+            return False
+        if img.at != F.apply_obj(g.src) or tgt.quiver.path_dst(img) != F.apply_obj(g.dst):
+            return False
+    rs = tgt.completion(budget)
+    for lhs, rhs in src.relations:
+        li, ri = F.apply_path(lhs), F.apply_path(rhs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", IncompleteSystemWarning)
-            for (f, g), h in src.compose_table.items():
-                fi, gi, hi = F.apply_mor(f), F.apply_mor(g), F.apply_mor(h)
-                lhs = rs.normalize(Path(fi.at, fi.gens + gi.gens))
-                if lhs != rs.normalize(hi):
-                    if not rs.complete:
-                        raise IncompleteSystem(
-                            "cannot decide composition preservation under an incomplete system"
-                        )
-                    return False
-    else:
-        for (f, g), h in src.compose_table.items():
-            if tgt.compose_table[(F.apply_mor(f), F.apply_mor(g))] != F.apply_mor(h):
-                return False
+            ln, rn = rs.normalize(li), rs.normalize(ri)
+        if ln != rn:
+            if not rs.complete:
+                raise IncompleteSystem(
+                    "cannot decide relation preservation under an incomplete system"
+                )
+            return False
     return True
 
 
@@ -1025,17 +1058,7 @@ def compose_functors(F: Functor, G: Functor) -> Functor:
     if F.target is not G.source and F.target != G.source:
         raise DanglingEndpoint("functors are not composable")
     object_map = {x: G.apply_obj(y) for x, y in F.object_map.items()}
-    gen_map: dict = {}
-    if F.source_is_fp:
-        for g in F.source.quiver.generators:
-            img = F.gen_map[g.name]
-            gen_map[g.name] = G.apply_path(img) if F.target_is_fp else G.apply_mor(img)
-    else:
-        for i in range(F.source.n):
-            if F.source.is_identity(i):
-                continue
-            img = F.gen_map[i]
-            gen_map[i] = G.apply_path(img) if F.target_is_fp else G.apply_mor(img)
+    gen_map = {g.name: G.apply_path(F.gen_map[g.name]) for g in F.source.generators}
     return Functor(F.source, G.target, object_map, gen_map)
 
 
@@ -1045,20 +1068,10 @@ def functors_equal(F: Functor, G: Functor, budget: int = DEFAULT_RULE_BUDGET) ->
         return False
     if F.object_map != G.object_map:
         return False
-    keys = (
-        [g.name for g in F.source.quiver.generators]
-        if F.source_is_fp
-        else [i for i in range(F.source.n) if not F.source.is_identity(i)]
-    )
-    if F.target_is_fp:
-        rs = F.target.completion(budget)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IncompleteSystemWarning)
-            for k in keys:
-                if rs.normalize(F.gen_map[k]) != rs.normalize(G.gen_map[k]):
-                    return False
-    else:
-        for k in keys:
-            if F.gen_map[k] != G.gen_map[k]:
-                return False
-    return True
+    names = [g.name for g in F.source.quiver.generators]
+    if isinstance(F.target, FiniteCategory):
+        return all(F.gen_map[k] == G.gen_map[k] for k in names)
+    rs = F.target.completion(budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IncompleteSystemWarning)
+        return all(rs.normalize(F.gen_map[k]) == rs.normalize(G.gen_map[k]) for k in names)

@@ -351,22 +351,8 @@ def is_cofiber_sequence(
         c_fin = to_finite(C, DEFAULT_HOM_BOUND, budget)
     except CatError:
         return CofiberFailure("iso_not_certified")
-    mor_map = {}
-    for idx in range(apex_fin.n):
-        if apex_fin.is_identity(idx):
-            continue
-        img_path = Path(
-            m.apply_obj(apex_fin.mor_src[idx]),
-            tuple(
-                g2 for g in apex_fin.paths[idx].gens for g2 in m.gen_map[g].gens
-            ),
-        )
-        nf = rs_c.normalize(img_path)
-        mor_map[idx] = next(
-            j for j in range(c_fin.n) if c_fin.paths[j] == nf
-        )
-    m_fin = Functor(apex_fin, c_fin, dict(m.object_map), mor_map)
-    images = [m_fin.apply_mor(j) for j in range(apex_fin.n)]
+    c_form = {p: j for j, p in enumerate(c_fin.paths)}
+    images = [c_form[rs_c.normalize(m.apply_path(p))] for p in apex_fin.paths]
     if apex_fin.n != c_fin.n or len(set(images)) != c_fin.n:
         return CofiberFailure("cofiber_mismatch", (apex_fin.n, c_fin.n))
     hom_card = {

@@ -19,6 +19,7 @@ from .fpcat import (
     DEFAULT_RULE_BUDGET,
     CatError,
     FiniteCategory,
+    FiniteFunctor,
     FpCategory,
     Functor,
     IncompleteSystem,
@@ -42,7 +43,7 @@ class SearchSpaceTooLarge(CatError):
         super().__init__(f"functor search space has {size} candidates (bound {bound})")
 
 
-def is_cofibration(F: Functor) -> bool:
+def is_cofibration(F: Functor | FiniteFunctor) -> bool:
     """Injective on objects.  Assumes ``F`` is a valid functor."""
     images = list(F.object_map.values())
     return len(images) == len(set(images))
@@ -69,7 +70,7 @@ def iso_core(C: FiniteCategory) -> FiniteCategory:
     )
 
 
-def is_isofibration(F: Functor) -> bool:
+def is_isofibration(F: FiniteFunctor) -> bool:
     """Every iso in the target starting at an object's image lifts."""
     C: FiniteCategory = F.source
     D: FiniteCategory = F.target
@@ -82,7 +83,7 @@ def is_isofibration(F: Functor) -> bool:
                 continue
             lifted = False
             for k in range(C.n):
-                if k in c_inv and C.mor_src[k] == x and F.apply_mor(k) == h:
+                if k in c_inv and C.mor_src[k] == x and F.mor[k] == h:
                     lifted = True
                     break
             if not lifted:
@@ -94,7 +95,7 @@ def is_isofibration(F: Functor) -> bool:
 class EquivalenceCertificate:
     """Re-checkable witnesses: per-hom bijections and iso hits per target object."""
 
-    functor: Functor
+    functor: FiniteFunctor
     fully_faithful: dict[tuple[str, str], tuple[tuple[int, int], ...]]
     essentially_surjective: dict[str, tuple[str, int, int]]
 
@@ -110,7 +111,7 @@ class EquivalenceCertificate:
                 return False
             if sorted(tgts) != sorted(D.hom(fx, fy)):
                 return False
-            if any(F.apply_mor(f) != g for f, g in pairs):
+            if any(F.mor[f] != g for f, g in pairs):
                 return False
         if set(self.fully_faithful) != {(x, y) for x in C.objects for y in C.objects}:
             return False
@@ -147,7 +148,7 @@ class NotEquivalence:
         return False
 
 
-def is_equivalence(F: Functor) -> Union[EquivalenceCertificate, NotEquivalence]:
+def is_equivalence(F: FiniteFunctor) -> Union[EquivalenceCertificate, NotEquivalence]:
     """Decide categorical equivalence for a functor between finite categories."""
     C: FiniteCategory = F.source
     D: FiniteCategory = F.target
@@ -155,7 +156,7 @@ def is_equivalence(F: Functor) -> Union[EquivalenceCertificate, NotEquivalence]:
     for x in C.objects:
         for y in C.objects:
             fx, fy = F.apply_obj(x), F.apply_obj(y)
-            pairs = tuple((f, F.apply_mor(f)) for f in C.hom(x, y))
+            pairs = tuple((f, F.mor[f]) for f in C.hom(x, y))
             images = [p[1] for p in pairs]
             if len(set(images)) < len(images):
                 dup = next(g for g in images if images.count(g) > 1)
@@ -311,16 +312,18 @@ def _fp_view(C: FiniteCategory) -> tuple[FpCategory, dict]:
     return fp, {f"m{i}": i for i in range(C.n) if not C.is_identity(i)}
 
 
-def _as_finite_functor(F: Functor, C: FiniteCategory, name_to_id: dict) -> Functor:
-    mor_map = {}
+def _as_finite_functor(F: Functor, C: FiniteCategory, name_to_id: dict) -> FiniteFunctor:
+    """The functor on ``C`` behind a functor out of its ``_fp_view``."""
+    D = F.target
+    mor = [D.identities[F.object_map[x]] for x in C.mor_src]
     for name, i in name_to_id.items():
-        mor_map[i] = F.gen_map[name]
-    return Functor(C, F.target, F.object_map, mor_map)
+        mor[i] = F.gen_map[name]
+    return FiniteFunctor(C, D, F.object_map, mor)
 
 
 def find_equivalence(
     C: FiniteCategory, D: FiniteCategory, product_bound: int = DEFAULT_PRODUCT_BOUND
-) -> Functor | None:
+) -> FiniteFunctor | None:
     """First functor C -> D (declaration order) that is an equivalence."""
     fp, names = _fp_view(C)
     for F in all_functors(fp, D, product_bound):
@@ -332,7 +335,7 @@ def find_equivalence(
 
 def find_isomorphism(
     C: FiniteCategory, D: FiniteCategory, product_bound: int = DEFAULT_PRODUCT_BOUND
-) -> Functor | None:
+) -> FiniteFunctor | None:
     """An invertible functor C -> D, if one exists within the bound."""
     if len(C.objects) != len(D.objects) or C.n != D.n:
         return None
@@ -342,8 +345,7 @@ def find_isomorphism(
     ]
     for F in all_functors(fp, D, product_bound, object_maps=object_maps):
         fin = _as_finite_functor(F, C, names)
-        images = [fin.apply_mor(i) for i in range(C.n)]
-        if len(set(images)) != D.n:
+        if len(set(fin.mor)) != D.n:
             continue
         cert = is_equivalence(fin)
         if cert:

@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .fpcat import (
     CatError,
     FiniteCategory,
-    Functor,
+    FiniteFunctor,
     check_functor,
+    identity_functor,
     _json_list,
+    _json_names,
 )
 from .model_structure import (
     DEFAULT_PRODUCT_BOUND,
@@ -105,8 +107,8 @@ class FiniteSpace:
 def space_from_json(doc: Union[str, Mapping]) -> FiniteSpace:
     obj = json.loads(doc) if isinstance(doc, str) else doc
     return FiniteSpace(
-        _json_list(obj["points"], "points"),
-        [_json_list(u, "opens") for u in _json_list(obj["opens"], "opens")],
+        _json_names(obj["points"], "points"),
+        [_json_names(u, "opens") for u in _json_list(obj["opens"], "opens")],
     )
 
 
@@ -217,12 +219,6 @@ def product_category(
     return cat, meta
 
 
-def _same_finite_functor(f: Functor, g: Functor) -> bool:
-    if f.object_map != g.object_map:
-        return False
-    return all(f.apply_mor(i) == g.apply_mor(i) for i in range(f.source.n))
-
-
 # ---------------------------------------------------------------------------
 # Presheaves and sheaves
 
@@ -238,7 +234,7 @@ class CatPresheaf:
         self,
         space: FiniteSpace,
         values: Mapping[Open, FiniteCategory],
-        restrictions: Mapping[tuple[Open, Open], Functor],
+        restrictions: Mapping[tuple[Open, Open], FiniteFunctor],
     ):
         self.space = space
         self.values = dict(values)
@@ -253,7 +249,7 @@ class CatPresheaf:
             raise NotAnOpen(f"{sorted(key)} is not an open")
         return self.values[key]
 
-    def restriction(self, u: Iterable[str], v: Iterable[str]) -> Functor:
+    def restriction(self, u: Iterable[str], v: Iterable[str]) -> FiniteFunctor:
         key = (frozenset(u), frozenset(v))
         if key not in self.restrictions:
             raise NotAnOpen(f"no restriction for {sorted(key[0])} -> {sorted(key[1])}")
@@ -263,14 +259,7 @@ class CatPresheaf:
         """Identity and composition laws for the restriction functors."""
         opens = self.space.opens
         for u in opens:
-            r = self.restriction(u, u)
-            ident = Functor(
-                self.values[u],
-                self.values[u],
-                {x: x for x in self.values[u].objects},
-                {i: i for i in range(self.values[u].n) if not self.values[u].is_identity(i)},
-            )
-            if not _same_finite_functor(r, ident):
+            if self.restriction(u, u) != identity_functor(self.values[u]):
                 raise CatError(f"restriction along identity of {sorted(u)} not identity")
         for u in opens:
             for v in opens:
@@ -292,12 +281,11 @@ class CatPresheaf:
                                 f"restrictions do not compose on objects: "
                                 f"{sorted(u)} -> {sorted(v)} -> {sorted(w)}"
                             )
-                    for i in range(self.values[u].n):
-                        if rvw.apply_mor(ruv.apply_mor(i)) != ruw.apply_mor(i):
-                            raise CatError(
-                                f"restrictions do not compose on morphisms: "
-                                f"{sorted(u)} -> {sorted(v)} -> {sorted(w)}"
-                            )
+                    if any(rvw.mor[j] != k for j, k in zip(ruv.mor, ruw.mor)):
+                        raise CatError(
+                            f"restrictions do not compose on morphisms: "
+                            f"{sorted(u)} -> {sorted(v)} -> {sorted(w)}"
+                        )
         return True
 
 
@@ -323,42 +311,31 @@ def check_gluing(F: CatPresheaf) -> tuple[bool, object]:
     for u in F.space.opens:
         cu = F.values[u]
         for cover in _covers_of(F.space, u):
+            # the two restrictions onto each pairwise overlap of the cover
+            overlaps = [
+                (i, j, F.restriction(v1, v1 & v2), F.restriction(v2, v1 & v2))
+                for (i, v1), (j, v2) in itertools.combinations(enumerate(cover), 2)
+            ]
+            down = [F.restriction(u, v) for v in cover]
             # objects
-            fams = set()
-            for combo in itertools.product(*(F.values[v].objects for v in cover)):
-                ok = True
-                for (v1, a1), (v2, a2) in itertools.combinations(zip(cover, combo), 2):
-                    w = v1 & v2
-                    if F.restriction(v1, w).apply_obj(a1) != F.restriction(
-                        v2, w
-                    ).apply_obj(a2):
-                        ok = False
-                        break
-                if ok:
-                    fams.add(combo)
-            images = {
-                tuple(F.restriction(u, v).apply_obj(a) for v in cover): a
-                for a in cu.objects
+            fams = {
+                combo
+                for combo in itertools.product(*(F.values[v].objects for v in cover))
+                if all(
+                    r1.object_map[combo[i]] == r2.object_map[combo[j]]
+                    for i, j, r1, r2 in overlaps
+                )
             }
+            images = {tuple(r.object_map[a] for r in down): a for a in cu.objects}
             if len(images) != len(cu.objects) or set(images) != fams:
                 return False, ("objects", sorted(u), [sorted(v) for v in cover])
             # morphisms
-            mfams = set()
-            for combo in itertools.product(*(range(F.values[v].n) for v in cover)):
-                ok = True
-                for (v1, m1), (v2, m2) in itertools.combinations(zip(cover, combo), 2):
-                    w = v1 & v2
-                    if F.restriction(v1, w).apply_mor(m1) != F.restriction(
-                        v2, w
-                    ).apply_mor(m2):
-                        ok = False
-                        break
-                if ok:
-                    mfams.add(combo)
-            mimages = {
-                tuple(F.restriction(u, v).apply_mor(m) for v in cover): m
-                for m in range(cu.n)
+            mfams = {
+                combo
+                for combo in itertools.product(*(range(F.values[v].n) for v in cover))
+                if all(r1.mor[combo[i]] == r2.mor[combo[j]] for i, j, r1, r2 in overlaps)
             }
+            mimages = {tuple(r.mor[m] for r in down): m for m in range(cu.n)}
             if len(mimages) != cu.n or set(mimages) != mfams:
                 return False, ("morphisms", sorted(u), [sorted(v) for v in cover])
     return True, None
@@ -381,9 +358,9 @@ class SheafMap:
 
     source: CatPresheaf
     target: CatPresheaf
-    components: dict[Open, Functor]
+    components: dict[Open, FiniteFunctor]
 
-    def component(self, u: Iterable[str]) -> Functor:
+    def component(self, u: Iterable[str]) -> FiniteFunctor:
         return self.components[frozenset(u)]
 
     def validate(self) -> bool:
@@ -402,11 +379,10 @@ class SheafMap:
                         raise CatError(
                             f"naturality fails on objects at {sorted(u)} -> {sorted(v)}"
                         )
-                for i in range(self.source.values[u].n):
-                    if rt.apply_mor(comp.apply_mor(i)) != cv.apply_mor(rs.apply_mor(i)):
-                        raise CatError(
-                            f"naturality fails on morphisms at {sorted(u)} -> {sorted(v)}"
-                        )
+                if any(rt.mor[j] != cv.mor[k] for j, k in zip(comp.mor, rs.mor)):
+                    raise CatError(
+                        f"naturality fails on morphisms at {sorted(u)} -> {sorted(v)}"
+                    )
         return True
 
 
@@ -424,16 +400,10 @@ def constantify(A: FiniteCategory, space: FiniteSpace) -> CatPresheaf:
     values: dict[Open, FiniteCategory] = {}
     for u in space.opens:
         values[u] = A if u else empty_cat
-    restrictions: dict[tuple[Open, Open], Functor] = {}
-    ident = Functor(
-        A, A, {x: x for x in A.objects},
-        {i: i for i in range(A.n) if not A.is_identity(i)},
-    )
-    to_empty = Functor(
-        A, empty_cat, {x: "()" for x in A.objects},
-        {i: 0 for i in range(A.n) if not A.is_identity(i)},
-    )
-    empty_ident = Functor(empty_cat, empty_cat, {"()": "()"}, {})
+    restrictions: dict[tuple[Open, Open], FiniteFunctor] = {}
+    ident = identity_functor(A)
+    to_empty = FiniteFunctor(A, empty_cat, {x: "()" for x in A.objects}, [0] * A.n)
+    empty_ident = identity_functor(empty_cat)
     for u in space.opens:
         for v in space.opens:
             if not v <= u:
@@ -460,7 +430,7 @@ def sheafify_constant(A: FiniteCategory, space: FiniteSpace) -> CatSheaf:
     built = {u: product_category(A, comps[u]) for u in space.opens}
     values = {u: cat for u, (cat, _) in built.items()}
     metas = {u: meta for u, (_, meta) in built.items()}
-    restrictions: dict[tuple[Open, Open], Functor] = {}
+    restrictions: dict[tuple[Open, Open], FiniteFunctor] = {}
     for u in space.opens:
         mu = metas[u]
         for v in space.opens:
@@ -476,12 +446,8 @@ def sheafify_constant(A: FiniteCategory, space: FiniteSpace) -> CatSheaf:
             obj_map = {}
             for t, name in mu.obj_name.items():
                 obj_map[name] = mv.obj_name[tuple(t[p] for p in parent)]
-            gen_map = {}
-            for i, t in enumerate(mu.mor_tuple):
-                if values[u].is_identity(i):
-                    continue
-                gen_map[i] = mv.mor_ix[tuple(t[p] for p in parent)]
-            restrictions[(u, v)] = Functor(values[u], values[v], obj_map, gen_map)
+            mor = [mv.mor_ix[tuple(t[p] for p in parent)] for t in mu.mor_tuple]
+            restrictions[(u, v)] = FiniteFunctor(values[u], values[v], obj_map, mor)
     return CatSheaf(space, values, restrictions, base=A, meta=metas)
 
 
@@ -489,7 +455,7 @@ def global_sections(F: CatPresheaf) -> FiniteCategory:
     return F.value(F.space.full)
 
 
-def sheafify_functor(g: Functor, FS: CatSheaf, FT: CatSheaf) -> SheafMap:
+def sheafify_functor(g: FiniteFunctor, FS: CatSheaf, FT: CatSheaf) -> SheafMap:
     """The componentwise image of g: A -> B between constant sheafifications."""
     if FS.base is None or FT.base is None or FS.space is not FT.space:
         raise CatError("both sheaves must be constant sheafifications over one space")
@@ -500,12 +466,8 @@ def sheafify_functor(g: Functor, FS: CatSheaf, FT: CatSheaf) -> SheafMap:
             name: mt.obj_name[tuple(g.apply_obj(x) for x in t)]
             for t, name in ms.obj_name.items()
         }
-        gen_map = {}
-        for i, t in enumerate(ms.mor_tuple):
-            if FS.values[u].is_identity(i):
-                continue
-            gen_map[i] = mt.mor_ix[tuple(g.apply_mor(m) for m in t)]
-        components[u] = Functor(FS.values[u], FT.values[u], obj_map, gen_map)
+        mor = [mt.mor_ix[tuple(g.mor[m] for m in t)] for t in ms.mor_tuple]
+        components[u] = FiniteFunctor(FS.values[u], FT.values[u], obj_map, mor)
     return SheafMap(FS, FT, components)
 
 
@@ -523,10 +485,7 @@ def is_in_constant_image(
     for cand in all_functors(fp, B, product_bound):
         g = _as_finite_functor(cand, A, names)
         image = sheafify_functor(g, FS, FT)
-        if all(
-            _same_finite_functor(image.components[u], m.components[u])
-            for u in FS.space.opens
-        ):
+        if all(image.components[u] == m.components[u] for u in FS.space.opens):
             return True
     return False
 
@@ -537,8 +496,8 @@ def is_in_constant_image(
 
 @dataclass
 class IsoCertificate:
-    functor: Functor
-    inverse: Functor
+    functor: FiniteFunctor
+    inverse: FiniteFunctor
 
     def verify(self) -> bool:
         f, h = self.functor, self.inverse
@@ -550,13 +509,9 @@ class IsoCertificate:
         for y in h.source.objects:
             if f.apply_obj(h.apply_obj(y)) != y:
                 return False
-        for i in range(f.source.n):
-            if h.apply_mor(f.apply_mor(i)) != i:
-                return False
-        for j in range(h.source.n):
-            if f.apply_mor(h.apply_mor(j)) != j:
-                return False
-        return True
+        return all(h.mor[j] == i for i, j in enumerate(f.mor)) and all(
+            f.mor[i] == j for j, i in enumerate(h.mor)
+        )
 
 
 @dataclass
@@ -582,32 +537,28 @@ def unit_check(
     meta = F.meta[space.full]
     k = len(meta.comps)
     obj_map = {x: meta.obj_name[(x,) * k] for x in A.objects}
-    gen_map = {
-        i: meta.mor_ix[(i,) * k] for i in range(A.n) if not A.is_identity(i)
-    }
-    eta = Functor(A, G, obj_map, gen_map)
+    eta = FiniteFunctor(A, G, obj_map, [meta.mor_ix[(i,) * k] for i in range(A.n)])
     if not check_functor(eta):
         return UnitFailure("not_functorial")
     if len(A.objects) != len(G.objects):
         return UnitFailure("object_count", (len(A.objects), len(G.objects)))
     if A.n != G.n:
         return UnitFailure("morphism_count", (A.n, G.n))
-    images = [eta.apply_mor(i) for i in range(A.n)]
+    images = eta.mor
     if len(set(images)) != G.n or len(set(obj_map.values())) != len(G.objects):
         return UnitFailure("not_bijective")
     inv_obj = {v: k2 for k2, v in obj_map.items()}
-    inv_mor = {}
+    inv_mor = [0] * G.n
     for i, j in enumerate(images):
-        if not G.is_identity(j):
-            inv_mor[j] = i
-    inverse = Functor(G, A, inv_obj, inv_mor)
+        inv_mor[j] = i
+    inverse = FiniteFunctor(G, A, inv_obj, inv_mor)
     cert = IsoCertificate(eta, inverse)
     if not cert.verify():
         return UnitFailure("inverse_check")
     return cert
 
 
-def _discrete_two(space_A: FiniteCategory | None = None) -> FiniteCategory:
+def _discrete_two() -> FiniteCategory:
     objects = ["0.pt", "1.pt"]
     return FiniteCategory(
         objects, objects, objects, {(0, 0): 0, (1, 1): 1},
@@ -628,14 +579,8 @@ def exotic_map_demo(variant: str = "exotic") -> tuple[SheafMap, bool]:
     space = discrete_two_point()
     A = _discrete_two()
     F = sheafify_constant(A, space)
-    ident = Functor(
-        A, A, {x: x for x in A.objects},
-        {i: i for i in range(A.n) if not A.is_identity(i)},
-    )
-    const0 = Functor(
-        A, A, {x: "0.pt" for x in A.objects},
-        {i: 0 for i in range(A.n) if not A.is_identity(i)},
-    )
+    ident = identity_functor(A)
+    const0 = FiniteFunctor(A, A, {x: "0.pt" for x in A.objects}, [A.identities["0.pt"]] * A.n)
     if variant == "exotic":
         per_point = {"u": ident, "v": const0}
     elif variant == "identity":
@@ -650,14 +595,8 @@ def exotic_map_demo(variant: str = "exotic") -> tuple[SheafMap, bool]:
             name: meta.obj_name[tuple(f.apply_obj(x) for f, x in zip(assign, t))]
             for t, name in meta.obj_name.items()
         }
-        gen_map = {}
-        for i, t in enumerate(meta.mor_tuple):
-            if F.values[u].is_identity(i):
-                continue
-            gen_map[i] = meta.mor_ix[
-                tuple(f.apply_mor(m) for f, m in zip(assign, t))
-            ]
-        components[u] = Functor(F.values[u], F.values[u], obj_map, gen_map)
+        mor = [meta.mor_ix[tuple(f.mor[m] for f, m in zip(assign, t))] for t in meta.mor_tuple]
+        components[u] = FiniteFunctor(F.values[u], F.values[u], obj_map, mor)
     xi = SheafMap(F, F, components)
     xi.validate()
     return xi, is_in_constant_image(xi)

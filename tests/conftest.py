@@ -8,6 +8,7 @@ import random
 
 from catcw import (
     FiniteCategory,
+    FiniteFunctor,
     Functor,
     Path,
     PointedCategory,
@@ -82,13 +83,11 @@ def finite_form(F, bound=32, budget=500):
     """The finite-level functor induced by an fp functor with finite ends."""
     src = to_finite(F.source, bound, budget)
     dst = to_finite(F.target, bound, budget)
-    gen_map = {}
+    mor = []
     for i in range(src.n):
-        if src.is_identity(i):
-            continue
         nf = normalize(F.target, F.apply_path(src.paths[i]))
-        gen_map[i] = next(j for j in range(dst.n) if dst.paths[j] == nf)
-    return Functor(src, dst, {x: F.apply_obj(x) for x in src.objects}, gen_map)
+        mor.append(next(j for j in range(dst.n) if dst.paths[j] == nf))
+    return FiniteFunctor(src, dst, {x: F.apply_obj(x) for x in src.objects}, mor)
 
 
 def _walks(cat, max_len=3, cap=200):

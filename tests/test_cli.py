@@ -260,6 +260,45 @@ def test_space_missing_field_is_input_error(tmp_path, capsys):
     assert "missing or malformed field 'opens'" in capsys.readouterr().err
 
 
+MALFORMED_PRESENTATIONS = {
+    "non-string-name": {"objects": ["x", 3], "generators": [], "relations": [], "invertible": []},
+    "non-list-field": {"objects": "x", "generators": [], "relations": [], "invertible": []},
+    "missing-field": {"objects": ["x"]},
+    "top-level-array": [],
+}
+MALFORMED_SPACES = {
+    "non-string-name": {"points": ["u", 3], "opens": [[], ["u", 3]]},
+    "non-list-field": {"points": ["u"], "opens": "u"},
+    "missing-field": {"points": ["u"]},
+    "top-level-array": [],
+}
+SHEAF_VERBS = ["sheaf-unit", "sheaf-classify"]
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED_PRESENTATIONS))
+@pytest.mark.parametrize(
+    "verb",
+    ["check", "check --to-finite", "cone", "suspend", "k0-witness", "cw-classify"] + SHEAF_VERBS,
+)
+def test_malformed_presentation_is_input_error(tmp_path, capsys, verb, doc):
+    bad = dump(tmp_path, "bad.json", MALFORMED_PRESENTATIONS[doc])
+    argv = [verb.split()[0], bad] + verb.split()[1:]
+    if verb in SHEAF_VERBS:
+        argv.append(dump(tmp_path, "sier.json", sierpinski().to_json_obj()))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED_SPACES))
+@pytest.mark.parametrize("verb", SHEAF_VERBS)
+def test_malformed_space_is_input_error(tmp_path, capsys, verb, doc):
+    c2 = cat_file(tmp_path, "c2.json", c2_cat())
+    assert main([verb, c2, dump(tmp_path, "bad.json", MALFORMED_SPACES[doc])]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+
+
 def test_sheaf_exotic_variants(capsys):
     assert main(["sheaf-exotic", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -11,6 +11,7 @@ from catcw import (
     DanglingEndpoint,
     DuplicateName,
     FiniteCategory,
+    FiniteFunctor,
     Functor,
     IncompleteSystem,
     IncompleteSystemWarning,
@@ -514,6 +515,58 @@ def test_functor_json_round_trip():
     assert functors_equal(F, G)
 
 
+def test_finite_functor_json_round_trip():
+    c3 = to_finite(c3_cat())
+    flip = FiniteFunctor(c3, c3, {"x": "x"}, [0, 2, 1])
+    assert flip.to_json_obj() == {"object_map": {"x": "x"}, "gen_map": {"1": 2, "2": 1}}
+    ch2 = to_finite(chaotic(["p", "q"]))
+    one = to_finite(build(["pt"]))
+    functors = [
+        flip,
+        identity_functor(c3),
+        FiniteFunctor(c3, c3, {"x": "x"}, [0, 0, 0]),
+        FiniteFunctor(ch2, one, {"p": "pt", "q": "pt"}, [0] * ch2.n),
+    ]
+    for F in functors:
+        G = functor_from_json(F.source, F.target, json.loads(json.dumps(F.to_json_obj())))
+        assert isinstance(G, FiniteFunctor) and G == F
+    with pytest.raises(DanglingEndpoint):
+        functor_from_json(c3, c3, {"object_map": {"x": "x"}, "gen_map": {"1": 2}})
+
+
+def test_finite_functor_rejects_bad_shapes():
+    c3 = to_finite(c3_cat())
+    with pytest.raises(DanglingEndpoint):
+        FiniteFunctor(c3, c3, {"x": "x"}, [0, 2])
+    with pytest.raises(DanglingEndpoint):
+        FiniteFunctor(c3, c3, {"x": "x"}, [1, 2, 0])  # the identity goes to t
+    with pytest.raises(DanglingEndpoint):
+        FiniteFunctor(c3, c3, {"x": "y"}, [0, 2, 1])
+    with pytest.raises(TypeError):
+        FiniteFunctor(c3_cat(), c3, {"x": "x"}, [0, 2, 1])
+    with pytest.raises(TypeError):
+        FiniteFunctor(c3, c3_cat(), {"x": "x"}, [0, 2, 1])
+
+
+def test_functor_rejects_a_finite_source():
+    c3 = to_finite(c3_cat())
+    with pytest.raises(TypeError):
+        Functor(c3, c3, {"x": "x"}, {})
+    with pytest.raises(TypeError):
+        Functor(c3_cat(), None, {"x": "x"}, {"t": 1})
+
+
+def test_check_functor_rejects_one_broken_table_cell():
+    S = to_finite(path2_cat())
+    T = to_finite(build(["a", "b", "c"], [("f", "a", "b"), ("g", "b", "c"), ("h", "a", "c")]))
+    t_id = {label: i for i, label in enumerate(T.labels)}
+    ident = {x: x for x in S.objects}
+    assert check_functor(FiniteFunctor(S, T, ident, [t_id[label] for label in S.labels]))
+    # sending f;g to h keeps every endpoint and every other cell, but breaks (f, g) -> f;g
+    bent = [t_id["h" if label == "f;g" else label] for label in S.labels]
+    assert not check_functor(FiniteFunctor(S, T, ident, bent))
+
+
 def test_category_json_round_trip():
     for maker in (z_cat, c2_cat, c3_cat, arrow_cat, interval_cat, path2_cat):
         cat = maker()
@@ -548,6 +601,25 @@ def test_from_json_rejects_a_string_for_a_list(field, value):
     else:
         obj[field] = value
     with pytest.raises(TypeError, match=f"'{field}': expected a list, got str"):
+        from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "field, mutate",
+    [
+        ("objects", lambda obj: obj["objects"].append(3)),
+        ("name", lambda obj: obj["generators"][0].update(name=7)),
+        ("src", lambda obj: obj["generators"][0].update(src=None)),
+        ("dst", lambda obj: obj["generators"][0].update(dst=["x"])),
+        ("at", lambda obj: obj["relations"][0]["lhs"].update(at=0)),
+        ("gens", lambda obj: obj["relations"][0]["rhs"]["gens"].append(1)),
+        ("invertible", lambda obj: obj["invertible"].append(2)),
+    ],
+)
+def test_from_json_rejects_a_non_string_name(field, mutate):
+    obj = c2_cat().to_json_obj()
+    mutate(obj)
+    with pytest.raises(TypeError, match=f"'{field}': expected a string, got"):
         from_json(obj)
 
 

@@ -1,11 +1,13 @@
 """Cofibrations, isofibrations, equivalences, groupoids, contractibility."""
 
+import itertools
 import json
 
 import pytest
 
 from catcw import (
     EquivalenceCertificate,
+    FiniteFunctor,
     Functor,
     NotEquivalence,
     Path,
@@ -88,22 +90,18 @@ def test_iso_core_matches_tuple_construction():
 def test_isofibration_examples():
     ch2 = to_finite(chaotic(["p", "q"]))
     one = to_finite(terminal())
-    proj = Functor(ch2, one, {"p": "pt", "q": "pt"},
-                   {i: one.identities["pt"] for i in range(ch2.n)
-                    if not ch2.is_identity(i)})
+    proj = FiniteFunctor(ch2, one, {"p": "pt", "q": "pt"}, [one.identities["pt"]] * ch2.n)
     assert is_isofibration(proj)
     # picking one endpoint of an invertible interval cannot lift the flip
     inter = to_finite(interval_cat())
-    pick = Functor(one, inter, {"pt": "a"}, {})
+    pick = FiniteFunctor(one, inter, {"pt": "a"}, [inter.identities["a"]])
     assert not is_isofibration(pick)
 
 
 def test_equivalence_certificate_and_json():
     ch2 = to_finite(chaotic(["p", "q"]))
     one = to_finite(terminal())
-    proj = Functor(ch2, one, {"p": "pt", "q": "pt"},
-                   {i: one.identities["pt"] for i in range(ch2.n)
-                    if not ch2.is_identity(i)})
+    proj = FiniteFunctor(ch2, one, {"p": "pt", "q": "pt"}, [one.identities["pt"]] * ch2.n)
     cert = is_equivalence(proj)
     assert isinstance(cert, EquivalenceCertificate)
     assert cert.verify()
@@ -114,7 +112,7 @@ def test_equivalence_certificate_and_json():
 def test_not_equivalence_s0_to_point():
     s0 = to_finite(sphere(0))
     one = to_finite(terminal())
-    F = Functor(s0, one, {x: "pt" for x in s0.objects}, {})
+    F = FiniteFunctor(s0, one, {x: "pt" for x in s0.objects}, [one.identities["pt"]] * s0.n)
     verdict = is_equivalence(F)
     assert isinstance(verdict, NotEquivalence)
     assert not verdict
@@ -124,7 +122,7 @@ def test_not_equivalence_s0_to_point():
 def test_not_essentially_surjective():
     one = to_finite(terminal())
     s0 = to_finite(sphere(0))
-    incl = Functor(one, s0, {"pt": s0.objects[0]}, {})
+    incl = FiniteFunctor(one, s0, {"pt": s0.objects[0]}, [s0.identities[s0.objects[0]]])
     verdict = is_equivalence(incl)
     assert isinstance(verdict, NotEquivalence)
     assert verdict.reason == "not_essentially_surjective"
@@ -214,12 +212,53 @@ def test_find_equivalence_chaotic_to_point():
     assert F is not None and is_equivalence(F)
 
 
+def test_equivalence_certificate_bytes_chaotic_to_point():
+    cert = is_equivalence(find_equivalence(to_finite(chaotic(["p", "q"])), to_finite(terminal())))
+    assert cert.to_json() == (
+        '{"essentially_surjective":{"pt":["p",0,0]},'
+        '"fully_faithful":{"p|p":[[0,0]],"p|q":[[2,0]],"q|p":[[3,0]],"q|q":[[1,0]]},'
+        '"functor":{"gen_map":{"2":0,"3":0},"object_map":{"p":"pt","q":"pt"}}}'
+    )
+
+
+# (object map, image of every morphism) of the functor each search returns
+# on groupoid_pool6()[i] -> groupoid_pool6()[j]; pairs not listed find none
+POOL6_EQUIVALENCES = {
+    (0, 0): ({"x": "x"}, (0, 1)),
+    (1, 1): ({"x": "x"}, (0, 1, 2)),
+    (2, 2): ({"x": "x", "y": "y"}, (0, 1)),
+    (3, 3): ({"p": "p", "q": "p"}, (0, 0, 0, 0)),
+    (3, 4): ({"p": "a", "q": "a"}, (0, 0, 0, 0)),
+    (4, 3): ({"a": "p", "b": "p"}, (0, 0, 0, 0)),
+    (4, 4): ({"a": "a", "b": "a"}, (0, 0, 0, 0)),
+    (5, 5): ({"0.x": "0.x", "1.x": "1.x"}, (0, 1, 2, 3, 4)),
+}
+POOL6_ISOMORPHISMS = {
+    (0, 0): ({"x": "x"}, (0, 1)),
+    (1, 1): ({"x": "x"}, (0, 1, 2)),
+    (2, 2): ({"x": "x", "y": "y"}, (0, 1)),
+    (3, 3): ({"p": "p", "q": "q"}, (0, 1, 2, 3)),
+    (3, 4): ({"p": "a", "q": "b"}, (0, 1, 2, 3)),
+    (4, 3): ({"a": "p", "b": "q"}, (0, 1, 2, 3)),
+    (4, 4): ({"a": "a", "b": "b"}, (0, 1, 2, 3)),
+    (5, 5): ({"0.x": "0.x", "1.x": "1.x"}, (0, 1, 2, 3, 4)),
+}
+
+
+@pytest.mark.parametrize(
+    "search, pinned",
+    [(find_equivalence, POOL6_EQUIVALENCES), (find_isomorphism, POOL6_ISOMORPHISMS)],
+)
+def test_searches_on_groupoid_pool6_are_pinned(search, pinned):
+    pool = groupoid_pool6()
+    for (i, C), (j, D) in itertools.product(enumerate(pool), repeat=2):
+        F = search(C, D)
+        assert (None if F is None else (F.object_map, F.mor)) == pinned.get((i, j)), (i, j)
+
+
 def test_identity_is_equivalence_across_pool():
     for cat in pool8():
         fin = to_finite(cat)
-        ident = Functor(
-            fin, fin, {x: x for x in fin.objects},
-            {i: i for i in range(fin.n) if not fin.is_identity(i)},
-        )
+        ident = FiniteFunctor(fin, fin, {x: x for x in fin.objects}, range(fin.n))
         assert is_equivalence(ident)
         assert find_isomorphism(fin, fin) is not None

@@ -5,13 +5,13 @@ import itertools
 
 import pytest
 
-from conftest import arrow_cat, c2_cat, c3_cat, pool8, terminal_cat
+from conftest import arrow_cat, c2_cat, c3_cat, groupoid_pool6, pool8, terminal_cat
 
 from catcw import (
     CatError,
     CatPresheaf,
+    FiniteFunctor,
     FiniteSpace,
-    Functor,
     IsoCertificate,
     NotAnOpen,
     NotConnected,
@@ -23,6 +23,7 @@ from catcw import (
     connected_components,
     constantify,
     exotic_map_demo,
+    find_equivalence,
     find_isomorphism,
     global_sections,
     is_connected,
@@ -35,6 +36,7 @@ from catcw import (
     to_finite,
     unit_check,
 )
+from catcw.model_structure import _as_finite_functor, _fp_view, all_functors
 from catcw.sheaftopos import (
     check_gluing,
     discrete_two_point,
@@ -83,6 +85,16 @@ def test_space_from_json_rejects_a_string_for_a_list(field, value):
     obj = sierpinski().to_json_obj()
     obj[field] = value
     with pytest.raises(TypeError, match=f"'{field}': expected a list, got str"):
+        space_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("points", ["u", 3]), ("opens", [[], ["u"], ["u", 4]])]
+)
+def test_space_from_json_rejects_a_non_string_name(field, value):
+    obj = sierpinski().to_json_obj()
+    obj[field] = value
+    with pytest.raises(TypeError, match=f"'{field}': expected a string, got int"):
         space_from_json(obj)
 
 
@@ -210,12 +222,8 @@ def per_point_map(F, per_point):
             name: meta.obj_name[tuple(f.apply_obj(x) for f, x in zip(assign, t))]
             for t, name in meta.obj_name.items()
         }
-        gen_map = {}
-        for i, t in enumerate(meta.mor_tuple):
-            if F.values[u].is_identity(i):
-                continue
-            gen_map[i] = meta.mor_ix[tuple(f.apply_mor(m) for f, m in zip(assign, t))]
-        comps[u] = Functor(F.values[u], F.values[u], obj_map, gen_map)
+        mor = [meta.mor_ix[tuple(f.mor[m] for f, m in zip(assign, t))] for t in meta.mor_tuple]
+        comps[u] = FiniteFunctor(F.values[u], F.values[u], obj_map, mor)
     return SheafMap(F, F, comps)
 
 
@@ -225,7 +233,7 @@ def test_constant_image_agrees_with_pointwise_oracle():
     d2 = discrete2_fin()
     F = sheafify_constant(d2, discrete_two_point())
     endos = [
-        Functor(d2, d2, {"x": ox, "y": oy}, {})
+        FiniteFunctor(d2, d2, {"x": ox, "y": oy}, [d2.identities[ox], d2.identities[oy]])
         for ox in ("x", "y")
         for oy in ("x", "y")
     ]
@@ -235,11 +243,35 @@ def test_constant_image_agrees_with_pointwise_oracle():
         assert is_in_constant_image(m) == (fu.object_map == fv.object_map)
 
 
+def test_constant_image_verdicts_are_pinned():
+    verdicts = [exotic_map_demo(v)[1] for v in ("exotic", "identity", "constant")]
+    # per-point pairs of endofunctors over the discrete two-point space
+    for A in (to_finite(c3_cat()), to_finite(chaotic(["p", "q"]))):
+        fp, names = _fp_view(A)
+        endos = [_as_finite_functor(f, A, names) for f in all_functors(fp, A)]
+        S = sheafify_constant(A, discrete_two_point())
+        for f, g in itertools.product(endos, repeat=2):
+            verdicts.append(is_in_constant_image(per_point_map(S, {"u": f, "v": g})))
+    # sheafified equivalences over two connected spaces
+    pool = groupoid_pool6()[:4]
+    for C, D in itertools.product(pool, repeat=2):
+        F = find_equivalence(C, D)
+        if F is not None:
+            for space in (sierpinski(), pseudocircle_base()):
+                FS, FT = sheafify_constant(C, space), sheafify_constant(D, space)
+                verdicts.append(is_in_constant_image(sheafify_functor(F, FS, FT)))
+    F, T = False, True
+    assert verdicts == [F, T, T] + [
+        T, F, F, F, T, F, F, F, T,
+        T, F, F, F, F, T, F, F, F, F, T, F, F, F, F, T,
+    ] + [T] * 8
+
+
 def test_constant_image_over_a_point_recovers_the_functor():
     space = FiniteSpace(["p"], [[], ["p"]])
     d2 = discrete2_fin()
     F = sheafify_constant(d2, space)
-    swap = Functor(d2, d2, {"x": "y", "y": "x"}, {})
+    swap = FiniteFunctor(d2, d2, {"x": "y", "y": "x"}, [d2.identities["y"], d2.identities["x"]])
     m = sheafify_functor(swap, F, F)
     assert is_in_constant_image(m)
 
@@ -248,11 +280,11 @@ def test_constant_image_rejects_plain_presheaves():
     space = sierpinski()
     pre = constantify(discrete2_fin(), space)
     ident = {
-        u: Functor(
+        u: FiniteFunctor(
             pre.values[u],
             pre.values[u],
             {x: x for x in pre.values[u].objects},
-            {},
+            range(pre.values[u].n),
         )
         for u in space.opens
     }
@@ -263,8 +295,8 @@ def test_constant_image_rejects_plain_presheaves():
 def test_sheaf_map_naturality_is_enforced():
     d2 = discrete2_fin()
     F = sheafify_constant(d2, sierpinski())
-    ident = Functor(d2, d2, {"x": "x", "y": "y"}, {})
-    swap = Functor(d2, d2, {"x": "y", "y": "x"}, {})
+    ident = FiniteFunctor(d2, d2, {"x": "x", "y": "y"}, [d2.identities["x"], d2.identities["y"]])
+    swap = FiniteFunctor(d2, d2, {"x": "y", "y": "x"}, [d2.identities["y"], d2.identities["x"]])
     m = sheafify_functor(ident, F, F)
     full = frozenset(["u", "v"])
     broken = dict(m.components)
@@ -277,12 +309,7 @@ def test_sheafified_equivalence_is_equivalence_at_every_open():
     pseudo = pseudocircle_base()
     ch2 = to_finite(chaotic(["p", "q"]))
     one = to_finite(terminal_cat())
-    g = Functor(
-        ch2,
-        one,
-        {"p": "pt", "q": "pt"},
-        {i: 0 for i in range(ch2.n) if not ch2.is_identity(i)},
-    )
+    g = FiniteFunctor(ch2, one, {"p": "pt", "q": "pt"}, [0] * ch2.n)
     FS = sheafify_constant(ch2, pseudo)
     FT = sheafify_constant(one, pseudo)
     m = sheafify_functor(g, FS, FT)
@@ -314,16 +341,16 @@ def hand_built_non_constant_presheaf():
     c2f = to_finite(c2_cat())
     onef = to_finite(terminal_cat())
     e, u, full = frozenset(), frozenset(["u"]), sier.full
-    ident_c2 = Functor(c2f, c2f, {"x": "x"}, {1: 1})
-    one_id = Functor(onef, onef, {"pt": "pt"}, {})
+    ident_c2 = FiniteFunctor(c2f, c2f, {"x": "x"}, [0, 1])
+    one_id = FiniteFunctor(onef, onef, {"pt": "pt"}, [0])
     values = {full: onef, u: c2f, e: onef}
     restrictions = {
         (full, full): one_id,
         (u, u): ident_c2,
         (e, e): one_id,
-        (full, u): Functor(onef, c2f, {"pt": "x"}, {}),
+        (full, u): FiniteFunctor(onef, c2f, {"pt": "x"}, [0]),
         (full, e): one_id,
-        (u, e): Functor(c2f, onef, {"x": "pt"}, {1: 0}),
+        (u, e): FiniteFunctor(c2f, onef, {"x": "pt"}, [0, 0]),
     }
     return CatPresheaf(sier, values, restrictions)
 
