@@ -19,6 +19,7 @@ checking, and everything downstream.
 
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import dataclass, field
@@ -95,6 +96,13 @@ def _json_str(value, field: str) -> str:
     """``value`` if it is a JSON string; else a TypeError naming ``field``."""
     if not isinstance(value, str):
         raise TypeError(f"{field!r}: expected a string, got {type(value).__name__}")
+    return value
+
+
+def _json_object(value, field: str) -> Mapping:
+    """``value`` if it is a JSON object; else a TypeError naming ``field``."""
+    if not isinstance(value, Mapping):
+        raise TypeError(f"{field!r}: expected an object, got {type(value).__name__}")
     return value
 
 
@@ -254,9 +262,18 @@ class FpCategory:
         return Path(obj)
 
     def completion(self, budget: int = DEFAULT_RULE_BUDGET) -> "RewritingSystem":
+        """The completed system, shared with every equal presentation.
+
+        The first call per budget looks the presentation up by content in a
+        process-wide cache of finished completions; the system returned is
+        bound to this instance but holds the cached rules and rule table.
+        """
         rs = self._completions.get(budget)
         if rs is None:
-            rs = complete(self, budget)
+            rules, status, table = _shared_completion(
+                self.quiver.objects, self.quiver.generators, self.relations, budget
+            )
+            rs = RewritingSystem(self, rules, status, table)
             self._completions[budget] = rs
         return rs
 
@@ -386,17 +403,23 @@ def terminal(name: str = "pt") -> FpCategory:
 class RewritingSystem:
     """Oriented, interreduced rules over a presentation's generator words."""
 
-    def __init__(self, cat: FpCategory, rules: Sequence[Relation], status: str):
+    def __init__(
+        self, cat: FpCategory, rules: Sequence[Relation], status: str,
+        table: RuleTable | None = None,
+    ):
+        """``table``, when given, is ``rules`` already encoded over ``cat``'s generators."""
         self.cat = cat
         self.rules = tuple(rules)
         self.status = status  # "complete" | "incomplete"
-        idx = cat.quiver.gen_index
-        self._table = RuleTable(
-            [
-                (tuple(idx[n] for n in l.gens), tuple(idx[n] for n in r.gens))
-                for l, r in self.rules
-            ]
-        )
+        if table is None:
+            idx = cat.quiver.gen_index
+            table = RuleTable(
+                [
+                    (tuple(idx[n] for n in l.gens), tuple(idx[n] for n in r.gens))
+                    for l, r in self.rules
+                ]
+            )
+        self._table = table
         self._names = tuple(g.name for g in cat.quiver.generators)
 
     @property
@@ -521,6 +544,50 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
         at = gens[names[lhs[0]]].src
         out.append((decode(lhs, at), decode(rhs, at)))
     return RewritingSystem(cat, out, status)
+
+
+# Presentations with equal objects, generators (in order) and relations (in
+# order) complete to the same system under the same budget, and these are all
+# that ``complete`` reads.  The inverse table is left out of the key on
+# purpose: completion never reads it (its unit relations are already among
+# the relations), so presentations that differ only there share a system.
+COMPLETION_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=COMPLETION_CACHE_SIZE)
+def _shared_completion(
+    objects: tuple[str, ...],
+    generators: tuple[Generator, ...],
+    relations: tuple[Relation, ...],
+    budget: int,
+) -> tuple[tuple[Relation, ...], str, RuleTable]:
+    """The rules, status and rule table of a completion; all three are immutable."""
+    rs = complete(FpCategory(Quiver(objects, generators), relations), budget)
+    return rs.rules, rs.status, rs._table
+
+
+def completion_cache_info():
+    """Hits, misses, bound and size of the cache behind ``FpCategory.completion``.
+
+    Direct calls to ``complete`` bypass the cache and are not counted.
+
+    >>> clear_completion_cache()
+    >>> doc = build(["x"], [("t", "x", "x")], [(Path("x", ("t", "t")), Path("x"))]).to_json()
+    >>> a, b = from_json(doc), from_json(doc)
+    >>> a.completion().rules == b.completion().rules, b.completion().cat is b
+    (True, True)
+    >>> completion_cache_info()
+    CacheInfo(hits=1, misses=1, maxsize=128, currsize=1)
+    >>> clear_completion_cache()
+    >>> completion_cache_info()
+    CacheInfo(hits=0, misses=0, maxsize=128, currsize=0)
+    """
+    return _shared_completion.cache_info()
+
+
+def clear_completion_cache() -> None:
+    """Forget every shared completion; instances keep the systems they already hold."""
+    _shared_completion.cache_clear()
 
 
 def normalize(cat: FpCategory, p: Path, budget: int = DEFAULT_RULE_BUDGET) -> Path:
@@ -973,22 +1040,25 @@ class FiniteFunctor:
 
 
 def functor_from_json(source, target, obj: Mapping) -> Functor | FiniteFunctor:
-    """Read ``to_json_obj`` output back; the source's kind picks the class."""
-    object_map = obj["object_map"]
+    """Read ``to_json_obj`` output back; the source's kind picks the class.
+
+    A ``gen_map`` image must be a path object for a presentation target; any
+    other image is a TypeError naming ``gen_map``.
+    """
+    object_map = _json_object(obj["object_map"], "object_map")
+    gen_map = _json_object(obj["gen_map"], "gen_map")
     if isinstance(source, FiniteCategory) and isinstance(target, FiniteCategory):
         _check_object_map(source, target, object_map)
-        mor = {int(k): v for k, v in obj["gen_map"].items()}
+        mor = {int(k): v for k, v in gen_map.items()}
         for x, i in source.identities.items():
             mor[i] = target.identities[object_map[x]]
         missing = [i for i in range(source.n) if i not in mor]
         if missing:
             raise DanglingEndpoint(f"morphism {missing[0]} has no image")
         return FiniteFunctor(source, target, object_map, [mor[i] for i in range(source.n)])
-    gm = {
-        k: Path.from_json_obj(v) if isinstance(v, Mapping) else v
-        for k, v in obj["gen_map"].items()
-    }
-    return Functor(source, target, object_map, gm)
+    if isinstance(target, FpCategory):
+        gen_map = {k: Path.from_json_obj(_json_object(v, "gen_map")) for k, v in gen_map.items()}
+    return Functor(source, target, object_map, gen_map)
 
 
 def identity_functor(C: FpCategory | FiniteCategory) -> Functor | FiniteFunctor:

@@ -8,6 +8,8 @@ clock so a regression that blows the budget fails loudly.
 import random
 import time
 
+import pytest
+
 from conftest import (
     arrow_cat,
     assert_universal_property,
@@ -37,6 +39,7 @@ from catcw import (
     build_two_complex,
     chaotic,
     classify_cw_sheaf,
+    clear_completion_cache,
     cone,
     cone_map,
     cone_unit,
@@ -66,6 +69,16 @@ from catcw.sheaftopos import (
     pseudocircle_base,
     sierpinski,
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_completions():
+    """Start each test with an empty completion cache.
+
+    The runtime ceilings below then time cold completions, not systems
+    that earlier tests left in the cache.
+    """
+    clear_completion_cache()
 
 
 def test_criterion_1_sphere_suite():

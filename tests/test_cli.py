@@ -299,6 +299,27 @@ def test_malformed_space_is_input_error(tmp_path, capsys, verb, doc):
     assert "input error" in err and "Traceback" not in err
 
 
+MALFORMED_LEGS = {
+    "number-image": {"object_map": {"a": "a", "b": "b"}, "gen_map": {"f": 5}},
+    "string-image": {"object_map": {"a": "a", "b": "b"}, "gen_map": {"f": "f"}},
+    "list-image": {"object_map": {"a": "a", "b": "b"}, "gen_map": {"f": ["f"]}},
+    "list-gen-map": {"object_map": {"a": "a", "b": "b"}, "gen_map": [["f", 5]]},
+    "list-object-map": {"object_map": [["a", "a"]], "gen_map": {"f": 5}},
+}
+
+
+@pytest.mark.parametrize("leg", list(MALFORMED_LEGS))
+def test_pushout_with_a_malformed_leg_is_input_error(tmp_path, capsys, leg):
+    arrow = arrow_cat().to_json_obj()
+    good = {"object_map": {"a": "a", "b": "b"}, "gen_map": {"f": {"at": "a", "gens": ["f"]}}}
+    span = {"A": arrow, "B": arrow, "C": arrow, "f": good, "g": MALFORMED_LEGS[leg]}
+    assert main(["pushout", dump(tmp_path, "span.json", span), "--json"]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "Traceback" not in err
+    if leg.endswith("image"):
+        assert "'gen_map': expected an object" in err
+
+
 def test_sheaf_exotic_variants(capsys):
     assert main(["sheaf-exotic", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -21,7 +21,9 @@ from catcw import (
     build,
     chaotic,
     check_functor,
+    clear_completion_cache,
     complete,
+    completion_cache_info,
     compose_functors,
     finite_to_fp,
     from_json,
@@ -156,6 +158,98 @@ def test_budget_below_relation_count_is_a_value_error():
         complete(c2_cat(), budget=0)
     assert isinstance(exc.value, ValueError)
     assert (exc.value.budget, exc.value.relations) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# The shared completion cache
+
+
+def _braid():
+    return build(
+        ["x"],
+        [("a", "x", "x"), ("b", "x", "x")],
+        [(Path("x", ("a", "b", "a")), Path("x", ("b", "a", "b")))],
+    )
+
+
+def _same_system(rs, cold):
+    return rs.rules == cold.rules and rs.status == cold.status
+
+
+def test_equal_presentations_share_one_completion():
+    clear_completion_cache()
+    doc = c3_cat().to_json()
+    a, b = from_json(doc), from_json(doc)
+    ra, rb = a.completion(), b.completion()
+    assert ra.cat is a and rb.cat is b
+    assert rb.rules is ra.rules and rb._table is ra._table
+    assert rb.status == ra.status == "complete"
+    assert b.completion() is rb  # the instance's own dict answers first
+    info = completion_cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_completion_cache_key_is_budget_and_relation_order():
+    clear_completion_cache()
+    gens = [("a", "x", "x"), ("b", "x", "x")]
+    rels = [
+        (Path("x", ("a", "a")), Path("x")),
+        (Path("x", ("b", "b")), Path("x")),
+        (Path("x", ("b", "a")), Path("x", ("a", "b"))),
+    ]
+    cat = build(["x"], gens, rels)
+    cat.completion(100)
+    build(["x"], gens, rels).completion(200)
+    build(["x"], gens, rels[::-1]).completion(100)
+    info = completion_cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+    # the inverse table is not part of the key: completion never reads it
+    marked = build(["x"], gens, rels, ["a", "b"])
+    assert marked.inverses and marked.relations == cat.relations
+    assert marked.completion(100).rules is cat.completion(100).rules
+    assert completion_cache_info().hits == 1
+
+
+def test_incomplete_completion_is_shared_as_incomplete():
+    clear_completion_cache()
+    cold = complete(_braid(), budget=4)
+    first, second = _braid().completion(4), _braid().completion(4)
+    assert completion_cache_info().hits == 1
+    for rs in (first, second):
+        assert rs.status == "incomplete" and _same_system(rs, cold)
+
+
+def test_completion_cache_holds_at_most_its_bound():
+    clear_completion_cache()
+    bound = completion_cache_info().maxsize
+    assert bound == 128
+    for i in range(bound + 5):
+        build([f"o{i}"]).completion()
+        assert completion_cache_info().currsize <= bound
+    assert completion_cache_info().currsize == bound
+    build(["o0"]).completion()  # the least recently used entry was dropped
+    assert completion_cache_info().misses == bound + 6
+
+
+def test_cached_completion_equals_a_cold_one():
+    rng = random.Random(31)
+    cases = [(cat, 500) for cat in pool8()]
+    cases += [(random_pointed(rng).cat, 20) for _ in range(60)]
+    clear_completion_cache()
+    finite = 0
+    for cat, budget in cases:
+        cold = complete(cat, budget)
+        doc = cat.to_json()
+        for _ in range(2):  # a miss, then a hit
+            rs = from_json(doc).completion(budget)
+            assert _same_system(rs, cold), doc
+        try:
+            to_finite(cat, 32, budget)
+            finite += 1
+        except (IncompleteSystem, NotFinite):
+            pass
+    assert completion_cache_info().hits >= len(cases)
+    assert finite >= 30  # pool8 and 26 of the 60 draws
 
 
 def test_irreducible_words_z_counts():
