@@ -27,6 +27,7 @@ from .fpcat import (
     CatError,
     FpCategory,
     NotFinite,
+    check_functor,
     from_json as category_from_json,
     functor_from_json,
     to_finite,
@@ -34,7 +35,6 @@ from .fpcat import (
 from .model_structure import (
     DEFAULT_PRODUCT_BOUND,
     NotDecided,
-    SearchSpaceTooLarge,
     find_equivalence,
 )
 from .ktheory import K0Witness, PointedCategory, cone, k0_vanishing_witness, suspend
@@ -199,6 +199,11 @@ def _cmd_pushout(args) -> int:
         g = functor_from_json(A, C, obj["g"])
     except (KeyError, TypeError) as exc:
         raise InputError(f"{args.file}: missing or malformed field {exc}")
+    for name, leg in (("f", f), ("g", g)):
+        if not check_functor(leg, args.budget):
+            _emit({"functor": False, "leg": name}, args.json,
+                  [f"NotFunctor: leg {name} breaks an endpoint or a relation of A"])
+            return 1
     po = pushout(f, g)
     report = {
         "apex": po.apex.to_json_obj(),
@@ -414,7 +419,7 @@ def _add_common(p, bound=False, budget=False, product=False):
                        help="completion rule budget")
     if product:
         p.add_argument("--product-bound", type=_int_at_least(1),
-                       default=DEFAULT_PRODUCT_BOUND, help="functor search size cap")
+                       default=DEFAULT_PRODUCT_BOUND, help="functor search node cap")
     p.add_argument("--json", action="store_true", help="machine-readable report")
 
 
@@ -511,7 +516,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (CatError, SearchSpaceTooLarge) as exc:
+    except CatError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Union
 
 from .fpcat import (
     DEFAULT_HOM_BOUND,
@@ -25,7 +25,6 @@ from .fpcat import (
     IncompleteSystem,
     NotFinite,
     Path,
-    finite_to_fp,
     to_finite,
 )
 
@@ -37,10 +36,9 @@ class NotDecided(CatError):
 
 
 class SearchSpaceTooLarge(CatError):
-    def __init__(self, size: int, bound: int):
-        self.size = size
+    def __init__(self, bound: int):
         self.bound = bound
-        super().__init__(f"functor search space has {size} candidates (bound {bound})")
+        super().__init__(f"functor search visited {bound + 1} nodes (bound {bound})")
 
 
 def is_cofibration(F: Functor | FiniteFunctor) -> bool:
@@ -261,93 +259,100 @@ def is_contractible(
 
 
 def all_functors(
-    src: FpCategory,
+    src: FpCategory | FiniteCategory,
     dst: FiniteCategory,
     product_bound: int = DEFAULT_PRODUCT_BOUND,
-    object_maps: list[dict[str, str]] | None = None,
-) -> Iterator[Functor]:
-    """Enumerate valid functors deterministically (declaration-order products).
+    object_maps: Iterable[dict[str, str]] | None = None,
+) -> Iterator[Functor | FiniteFunctor]:
+    """Functors out of a presentation (``Functor``s) or a finite category
+    (``FiniteFunctor``s), by backtracking with forward checking.
 
-    Raises SearchSpaceTooLarge once the number of examined candidates would
-    exceed ``product_bound``.
+    Variables are the generators in declaration order, or the non-identity
+    morphisms in id order, tried in ``dst.hom`` order under object maps in
+    ``itertools.product`` order (or as given): functors come in the order of
+    the full candidate product.  Relations and table cells are constraints
+    ``(object, lhs, rhs)`` checked at their last variable, except that one
+    whose rhs is a variable after all of lhs, as in ``f;g = h``, forces it
+    (Haralick and Elliott, 1980; Froidure and Pin, 1997).  Raises
+    SearchSpaceTooLarge past ``product_bound`` nodes: one per object map and
+    one per value tried.
     """
-    objs = src.objects
-    gens = src.quiver.generators
-    if object_maps is None:
-        object_maps = [
-            dict(zip(objs, combo))
-            for combo in itertools.product(dst.objects, repeat=len(objs))
+    if isinstance(src, FiniteCategory):
+        pos = {i: k for k, i in enumerate(i for i in range(src.n) if not src.is_identity(i))}
+        ends = [(src.mor_src[i], src.mor_dst[i]) for i in pos]
+        constraints = [
+            (src.mor_src[f], (pos[f], pos[g]), (pos[h],) if h in pos else ())
+            for (f, g), h in src.compose_table.items() if f in pos and g in pos
         ]
-    examined = 0
+
+        def make(omap, ident, img):
+            mor = [img[pos[i]] if i in pos else ident[x] for i, x in enumerate(src.mor_src)]
+            return FiniteFunctor(src, dst, omap, mor)
+    else:
+        pos = {g.name: k for k, g in enumerate(src.generators)}
+        ends = [(g.src, g.dst) for g in src.generators]
+        constraints = [
+            (lhs.at, tuple(pos[a] for a in lhs.gens), tuple(pos[a] for a in rhs.gens))
+            for lhs, rhs in src.relations if lhs.gens or rhs.gens
+        ]
+
+        def make(omap, ident, img):
+            return Functor(src, dst, omap, dict(zip(pos, img)))
+
+    n = len(ends)
+    forced: list[tuple | None] = [None] * n
+    checks: list[list] = [[] for _ in ends]
+    for x, lhs, rhs in constraints:
+        last = max(lhs + rhs)
+        if rhs == (last,) and last not in lhs and forced[last] is None:
+            forced[last] = (x, lhs)
+        else:
+            checks[last].append((x, lhs, rhs))
+    if object_maps is None:
+        combos = itertools.product(dst.objects, repeat=len(src.objects))
+        object_maps = (dict(zip(src.objects, c)) for c in combos)
+    table, visits = dst.compose_table, itertools.count(1)
+
+    def image(x, word):
+        cur = ident[x]
+        for v in word:
+            cur = table[(cur, img[v])]
+        return cur
+
     for omap in object_maps:
-        cands = []
-        feasible = True
-        size = 1
-        for g in gens:
-            hom = dst.hom(omap[g.src], omap[g.dst])
-            if not hom:
-                feasible = False
-                break
-            cands.append(hom)
-            size *= len(hom)
-        if not feasible:
-            continue
-        examined += size
-        if examined > product_bound:
-            raise SearchSpaceTooLarge(examined, product_bound)
-        for combo in itertools.product(*cands):
-            gen_map = {g.name: m for g, m in zip(gens, combo)}
-            F = Functor(src, dst, omap, gen_map)
-            ok = True
-            for lhs, rhs in src.relations:
-                if F.apply_path(lhs) != F.apply_path(rhs):
-                    ok = False
-                    break
-            if ok:
-                yield F
-
-
-def _fp_view(C: FiniteCategory) -> tuple[FpCategory, dict]:
-    fp = finite_to_fp(C)
-    return fp, {f"m{i}": i for i in range(C.n) if not C.is_identity(i)}
-
-
-def _as_finite_functor(F: Functor, C: FiniteCategory, name_to_id: dict) -> FiniteFunctor:
-    """The functor on ``C`` behind a functor out of its ``_fp_view``."""
-    D = F.target
-    mor = [D.identities[F.object_map[x]] for x in C.mor_src]
-    for name, i in name_to_id.items():
-        mor[i] = F.gen_map[name]
-    return FiniteFunctor(C, D, F.object_map, mor)
+        if next(visits) > product_bound:
+            raise SearchSpaceTooLarge(product_bound)
+        ident = {x: dst.identities[y] for x, y in omap.items()}
+        doms = [dst.hom(omap[s], omap[d]) for s, d in ends]
+        img, its, k = [0] * n, [None] * n, 0 if all(doms) else -1
+        while k >= 0:
+            if k == n:
+                yield make(omap, ident, img)
+                k -= 1
+                continue
+            its[k] = its[k] or iter(doms[k] if forced[k] is None else (image(*forced[k]),))
+            img[k] = next(its[k], -1)
+            if img[k] < 0:
+                its[k], k = None, k - 1
+            elif next(visits) > product_bound:
+                raise SearchSpaceTooLarge(product_bound)
+            elif all(image(x, lhs) == image(x, rhs) for x, lhs, rhs in checks[k]):
+                k += 1
 
 
 def find_equivalence(
     C: FiniteCategory, D: FiniteCategory, product_bound: int = DEFAULT_PRODUCT_BOUND
 ) -> FiniteFunctor | None:
-    """First functor C -> D (declaration order) that is an equivalence."""
-    fp, names = _fp_view(C)
-    for F in all_functors(fp, D, product_bound):
-        fin = _as_finite_functor(F, C, names)
-        if is_equivalence(fin):
-            return fin
-    return None
+    """The first equivalence C -> D in ``all_functors`` order."""
+    return next((F for F in all_functors(C, D, product_bound) if is_equivalence(F)), None)
 
 
 def find_isomorphism(
     C: FiniteCategory, D: FiniteCategory, product_bound: int = DEFAULT_PRODUCT_BOUND
 ) -> FiniteFunctor | None:
-    """An invertible functor C -> D, if one exists within the bound."""
+    """The first functor C -> D bijective on objects and morphisms, in ``all_functors`` order."""
     if len(C.objects) != len(D.objects) or C.n != D.n:
         return None
-    fp, names = _fp_view(C)
-    object_maps = [
-        dict(zip(C.objects, perm)) for perm in itertools.permutations(D.objects)
-    ]
-    for F in all_functors(fp, D, product_bound, object_maps=object_maps):
-        fin = _as_finite_functor(F, C, names)
-        if len(set(fin.mor)) != D.n:
-            continue
-        cert = is_equivalence(fin)
-        if cert:
-            return fin
-    return None
+    perms = (dict(zip(C.objects, p)) for p in itertools.permutations(D.objects))
+    found = all_functors(C, D, product_bound, object_maps=perms)
+    return next((F for F in found if len(set(F.mor)) == D.n), None)

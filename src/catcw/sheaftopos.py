@@ -27,8 +27,6 @@ from .fpcat import (
 )
 from .model_structure import (
     DEFAULT_PRODUCT_BOUND,
-    _as_finite_functor,
-    _fp_view,
     all_functors,
     find_isomorphism,
     groupoid_witness,
@@ -480,10 +478,7 @@ def is_in_constant_image(
         raise CatError("source is not a constant sheafification")
     if not isinstance(FT, CatSheaf) or FT.base is None:
         raise CatError("target is not a constant sheafification")
-    A, B = FS.base, FT.base
-    fp, names = _fp_view(A)
-    for cand in all_functors(fp, B, product_bound):
-        g = _as_finite_functor(cand, A, names)
+    for g in all_functors(FS.base, FT.base, product_bound):
         image = sheafify_functor(g, FS, FT)
         if all(image.components[u] == m.components[u] for u in FS.space.opens):
             return True

@@ -12,7 +12,7 @@ from conftest import arrow_cat, c2_cat, c3_cat, discrete2, terminal_cat
 import catcw
 from catcw import Path, build
 from catcw.cli import main
-from catcw.sheaftopos import discrete_two_point, sierpinski
+from catcw.sheaftopos import discrete_two_point, pseudocircle_base, sierpinski
 
 
 def dump(tmp_path, name, obj):
@@ -103,6 +103,16 @@ def test_equiv_positive_and_negative(tmp_path, capsys):
     assert main(["equiv", a, c, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert doc["equivalent"] is True
+
+
+def test_equiv_decides_z8_against_itself(tmp_path, capsys):
+    z8 = build(["x"], [("t", "x", "x")], [(Path("x", ("t",) * 8), Path("x"))], ["t"])
+    path = cat_file(tmp_path, "z8.json", z8)
+    assert main(["equiv", path, path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"equivalent": True, "object_map": {"x": "x"}}
+    assert main(["equiv", path, path, "--product-bound", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "SearchSpaceTooLarge: functor search visited 4 nodes (bound 3)" in err
 
 
 def test_pushout_with_square_verification(tmp_path, capsys):
@@ -299,6 +309,20 @@ def test_malformed_space_is_input_error(tmp_path, capsys, verb, doc):
     assert "input error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("leg", ["f", "g"])
+def test_pushout_rejects_a_leg_that_is_not_a_functor(tmp_path, capsys, leg):
+    # t;t = id in c2, but a;a is not the identity in Z
+    c2 = c2_cat().to_json_obj()
+    z = build(["*"], [("a", "*", "*")], invertible=["a"]).to_json_obj()
+    bad = {"object_map": {"x": "*"}, "gen_map": {"t": {"at": "*", "gens": ["a"]}}}
+    ident = {"object_map": {"x": "x"}, "gen_map": {"t": {"at": "x", "gens": ["t"]}}}
+    span = {"A": c2, "B": c2, "C": c2, "f": ident, "g": ident}
+    span[{"f": "B", "g": "C"}[leg]] = z
+    span[leg] = bad
+    assert main(["pushout", dump(tmp_path, "span.json", span), "--verify", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"functor": False, "leg": leg}
+
+
 MALFORMED_LEGS = {
     "number-image": {"object_map": {"a": "a", "b": "b"}, "gen_map": {"f": 5}},
     "string-image": {"object_map": {"a": "a", "b": "b"}, "gen_map": {"f": "f"}},
@@ -337,6 +361,13 @@ def test_sheaf_classify_exit_codes(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "CW"
     assert main(["sheaf-classify", arrow, sier, "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "NotCW"
+
+
+def test_sheaf_classify_decides_z3_over_the_pseudocircle(tmp_path, capsys):
+    space = dump(tmp_path, "pc.json", pseudocircle_base().to_json_obj())
+    c3 = cat_file(tmp_path, "c3.json", c3_cat())
+    assert main(["sheaf-classify", c3, space]) == 0
+    assert capsys.readouterr().out == "verdict: CW\n"
 
 
 def test_json_reports_are_byte_deterministic(tmp_path, capsys):

@@ -2,11 +2,15 @@
 
 import itertools
 import json
+import random
+import tracemalloc
 
 import pytest
 
 from catcw import (
+    CatError,
     EquivalenceCertificate,
+    FiniteCategory,
     FiniteFunctor,
     Functor,
     NotEquivalence,
@@ -15,7 +19,9 @@ from catcw import (
     all_functors,
     build,
     chaotic,
+    discrete,
     find_equivalence,
+    finite_to_fp,
     find_isomorphism,
     is_cofibration,
     is_contractible,
@@ -28,7 +34,7 @@ from catcw import (
     terminal,
     to_finite,
 )
-from catcw.model_structure import groupoid_witness
+from catcw.model_structure import DEFAULT_PRODUCT_BOUND, groupoid_witness
 from conftest import (
     arrow_cat,
     c2_cat,
@@ -38,6 +44,7 @@ from conftest import (
     interval_cat,
     path2_cat,
     pool8,
+    random_pointed,
 )
 
 
@@ -262,3 +269,197 @@ def test_identity_is_equivalence_across_pool():
         ident = FiniteFunctor(fin, fin, {x: x for x in fin.objects}, range(fin.n))
         assert is_equivalence(ident)
         assert find_isomorphism(fin, fin) is not None
+
+
+def _product_oracle(src, dst, product_bound=DEFAULT_PRODUCT_BOUND, object_maps=None):
+    """The exhaustive search behind ``all_functors`` before backtracking.
+
+    Walks the full product of candidates over the generators, or over the
+    multiplication-table presentation of a finite source, and checks each
+    candidate against every relation.  Charges each object map its product
+    size up front.
+    """
+    finite = isinstance(src, FiniteCategory)
+    fp = finite_to_fp(src) if finite else src
+    gens = fp.quiver.generators
+    if object_maps is None:
+        object_maps = [
+            dict(zip(fp.objects, combo))
+            for combo in itertools.product(dst.objects, repeat=len(fp.objects))
+        ]
+    examined = 0
+    for omap in object_maps:
+        cands = [dst.hom(omap[g.src], omap[g.dst]) for g in gens]
+        if not all(cands):
+            continue
+        size = 1
+        for hom in cands:
+            size *= len(hom)
+        examined += size
+        if examined > product_bound:
+            raise SearchSpaceTooLarge(product_bound)
+        for combo in itertools.product(*cands):
+            gen_map = {g.name: m for g, m in zip(gens, combo)}
+            F = Functor(fp, dst, omap, gen_map)
+            if not all(F.apply_path(lhs) == F.apply_path(rhs) for lhs, rhs in fp.relations):
+                continue
+            if finite:
+                mor = [dst.identities[omap[x]] for x in src.mor_src]
+                for name, m in gen_map.items():  # finite_to_fp names morphism i "m<i>"
+                    mor[int(name[1:])] = m
+                F = FiniteFunctor(src, dst, omap, mor)
+            yield F
+
+
+def _oracle_find_equivalence(C, D, product_bound):
+    return next((F for F in _product_oracle(C, D, product_bound) if is_equivalence(F)), None)
+
+
+def _oracle_find_isomorphism(C, D, product_bound):
+    if len(C.objects) != len(D.objects) or C.n != D.n:
+        return None
+    perms = [dict(zip(C.objects, p)) for p in itertools.permutations(D.objects)]
+    found = _product_oracle(C, D, product_bound, perms)
+    return next((F for F in found if len(set(F.mor)) == D.n and is_equivalence(F)), None)
+
+
+def _cyclic(k):
+    return build(["x"], [("t", "x", "x")], [(Path("x", ("t",) * k), Path("x"))], ["t"])
+
+
+def _dihedral(k):
+    """D_k of order 2k: r^k = 1, s s = 1, r s = s r^(k-1)."""
+    rels = [
+        (Path("x", ("r",) * k), Path("x")),
+        (Path("x", ("s", "s")), Path("x")),
+        (Path("x", ("r", "s")), Path("x", ("s",) + ("r",) * (k - 1))),
+    ]
+    return build(["x"], [("r", "x", "x"), ("s", "x", "x")], rels, ["s"])
+
+
+def _z2_times_z3():
+    rels = [
+        (Path("x", ("a", "a")), Path("x")),
+        (Path("x", ("b",) * 3), Path("x")),
+        (Path("x", ("b", "a")), Path("x", ("a", "b"))),
+    ]
+    return build(["x"], [("a", "x", "x"), ("b", "x", "x")], rels)
+
+
+def _coxeter_a(rank):
+    """The symmetric group on rank + 1 letters, by its Coxeter presentation."""
+    s = [f"s{i}" for i in range(rank)]
+    rels = [(Path("x", (a, a)), Path("x")) for a in s]
+    for i, j in itertools.combinations(range(rank), 2):
+        m = 3 if j == i + 1 else 2
+        lhs = tuple((s[i], s[j])[t % 2] for t in range(m))
+        rhs = tuple((s[j], s[i])[t % 2] for t in range(m))
+        rels.append((Path("x", lhs), Path("x", rhs)))
+    return build(["x"], [(a, "x", "x") for a in s], rels, s)
+
+
+def _absorbing_tables():
+    """Tables with a cell ``f;g = f`` where ``g`` is not an identity."""
+    # the monoid {1, e, a} with f;g = f off the identity: e;e = e and a;e = a
+    left_zero = FiniteCategory(
+        ["x"], ["x"] * 3, ["x"] * 3,
+        {(f, g): g if f == 0 else f for f in range(3) for g in range(3)}, {"x": 0},
+    )
+    # an idempotent e on x and an arrow a: y -> x that absorbs it, a;e = a
+    absorbed = FiniteCategory(
+        ["x", "y"], ["x", "y", "x", "y"], ["x", "y", "x", "x"],
+        {(0, 0): 0, (0, 2): 2, (2, 0): 2, (2, 2): 2,
+         (1, 1): 1, (1, 3): 3, (3, 0): 3, (3, 2): 3},
+        {"x": 0, "y": 1},
+    )
+    return [left_zero, absorbed]
+
+
+def _random_tables(count, seed=7):
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        try:
+            fin = to_finite(random_pointed(rng).cat, bound=12, budget=20)
+        except CatError:
+            continue
+        if fin.n <= 12:
+            tables.append(fin)
+    return tables
+
+
+@pytest.fixture(scope="module")
+def oracle_cats():
+    return (
+        [to_finite(c) for c in pool8()]
+        + groupoid_pool6()
+        + [to_finite(_cyclic(k)) for k in range(2, 8)]
+        + [to_finite(_dihedral(3)), to_finite(_z2_times_z3())]
+        + _absorbing_tables()
+        + _random_tables(8)
+    )
+
+
+# candidates the oracle may examine per pair; the few pairs past it are skipped
+ORACLE_BOUND = 5000
+
+
+def _compare_with_oracle(cats, search, oracle, key):
+    compared = 0
+    for (i, C), (j, D) in itertools.product(enumerate(cats), repeat=2):
+        try:
+            want = key(oracle(C, D, ORACLE_BOUND))
+        except SearchSpaceTooLarge:
+            continue
+        assert key(search(C, D)) == want, (i, j)
+        compared += 1
+    assert compared > 0.95 * len(cats) ** 2
+
+
+def _sequence(functors):
+    return [(F.object_map, F.mor) for F in functors]
+
+
+def _found(F):
+    return None if F is None else (F.object_map, F.mor)
+
+
+def test_all_functors_matches_the_product_oracle(oracle_cats):
+    _compare_with_oracle(oracle_cats, all_functors, _product_oracle, _sequence)
+
+
+@pytest.mark.parametrize(
+    "search, oracle",
+    [(find_equivalence, _oracle_find_equivalence), (find_isomorphism, _oracle_find_isomorphism)],
+)
+def test_find_searches_match_the_product_oracle(oracle_cats, search, oracle):
+    _compare_with_oracle(oracle_cats, search, oracle, _found)
+
+
+def test_all_functors_from_a_presentation_matches_the_product_oracle(oracle_cats):
+    for P, D in itertools.product(pool8(), oracle_cats):
+        want = [(F.object_map, F.gen_map) for F in _product_oracle(P, D)]
+        assert [(F.object_map, F.gen_map) for F in all_functors(P, D)] == want
+
+
+def test_object_maps_are_lazy_and_charged_to_the_bound():
+    disc8 = to_finite(discrete([f"o{i}" for i in range(8)]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchSpaceTooLarge, match=r"visited 1001 nodes \(bound 1000\)"):
+            for _ in all_functors(disc8, disc8, product_bound=1000):
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_searches_beyond_the_candidate_product_are_decided():
+    # D12 (24 morphisms) and S5 (Coxeter A4, 120 morphisms) against
+    # themselves: 24^23 and 120^119 candidates in the full product
+    d12 = to_finite(_dihedral(12))
+    assert find_isomorphism(d12, d12) is not None
+    for G in (d12, to_finite(_coxeter_a(4), bound=120)):
+        F = find_equivalence(G, G)
+        assert F is not None and is_equivalence(F).verify()

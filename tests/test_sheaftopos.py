@@ -36,7 +36,7 @@ from catcw import (
     to_finite,
     unit_check,
 )
-from catcw.model_structure import _as_finite_functor, _fp_view, all_functors
+from catcw.model_structure import all_functors
 from catcw.sheaftopos import (
     check_gluing,
     discrete_two_point,
@@ -247,8 +247,7 @@ def test_constant_image_verdicts_are_pinned():
     verdicts = [exotic_map_demo(v)[1] for v in ("exotic", "identity", "constant")]
     # per-point pairs of endofunctors over the discrete two-point space
     for A in (to_finite(c3_cat()), to_finite(chaotic(["p", "q"]))):
-        fp, names = _fp_view(A)
-        endos = [_as_finite_functor(f, A, names) for f in all_functors(fp, A)]
+        endos = list(all_functors(A, A))
         S = sheafify_constant(A, discrete_two_point())
         for f, g in itertools.product(endos, repeat=2):
             verdicts.append(is_in_constant_image(per_point_map(S, {"u": f, "v": g})))
