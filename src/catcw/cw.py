@@ -39,6 +39,17 @@ class MixedDimensions(CatError):
     """attach_cells got cells of different dimensions in one call."""
 
 
+class NegativeDimension(CatError, ValueError):
+    """sphere() got a dimension below zero.
+
+    A ``ValueError`` too, so callers that caught the untyped error still do.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        super().__init__(f"sphere dimension must be nonnegative, got {n}")
+
+
 _SPHERES: dict[int, FpCategory] = {}
 
 
@@ -58,7 +69,7 @@ def point_collapse(cat: FpCategory, pt: FpCategory | None = None) -> Functor:
 def sphere(n: int) -> FpCategory:
     """The n-sphere presentation (one fixed representative per dimension)."""
     if n < 0:
-        raise ValueError("sphere dimension must be nonnegative")
+        raise NegativeDimension(n)
     got = _SPHERES.get(n)
     if got is not None:
         return got

@@ -23,6 +23,7 @@ import functools
 import json
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .kernel import RuleTable
@@ -270,10 +271,10 @@ class FpCategory:
         """
         rs = self._completions.get(budget)
         if rs is None:
-            rules, status, table = _shared_completion(
+            rules, status, table, tables = _shared_completion(
                 self.quiver.objects, self.quiver.generators, self.relations, budget
             )
-            rs = RewritingSystem(self, rules, status, table)
+            rs = RewritingSystem(self, rules, status, table, tables)
             self._completions[budget] = rs
         return rs
 
@@ -401,11 +402,16 @@ def terminal(name: str = "pt") -> FpCategory:
 
 
 class RewritingSystem:
-    """Oriented, interreduced rules over a presentation's generator words."""
+    """Oriented, interreduced rules over a presentation's generator words.
+
+    ``tables`` maps a hom bound to the ``FiniteCategory`` that ``to_finite``
+    built from this system; systems from one shared completion hold one dict.
+    """
 
     def __init__(
         self, cat: FpCategory, rules: Sequence[Relation], status: str,
         table: RuleTable | None = None,
+        tables: dict[int, "FiniteCategory"] | None = None,
     ):
         """``table``, when given, is ``rules`` already encoded over ``cat``'s generators."""
         self.cat = cat
@@ -420,6 +426,7 @@ class RewritingSystem:
                 ]
             )
         self._table = table
+        self.tables = {} if tables is None else tables
         self._names = tuple(g.name for g in cat.quiver.generators)
 
     @property
@@ -548,9 +555,10 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 
 # Presentations with equal objects, generators (in order) and relations (in
 # order) complete to the same system under the same budget, and these are all
-# that ``complete`` reads.  The inverse table is left out of the key on
-# purpose: completion never reads it (its unit relations are already among
-# the relations), so presentations that differ only there share a system.
+# that ``complete`` and ``to_finite`` read.  The inverse table is left out of
+# the key on purpose: neither reads it (its unit relations are already among
+# the relations), so presentations that differ only there share a system and
+# its finite tables.
 COMPLETION_CACHE_SIZE = 128
 
 
@@ -560,10 +568,14 @@ def _shared_completion(
     generators: tuple[Generator, ...],
     relations: tuple[Relation, ...],
     budget: int,
-) -> tuple[tuple[Relation, ...], str, RuleTable]:
-    """The rules, status and rule table of a completion; all three are immutable."""
+) -> tuple[tuple[Relation, ...], str, RuleTable, dict[int, "FiniteCategory"]]:
+    """The rules, status and rule table of a completion, and its table dict.
+
+    The dict maps a hom bound to the read-only ``FiniteCategory`` that
+    ``to_finite`` built; it starts empty and is filled on first use.
+    """
     rs = complete(FpCategory(Quiver(objects, generators), relations), budget)
-    return rs.rules, rs.status, rs._table
+    return rs.rules, rs.status, rs._table, rs.tables
 
 
 def completion_cache_info():
@@ -586,7 +598,11 @@ def completion_cache_info():
 
 
 def clear_completion_cache() -> None:
-    """Forget every shared completion; instances keep the systems they already hold."""
+    """Forget every shared completion and the finite tables built from it.
+
+    Instances keep the systems and tables they already hold, so a memoised
+    presentation such as ``sphere(n)`` still answers from its old entry.
+    """
     _shared_completion.cache_clear()
 
 
@@ -662,6 +678,10 @@ class FiniteCategory:
     Morphisms are dense int ids.  ``compose(f, g)`` is diagrammatic (f then
     g), matching Path order.  Instances built by ``to_finite`` carry the
     normal-form ``paths`` and a ``gen_image`` map from generator names.
+
+    Instances are read-only: ``compose_table``, ``identities``, ``gen_image``
+    and ``inverses()`` are ``MappingProxyType`` views, so ``to_finite`` can
+    hand one table to every caller with an equal presentation.
     """
 
     def __init__(
@@ -678,13 +698,15 @@ class FiniteCategory:
         self.objects = tuple(objects)
         self.mor_src = tuple(mor_src)
         self.mor_dst = tuple(mor_dst)
-        self.compose_table = dict(compose)
-        self.identities = dict(identities)
+        self._compose = dict(compose)
+        self._identities = dict(identities)
+        self.compose_table = MappingProxyType(self._compose)
+        self.identities = MappingProxyType(self._identities)
         self.labels = tuple(labels) if labels is not None else tuple(
             f"m{i}" for i in range(len(mor_src))
         )
         self.paths = tuple(paths) if paths is not None else None
-        self.gen_image = dict(gen_image) if gen_image is not None else None
+        self.gen_image = MappingProxyType(dict(gen_image)) if gen_image is not None else None
         self._hom: dict[tuple[str, str], tuple[int, ...]] = {}
         for s in self.objects:
             for d in self.objects:
@@ -694,7 +716,7 @@ class FiniteCategory:
             buckets.setdefault((self.mor_src[i], self.mor_dst[i]), []).append(i)
         for k, v in buckets.items():
             self._hom[k] = tuple(v)
-        self._inverses: dict[int, int] | None = None
+        self._inverses: MappingProxyType | None = None
         self.validate()
 
     @property
@@ -705,13 +727,13 @@ class FiniteCategory:
         return self._hom[(src, dst)]
 
     def compose(self, f: int, g: int) -> int:
-        out = self.compose_table.get((f, g))
+        out = self._compose.get((f, g))
         if out is None:
             raise DanglingEndpoint(f"morphisms {f} and {g} are not composable")
         return out
 
     def is_identity(self, i: int) -> bool:
-        return self.identities.get(self.mor_src[i]) == i and self.mor_src[i] == self.mor_dst[i]
+        return self._identities.get(self.mor_src[i]) == i and self.mor_src[i] == self.mor_dst[i]
 
     def validate(self) -> None:
         """Check identities, endpoints, totality and associativity of the table.
@@ -727,7 +749,7 @@ class FiniteCategory:
         non-identity morphism, which is the full check.
         """
         seen = set()
-        for x, i in self.identities.items():
+        for x, i in self._identities.items():
             if x not in self.objects:
                 raise DanglingEndpoint(f"identity declared at unknown object {x!r}")
             if self.mor_src[i] != x or self.mor_dst[i] != x:
@@ -735,7 +757,7 @@ class FiniteCategory:
             seen.add(x)
         if seen != set(self.objects):
             raise DanglingEndpoint("missing identity morphism")
-        for (f, g), h in self.compose_table.items():
+        for (f, g), h in self._compose.items():
             if self.mor_dst[f] != self.mor_src[g]:
                 raise DanglingEndpoint("composition table pairs non-composable morphisms")
             if self.mor_src[h] != self.mor_src[f] or self.mor_dst[h] != self.mor_dst[g]:
@@ -746,14 +768,14 @@ class FiniteCategory:
             into[self.mor_dst[h]].append(h)
             out[self.mor_src[h]].append(h)
         # every key is a composable pair, so counting them shows the table is total
-        if len(self.compose_table) != sum(len(into[x]) * len(out[x]) for x in self.objects):
+        if len(self._compose) != sum(len(into[x]) * len(out[x]) for x in self.objects):
             raise DanglingEndpoint("composition table is missing a composable pair")
         for f in range(self.n):
-            if self.compose_table[(self.identities[self.mor_src[f]], f)] != f:
+            if self._compose[(self._identities[self.mor_src[f]], f)] != f:
                 raise NonParallelRelation("left identity law fails")
-            if self.compose_table[(f, self.identities[self.mor_dst[f]])] != f:
+            if self._compose[(f, self._identities[self.mor_dst[f]])] != f:
                 raise NonParallelRelation("right identity law fails")
-        table = self.compose_table
+        table = self._compose
         for a in self._generating_set():
             ys = out[self.mor_dst[a]]
             a_ys = [table[(a, y)] for y in ys]
@@ -769,11 +791,11 @@ class FiniteCategory:
             gens_from: dict[str, list[int]] = {x: [] for x in self.objects}
             for a in gens:
                 gens_from[self.mor_src[a]].append(a)
-            reached = set(self.identities.values())
+            reached = set(self._identities.values())
             frontier = list(reached)
             for x in frontier:  # grows while it is read: a breadth-first closure
                 for a in gens_from[self.mor_dst[x]]:
-                    y = self.compose_table[(x, a)]
+                    y = self._compose[(x, a)]
                     if y not in reached:
                         reached.add(y)
                         frontier.append(y)
@@ -781,19 +803,19 @@ class FiniteCategory:
                 return gens
         return [i for i in range(self.n) if not self.is_identity(i)]
 
-    def inverses(self) -> dict[int, int]:
+    def inverses(self) -> Mapping[int, int]:
         """Two-sided inverses, computed once: i -> j with i;j and j;i identities."""
         if self._inverses is None:
             inv: dict[int, int] = {}
             for f in range(self.n):
                 for g in self._hom[(self.mor_dst[f], self.mor_src[f])]:
                     if (
-                        self.compose_table[(f, g)] == self.identities[self.mor_src[f]]
-                        and self.compose_table[(g, f)] == self.identities[self.mor_src[g]]
+                        self._compose[(f, g)] == self._identities[self.mor_src[f]]
+                        and self._compose[(g, f)] == self._identities[self.mor_src[g]]
                     ):
                         inv[f] = g
                         break
-            self._inverses = inv
+            self._inverses = MappingProxyType(inv)
         return self._inverses
 
     def __eq__(self, other):
@@ -804,8 +826,8 @@ class FiniteCategory:
             and self.objects == other.objects
             and self.mor_src == other.mor_src
             and self.mor_dst == other.mor_dst
-            and self.compose_table == other.compose_table
-            and self.identities == other.identities
+            and self._compose == other._compose
+            and self._identities == other._identities
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -831,14 +853,23 @@ def to_finite(
     form ``g = g'a`` has its prefix ``g'`` earlier in discovery order, and
     ``f;g = right[f;g'][a]`` costs one lookup per cell.
 
+    The table is built once per completion and bound: it is kept in
+    ``rs.tables`` of the shared completion, so equal presentations get the
+    same read-only object.  Errors are not kept; they are raised again.
+
     >>> c3 = build(["x"], [("t", "x", "x")], [(Path("x", ("t",) * 3), Path("x"))], ["t"])
     >>> fin = to_finite(c3)
     >>> fin.labels
     ('id_x', 't', 't^-1')
     >>> [[fin.labels[fin.compose(f, g)] for g in range(fin.n)] for f in range(fin.n)]
     [['id_x', 't', 't^-1'], ['t', 't^-1', 'id_x'], ['t^-1', 'id_x', 't']]
+    >>> to_finite(from_json(c3.to_json())) is fin
+    True
     """
     rs = _require_complete(cat, budget)
+    fin = rs.tables.get(bound)
+    if fin is not None:
+        return fin
     idx = cat.quiver.gen_index
     names = tuple(g.name for g in cat.quiver.generators)
     words: list[tuple[str, tuple[int, ...]]] = []  # (src, word) in discovery order
@@ -880,7 +911,7 @@ def to_finite(
 
     paths = [Path(s, tuple(names[i] for i in w)) for s, w in words]
     gen_image = {g.name: right[identities[g.src]][idx[g.name]] for g in cat.quiver.generators}
-    return FiniteCategory(
+    fin = rs.tables[bound] = FiniteCategory(
         cat.objects,
         mor_src,
         mor_dst,
@@ -890,6 +921,7 @@ def to_finite(
         paths=paths,
         gen_image=gen_image,
     )
+    return fin
 
 
 def finite_to_fp(C: FiniteCategory) -> FpCategory:

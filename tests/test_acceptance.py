@@ -73,10 +73,10 @@ from catcw.sheaftopos import (
 
 @pytest.fixture(autouse=True)
 def cold_completions():
-    """Start each test with an empty completion cache.
+    """Start each test with an empty completion cache, tables included.
 
-    The runtime ceilings below then time cold completions, not systems
-    that earlier tests left in the cache.
+    The runtime ceilings below then time cold completions and cold
+    ``to_finite`` tables, not ones that earlier tests left in the cache.
     """
     clear_completion_cache()
 

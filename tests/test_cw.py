@@ -12,6 +12,7 @@ from catcw import (
     GroupoidComponent,
     GroupoidPresentation,
     MixedDimensions,
+    NegativeDimension,
     NotDecided,
     NotFinite,
     Path,
@@ -72,6 +73,9 @@ def test_spheres_above_one_are_contractible():
 def test_sphere_rejects_negative_dimension():
     with pytest.raises(ValueError):
         sphere(-1)
+    with pytest.raises(NegativeDimension, match="nonnegative, got -2") as exc:
+        sphere(-2)
+    assert isinstance(exc.value, CatError) and exc.value.n == -2
 
 
 def test_sphere_presentations_are_cached():

@@ -31,10 +31,12 @@ from catcw import (
     functors_equal,
     identity_functor,
     irreducible_words,
+    iso_core,
     normalize,
     to_finite,
 )
 from catcw.fpcat import _normal_forms
+from catcw.sheaftopos import product_category
 from conftest import (
     arrow_cat,
     c2_cat,
@@ -446,6 +448,7 @@ def _table_per_pair_reduction(cat, budget):
         ),
         "mor_src": tuple(s for s, _, _ in forms),
         "mor_dst": tuple(d for _, d, _ in forms),
+        "paths": tuple(Path(s, tuple(names[i] for i in w)) for s, _, w in forms),
         "identities": {s: i for i, (s, _, w) in enumerate(forms) if not w},
         "gen_image": {
             g.name: word_id[(g.src, rs.reduce_word((idx[g.name],)))]
@@ -474,6 +477,7 @@ def _assert_matches_oracles(cat, bound=64, budget=500):
     assert fin.labels == oracle["labels"]
     assert fin.mor_src == oracle["mor_src"]
     assert fin.mor_dst == oracle["mor_dst"]
+    assert fin.paths == oracle["paths"]
     assert fin.identities == oracle["identities"]
     assert fin.gen_image == oracle["gen_image"]
     # insertion order too: callers iterate the table
@@ -558,6 +562,90 @@ def test_validate_rejects_partial_table():
     del magma["compose"][(1, 2)]
     with pytest.raises(DanglingEndpoint, match="missing a composable pair"):
         FiniteCategory(**magma)
+
+
+# ---------------------------------------------------------------------------
+# Shared, read-only tables
+
+
+def test_equal_presentations_share_one_table():
+    clear_completion_cache()
+    doc = c3_cat().to_json()
+    fin = to_finite(from_json(doc))
+    assert to_finite(from_json(doc)) is fin
+    assert from_json(doc).completion().tables == {64: fin}
+    # the bound and the budget are part of the key
+    for other in (to_finite(from_json(doc), bound=16), to_finite(from_json(doc), budget=100)):
+        assert other is not fin and other == fin
+    assert to_finite(from_json(doc), bound=16) is to_finite(from_json(doc), bound=16)
+
+
+def test_presentations_differing_only_in_inverses_share_one_table():
+    clear_completion_cache()
+    gens = [("a", "x", "x"), ("b", "x", "x")]
+    rels = [
+        (Path("x", ("a", "a")), Path("x")),
+        (Path("x", ("b", "b")), Path("x")),
+        (Path("x", ("b", "a")), Path("x", ("a", "b"))),
+    ]
+    plain, marked = build(["x"], gens, rels), build(["x"], gens, rels, ["a", "b"])
+    assert marked.inverses and not plain.inverses and marked.relations == plain.relations
+    assert to_finite(marked) is to_finite(plain)
+
+
+def test_to_finite_errors_are_raised_again():
+    clear_completion_cache()
+    a4 = coxeter([3, 3, 3])
+    for cat in (a4, coxeter([3, 3, 3])):
+        with pytest.raises(NotFinite):
+            to_finite(cat, bound=10)
+    for cat in (_braid(), _braid()):
+        with pytest.raises(IncompleteSystem):
+            to_finite(cat, budget=4)
+    assert a4.completion().tables == {}
+
+
+def test_clearing_the_cache_drops_its_tables():
+    clear_completion_cache()
+    doc = c3_cat().to_json()
+    held = from_json(doc)
+    fin = to_finite(held)
+    clear_completion_cache()
+    fresh = to_finite(from_json(doc))
+    assert fresh is not fin and fresh == fin
+    assert to_finite(held) is fin  # an instance keeps the table it holds
+
+
+def test_shared_table_equals_a_cold_one():
+    rng = random.Random(31)
+    cases = [(cat, 64, 500) for cat in pool8()]
+    cases += [(random_pointed(rng).cat, 32, 20) for _ in range(60)]
+    clear_completion_cache()
+    shared = 0
+    for cat, bound, budget in cases:
+        doc = cat.to_json()
+        try:
+            cold = to_finite(from_json(doc), bound, budget)
+        except (IncompleteSystem, NotFinite):
+            continue
+        assert to_finite(from_json(doc), bound, budget) is cold
+        _assert_matches_oracles(from_json(doc), bound, budget)
+        shared += 1
+    assert shared >= 30
+
+
+def test_finite_tables_are_read_only():
+    fin = to_finite(c3_cat())
+    square, _ = product_category(fin, (("u",), ("v",)))
+    for C in (fin, square, iso_core(fin)):
+        for view in (C.compose_table, C.identities, C.inverses()):
+            key = next(iter(view))
+            with pytest.raises(TypeError):
+                view[key] = 0
+            assert key in view
+    with pytest.raises(TypeError):
+        fin.gen_image["t"] = 0
+    assert fin.identities == {"x": 0} and fin.gen_image.get("t") == 1
 
 
 def test_finite_to_fp_round_trip():
