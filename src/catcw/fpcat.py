@@ -23,7 +23,6 @@ import functools
 import json
 import warnings
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .kernel import RuleTable
@@ -271,10 +270,10 @@ class FpCategory:
         """
         rs = self._completions.get(budget)
         if rs is None:
-            rules, status, table, tables = _shared_completion(
+            rules, status, table, finite = _shared_completion(
                 self.quiver.objects, self.quiver.generators, self.relations, budget
             )
-            rs = RewritingSystem(self, rules, status, table, tables)
+            rs = RewritingSystem(self, rules, status, table, finite)
             self._completions[budget] = rs
         return rs
 
@@ -404,14 +403,15 @@ def terminal(name: str = "pt") -> FpCategory:
 class RewritingSystem:
     """Oriented, interreduced rules over a presentation's generator words.
 
-    ``tables`` maps a hom bound to the ``FiniteCategory`` that ``to_finite``
-    built from this system; systems from one shared completion hold one dict.
+    ``finite`` is empty until ``to_finite`` has built this system's table,
+    then ``[largest hom-set size, table]``; systems from one shared
+    completion hold one list.
     """
 
     def __init__(
         self, cat: FpCategory, rules: Sequence[Relation], status: str,
         table: RuleTable | None = None,
-        tables: dict[int, "FiniteCategory"] | None = None,
+        finite: list | None = None,
     ):
         """``table``, when given, is ``rules`` already encoded over ``cat``'s generators."""
         self.cat = cat
@@ -426,7 +426,7 @@ class RewritingSystem:
                 ]
             )
         self._table = table
-        self.tables = {} if tables is None else tables
+        self.finite = [] if finite is None else finite
         self._names = tuple(g.name for g in cat.quiver.generators)
 
     @property
@@ -558,7 +558,7 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 # that ``complete`` and ``to_finite`` read.  The inverse table is left out of
 # the key on purpose: neither reads it (its unit relations are already among
 # the relations), so presentations that differ only there share a system and
-# its finite tables.
+# its finite table.
 COMPLETION_CACHE_SIZE = 128
 
 
@@ -568,14 +568,14 @@ def _shared_completion(
     generators: tuple[Generator, ...],
     relations: tuple[Relation, ...],
     budget: int,
-) -> tuple[tuple[Relation, ...], str, RuleTable, dict[int, "FiniteCategory"]]:
-    """The rules, status and rule table of a completion, and its table dict.
+) -> tuple[tuple[Relation, ...], str, RuleTable, list]:
+    """The rules, status and rule table of a completion, and its table slot.
 
-    The dict maps a hom bound to the read-only ``FiniteCategory`` that
-    ``to_finite`` built; it starts empty and is filled on first use.
+    The slot is the ``finite`` list of ``RewritingSystem``: empty until
+    ``to_finite`` first builds the table, then kept with the entry.
     """
     rs = complete(FpCategory(Quiver(objects, generators), relations), budget)
-    return rs.rules, rs.status, rs._table, rs.tables
+    return rs.rules, rs.status, rs._table, rs.finite
 
 
 def completion_cache_info():
@@ -598,7 +598,7 @@ def completion_cache_info():
 
 
 def clear_completion_cache() -> None:
-    """Forget every shared completion and the finite tables built from it.
+    """Forget every shared completion and the finite table built from each.
 
     Instances keep the systems and tables they already hold, so a memoised
     presentation such as ``sphere(n)`` still answers from its old entry.
@@ -679,9 +679,9 @@ class FiniteCategory:
     g), matching Path order.  Instances built by ``to_finite`` carry the
     normal-form ``paths`` and a ``gen_image`` map from generator names.
 
-    Instances are read-only: ``compose_table``, ``identities``, ``gen_image``
-    and ``inverses()`` are ``MappingProxyType`` views, so ``to_finite`` can
-    hand one table to every caller with an equal presentation.
+    ``copy()`` gives an instance with dicts of its own: ``to_finite`` keeps
+    one table per completion and hands each caller a copy, so a caller that
+    edits its table changes no other caller's.
     """
 
     def __init__(
@@ -698,15 +698,13 @@ class FiniteCategory:
         self.objects = tuple(objects)
         self.mor_src = tuple(mor_src)
         self.mor_dst = tuple(mor_dst)
-        self._compose = dict(compose)
-        self._identities = dict(identities)
-        self.compose_table = MappingProxyType(self._compose)
-        self.identities = MappingProxyType(self._identities)
+        self.compose_table = dict(compose)
+        self.identities = dict(identities)
         self.labels = tuple(labels) if labels is not None else tuple(
             f"m{i}" for i in range(len(mor_src))
         )
         self.paths = tuple(paths) if paths is not None else None
-        self.gen_image = MappingProxyType(dict(gen_image)) if gen_image is not None else None
+        self.gen_image = dict(gen_image) if gen_image is not None else None
         self._hom: dict[tuple[str, str], tuple[int, ...]] = {}
         for s in self.objects:
             for d in self.objects:
@@ -716,7 +714,7 @@ class FiniteCategory:
             buckets.setdefault((self.mor_src[i], self.mor_dst[i]), []).append(i)
         for k, v in buckets.items():
             self._hom[k] = tuple(v)
-        self._inverses: MappingProxyType | None = None
+        self._inverses: dict[int, int] | None = None
         self.validate()
 
     @property
@@ -726,14 +724,25 @@ class FiniteCategory:
     def hom(self, src: str, dst: str) -> tuple[int, ...]:
         return self._hom[(src, dst)]
 
+    def copy(self) -> "FiniteCategory":
+        """This category with dicts of its own, not validated again; the tuples are shared."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.compose_table = dict(self.compose_table)
+        new.identities = dict(self.identities)
+        if self.gen_image is not None:
+            new.gen_image = dict(self.gen_image)
+        new._inverses = None
+        return new
+
     def compose(self, f: int, g: int) -> int:
-        out = self._compose.get((f, g))
+        out = self.compose_table.get((f, g))
         if out is None:
             raise DanglingEndpoint(f"morphisms {f} and {g} are not composable")
         return out
 
     def is_identity(self, i: int) -> bool:
-        return self._identities.get(self.mor_src[i]) == i and self.mor_src[i] == self.mor_dst[i]
+        return self.identities.get(self.mor_src[i]) == i and self.mor_src[i] == self.mor_dst[i]
 
     def validate(self) -> None:
         """Check identities, endpoints, totality and associativity of the table.
@@ -749,7 +758,7 @@ class FiniteCategory:
         non-identity morphism, which is the full check.
         """
         seen = set()
-        for x, i in self._identities.items():
+        for x, i in self.identities.items():
             if x not in self.objects:
                 raise DanglingEndpoint(f"identity declared at unknown object {x!r}")
             if self.mor_src[i] != x or self.mor_dst[i] != x:
@@ -757,7 +766,7 @@ class FiniteCategory:
             seen.add(x)
         if seen != set(self.objects):
             raise DanglingEndpoint("missing identity morphism")
-        for (f, g), h in self._compose.items():
+        for (f, g), h in self.compose_table.items():
             if self.mor_dst[f] != self.mor_src[g]:
                 raise DanglingEndpoint("composition table pairs non-composable morphisms")
             if self.mor_src[h] != self.mor_src[f] or self.mor_dst[h] != self.mor_dst[g]:
@@ -768,14 +777,14 @@ class FiniteCategory:
             into[self.mor_dst[h]].append(h)
             out[self.mor_src[h]].append(h)
         # every key is a composable pair, so counting them shows the table is total
-        if len(self._compose) != sum(len(into[x]) * len(out[x]) for x in self.objects):
+        if len(self.compose_table) != sum(len(into[x]) * len(out[x]) for x in self.objects):
             raise DanglingEndpoint("composition table is missing a composable pair")
         for f in range(self.n):
-            if self._compose[(self._identities[self.mor_src[f]], f)] != f:
+            if self.compose_table[(self.identities[self.mor_src[f]], f)] != f:
                 raise NonParallelRelation("left identity law fails")
-            if self._compose[(f, self._identities[self.mor_dst[f]])] != f:
+            if self.compose_table[(f, self.identities[self.mor_dst[f]])] != f:
                 raise NonParallelRelation("right identity law fails")
-        table = self._compose
+        table = self.compose_table
         for a in self._generating_set():
             ys = out[self.mor_dst[a]]
             a_ys = [table[(a, y)] for y in ys]
@@ -791,11 +800,11 @@ class FiniteCategory:
             gens_from: dict[str, list[int]] = {x: [] for x in self.objects}
             for a in gens:
                 gens_from[self.mor_src[a]].append(a)
-            reached = set(self._identities.values())
+            reached = set(self.identities.values())
             frontier = list(reached)
             for x in frontier:  # grows while it is read: a breadth-first closure
                 for a in gens_from[self.mor_dst[x]]:
-                    y = self._compose[(x, a)]
+                    y = self.compose_table[(x, a)]
                     if y not in reached:
                         reached.add(y)
                         frontier.append(y)
@@ -803,19 +812,19 @@ class FiniteCategory:
                 return gens
         return [i for i in range(self.n) if not self.is_identity(i)]
 
-    def inverses(self) -> Mapping[int, int]:
+    def inverses(self) -> dict[int, int]:
         """Two-sided inverses, computed once: i -> j with i;j and j;i identities."""
         if self._inverses is None:
             inv: dict[int, int] = {}
             for f in range(self.n):
                 for g in self._hom[(self.mor_dst[f], self.mor_src[f])]:
                     if (
-                        self._compose[(f, g)] == self._identities[self.mor_src[f]]
-                        and self._compose[(g, f)] == self._identities[self.mor_src[g]]
+                        self.compose_table[(f, g)] == self.identities[self.mor_src[f]]
+                        and self.compose_table[(g, f)] == self.identities[self.mor_src[g]]
                     ):
                         inv[f] = g
                         break
-            self._inverses = MappingProxyType(inv)
+            self._inverses = inv
         return self._inverses
 
     def __eq__(self, other):
@@ -826,8 +835,8 @@ class FiniteCategory:
             and self.objects == other.objects
             and self.mor_src == other.mor_src
             and self.mor_dst == other.mor_dst
-            and self._compose == other._compose
-            and self._identities == other._identities
+            and self.compose_table == other.compose_table
+            and self.identities == other.identities
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -853,9 +862,12 @@ def to_finite(
     form ``g = g'a`` has its prefix ``g'`` earlier in discovery order, and
     ``f;g = right[f;g'][a]`` costs one lookup per cell.
 
-    The table is built once per completion and bound: it is kept in
-    ``rs.tables`` of the shared completion, so equal presentations get the
-    same read-only object.  Errors are not kept; they are raised again.
+    The table is built once per completion and kept in its ``finite`` slot
+    with its largest hom-set size.  The bound only decides whether
+    ``NotFinite`` is raised, so any bound at least that size answers from the
+    slot; a smaller one builds again and raises.  Each call returns a
+    ``copy()``, so equal presentations share the work but not the dicts.
+    Errors are not kept; they are raised again.
 
     >>> c3 = build(["x"], [("t", "x", "x")], [(Path("x", ("t",) * 3), Path("x"))], ["t"])
     >>> fin = to_finite(c3)
@@ -863,13 +875,13 @@ def to_finite(
     ('id_x', 't', 't^-1')
     >>> [[fin.labels[fin.compose(f, g)] for g in range(fin.n)] for f in range(fin.n)]
     [['id_x', 't', 't^-1'], ['t', 't^-1', 'id_x'], ['t^-1', 'id_x', 't']]
-    >>> to_finite(from_json(c3.to_json())) is fin
-    True
+    >>> again = to_finite(from_json(c3.to_json()))
+    >>> again == fin, again is fin, again.paths is fin.paths
+    (True, False, True)
     """
     rs = _require_complete(cat, budget)
-    fin = rs.tables.get(bound)
-    if fin is not None:
-        return fin
+    if rs.finite and bound >= rs.finite[0]:
+        return rs.finite[1].copy()
     idx = cat.quiver.gen_index
     names = tuple(g.name for g in cat.quiver.generators)
     words: list[tuple[str, tuple[int, ...]]] = []  # (src, word) in discovery order
@@ -911,7 +923,7 @@ def to_finite(
 
     paths = [Path(s, tuple(names[i] for i in w)) for s, w in words]
     gen_image = {g.name: right[identities[g.src]][idx[g.name]] for g in cat.quiver.generators}
-    fin = rs.tables[bound] = FiniteCategory(
+    fin = FiniteCategory(
         cat.objects,
         mor_src,
         mor_dst,
@@ -921,7 +933,8 @@ def to_finite(
         paths=paths,
         gen_image=gen_image,
     )
-    return fin
+    rs.finite[:] = [max(map(len, hom_forms.values()), default=0), fin]
+    return fin.copy()
 
 
 def finite_to_fp(C: FiniteCategory) -> FpCategory:

@@ -31,12 +31,10 @@ from catcw import (
     functors_equal,
     identity_functor,
     irreducible_words,
-    iso_core,
     normalize,
     to_finite,
 )
 from catcw.fpcat import _normal_forms
-from catcw.sheaftopos import product_category
 from conftest import (
     arrow_cat,
     c2_cat,
@@ -565,19 +563,39 @@ def test_validate_rejects_partial_table():
 
 
 # ---------------------------------------------------------------------------
-# Shared, read-only tables
+# Shared tables
 
 
-def test_equal_presentations_share_one_table():
+def test_equal_presentations_share_one_build():
     clear_completion_cache()
     doc = c3_cat().to_json()
     fin = to_finite(from_json(doc))
-    assert to_finite(from_json(doc)) is fin
-    assert from_json(doc).completion().tables == {64: fin}
-    # the bound and the budget are part of the key
-    for other in (to_finite(from_json(doc), bound=16), to_finite(from_json(doc), budget=100)):
-        assert other is not fin and other == fin
-    assert to_finite(from_json(doc), bound=16) is to_finite(from_json(doc), bound=16)
+    widest, shared = from_json(doc).completion().finite
+    assert widest == 3 and shared == fin and shared is not fin
+    # the bound only decides NotFinite: every bound from the widest hom-set up
+    # reads the one table, and each caller gets a copy of it
+    for bound in (64, 3, 1000):
+        again = to_finite(from_json(doc), bound)
+        assert again == fin and again is not fin and again.paths is shared.paths
+    assert from_json(doc).completion().finite[1] is shared
+    with pytest.raises(NotFinite):
+        to_finite(from_json(doc), bound=2)
+    # the budget is part of the key: another completion builds its own table
+    other = to_finite(from_json(doc), budget=100)
+    assert other == fin and other.paths is not shared.paths
+
+
+def test_editing_a_returned_table_leaves_the_shared_one_intact():
+    clear_completion_cache()
+    fin = to_finite(dihedral(5))
+    a, b = sorted(fin.compose_table)[7], sorted(fin.compose_table)[11]
+    fin.compose_table[a], fin.compose_table[b] = fin.compose_table[b], fin.compose_table[a]
+    fin.identities["*"] = 1
+    fin.gen_image["r"] = 0
+    again = to_finite(dihedral(5))
+    assert again != fin
+    again.validate()
+    _assert_matches_oracles(dihedral(5))
 
 
 def test_presentations_differing_only_in_inverses_share_one_table():
@@ -590,7 +608,8 @@ def test_presentations_differing_only_in_inverses_share_one_table():
     ]
     plain, marked = build(["x"], gens, rels), build(["x"], gens, rels, ["a", "b"])
     assert marked.inverses and not plain.inverses and marked.relations == plain.relations
-    assert to_finite(marked) is to_finite(plain)
+    assert to_finite(marked) == to_finite(plain)
+    assert marked.completion().finite is plain.completion().finite
 
 
 def test_to_finite_errors_are_raised_again():
@@ -602,7 +621,7 @@ def test_to_finite_errors_are_raised_again():
     for cat in (_braid(), _braid()):
         with pytest.raises(IncompleteSystem):
             to_finite(cat, budget=4)
-    assert a4.completion().tables == {}
+    assert a4.completion().finite == []
 
 
 def test_clearing_the_cache_drops_its_tables():
@@ -610,10 +629,12 @@ def test_clearing_the_cache_drops_its_tables():
     doc = c3_cat().to_json()
     held = from_json(doc)
     fin = to_finite(held)
+    slot = held.completion().finite
     clear_completion_cache()
-    fresh = to_finite(from_json(doc))
-    assert fresh is not fin and fresh == fin
-    assert to_finite(held) is fin  # an instance keeps the table it holds
+    fresh = from_json(doc)
+    assert to_finite(fresh) == fin and fresh.completion().finite is not slot
+    # an instance keeps the table it holds
+    assert to_finite(held).paths is slot[1].paths
 
 
 def test_shared_table_equals_a_cold_one():
@@ -628,24 +649,11 @@ def test_shared_table_equals_a_cold_one():
             cold = to_finite(from_json(doc), bound, budget)
         except (IncompleteSystem, NotFinite):
             continue
-        assert to_finite(from_json(doc), bound, budget) is cold
+        assert from_json(doc).completion(budget).finite[1] == cold
+        # a hit, field by field and in insertion order, against the per-pair oracle
         _assert_matches_oracles(from_json(doc), bound, budget)
         shared += 1
     assert shared >= 30
-
-
-def test_finite_tables_are_read_only():
-    fin = to_finite(c3_cat())
-    square, _ = product_category(fin, (("u",), ("v",)))
-    for C in (fin, square, iso_core(fin)):
-        for view in (C.compose_table, C.identities, C.inverses()):
-            key = next(iter(view))
-            with pytest.raises(TypeError):
-                view[key] = 0
-            assert key in view
-    with pytest.raises(TypeError):
-        fin.gen_image["t"] = 0
-    assert fin.identities == {"x": 0} and fin.gen_image.get("t") == 1
 
 
 def test_finite_to_fp_round_trip():
