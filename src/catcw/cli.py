@@ -320,7 +320,7 @@ def _cmd_cw_build(args) -> int:
     if args.file == "random":
         gp = _random_presentation(args.seed)
     else:
-        gp = GroupoidPresentation.from_json(_read_json(args.file))
+        gp = _load(args.file, GroupoidPresentation.from_json)
     cat = build_two_complex(gp)
     report = {"presentation": gp.to_json_obj(), "complex": cat.to_json_obj()}
     _emit(

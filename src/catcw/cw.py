@@ -31,6 +31,9 @@ from .fpcat import (
     build,
     terminal,
     to_finite,
+    _json_list,
+    _json_names,
+    _json_object,
 )
 from .model_structure import NotDecided, groupoid_witness, is_groupoid, is_groupoid_fp
 
@@ -197,17 +200,18 @@ class GroupoidPresentation:
 
     @staticmethod
     def from_json(doc: Union[str, Mapping]) -> "GroupoidPresentation":
-        obj = json.loads(doc) if isinstance(doc, str) else doc
-        return GroupoidPresentation(
-            tuple(
+        obj = _json_object(json.loads(doc) if isinstance(doc, str) else doc, "presentation")
+        comps = []
+        for c in _json_list(obj["components"], "components"):
+            c = _json_object(c, "components")
+            comps.append(
                 GroupoidComponent(
-                    tuple(c["extra_objects"]),
-                    tuple(c["generators"]),
-                    tuple(tuple(w) for w in c["relations"]),
+                    _json_names(c["extra_objects"], "extra_objects"),
+                    _json_names(c["generators"], "generators"),
+                    [_json_names(w, "relations") for w in _json_list(c["relations"], "relations")],
                 )
-                for c in obj["components"]
             )
-        )
+        return GroupoidPresentation(comps)
 
 
 def _z_presentation() -> FpCategory:
@@ -219,43 +223,19 @@ def build_two_complex(gp: GroupoidPresentation) -> FpCategory:
     pieces: list[FpCategory] = []
     for comp in gp.components:
         oc, bp, gen_for, _ = _one_complex_component(comp.generators, comp.extra_objects)
-        if not comp.relations:
-            pieces.append(oc)
-            continue
-        zs = coproduct([_z_presentation() for _ in comp.relations])
-        object_map = {inj.apply_obj("*"): bp for inj in zs.injections}
-        gen_map: dict[str, Path] = {}
-        for inj, word in zip(zs.injections, comp.relations):
+        cells: list[tuple[int, Functor]] = []
+        for word in comp.relations:
             fwd: list[str] = []
             for token in word:
-                if token.endswith("^-1"):
-                    name = token[: -len("^-1")]
-                    if name not in gen_for:
-                        raise CatError(f"relation token {token!r} names no generator")
-                    fwd.append(oc.inverses[gen_for[name]])
-                else:
-                    if token not in gen_for:
-                        raise CatError(f"relation token {token!r} names no generator")
-                    fwd.append(gen_for[token])
+                name = token.removesuffix("^-1")
+                if name not in gen_for:
+                    raise CatError(f"relation token {token!r} names no generator")
+                g = gen_for[name]
+                fwd.append(g if name == token else oc.inverses[g])
             bwd = [oc.inverses[g] for g in reversed(fwd)]
-            gen_map[inj.gen_map["z"].gens[0]] = Path(bp, tuple(fwd))
-            gen_map[inj.gen_map["z^-1"].gens[0]] = Path(bp, tuple(bwd))
-        attach = Functor(zs.apex, oc, object_map, gen_map)
-        points = coproduct([terminal() for _ in comp.relations])
-        collapse = Functor(
-            zs.apex,
-            points.apex,
-            {
-                inj.apply_obj("*"): pinj.apply_obj("pt")
-                for inj, pinj in zip(zs.injections, points.injections)
-            },
-            {
-                name: Path(points.injections[i].apply_obj("pt"))
-                for i, inj in enumerate(zs.injections)
-                for name in (inj.gen_map["z"].gens[0], inj.gen_map["z^-1"].gens[0])
-            },
-        )
-        pieces.append(one_sided_homotopy_pushout(attach, collapse).apex)
+            gen_map = {"z": Path(bp, tuple(fwd)), "z^-1": Path(bp, tuple(bwd))}
+            cells.append((2, Functor(_z_presentation(), oc, {"*": bp}, gen_map)))
+        pieces.append(attach_cells(oc, cells))
     return coproduct(pieces).apex
 
 

@@ -169,7 +169,6 @@ class ProductMeta:
 
     comps: tuple[tuple[str, ...], ...]
     obj_name: dict[tuple, str]
-    obj_tuple: dict[str, tuple]
     mor_ix: dict[tuple, int]
     mor_tuple: tuple[tuple, ...]
 
@@ -207,14 +206,7 @@ def product_category(
         for t in obj_tuples
     }
     cat = FiniteCategory(objects, mor_src, mor_dst, compose, identities, labels)
-    meta = ProductMeta(
-        comps,
-        obj_name,
-        {v: key for key, v in obj_name.items()},
-        mor_ix,
-        tuple(mor_tuples),
-    )
-    return cat, meta
+    return cat, ProductMeta(comps, obj_name, mor_ix, tuple(mor_tuples))
 
 
 # ---------------------------------------------------------------------------
@@ -287,55 +279,49 @@ class CatPresheaf:
         return True
 
 
-def _covers_of(space: FiniteSpace, u: Open) -> list[tuple[Open, ...]]:
-    members = [v for v in space.opens if v <= u]
-    out = []
-    for r in range(len(members) + 1):
-        for combo in itertools.combinations(members, r):
-            acc: frozenset = frozenset()
-            for v in combo:
-                acc = acc | v
-            if acc == u:
-                out.append(combo)
-    return out
-
-
 def check_gluing(F: CatPresheaf) -> tuple[bool, object]:
-    """Exhaustive equalizer check over every cover of every open.
+    """Equalizer check of each open against its cover by minimal opens.
 
-    For each cover {V_i} of U the canonical map from F(U) into compatible
-    families must be a bijection, on objects and on morphisms.
+    Each open U is checked against one cover: the minimal opens U_x for x in
+    U, less those lying strictly inside another.  The canonical map from F(U)
+    into compatible families over that cover must be a bijection, on objects
+    and on morphisms.  Every cover {V_i} of U is refined by this one, since
+    x in V_i implies U_x ⊆ V_i; opens are visited smallest first, so when the
+    restrictions compose (``CatPresheaf.validate``) the verdict and the
+    first failing open are those of a check over every cover.  On failure
+    the witness is (kind, U, cover), kind being "objects" or "morphisms".
     """
     for u in F.space.opens:
         cu = F.values[u]
-        for cover in _covers_of(F.space, u):
-            # the two restrictions onto each pairwise overlap of the cover
-            overlaps = [
-                (i, j, F.restriction(v1, v1 & v2), F.restriction(v2, v1 & v2))
-                for (i, v1), (j, v2) in itertools.combinations(enumerate(cover), 2)
-            ]
-            down = [F.restriction(u, v) for v in cover]
-            # objects
-            fams = {
-                combo
-                for combo in itertools.product(*(F.values[v].objects for v in cover))
-                if all(
-                    r1.object_map[combo[i]] == r2.object_map[combo[j]]
-                    for i, j, r1, r2 in overlaps
-                )
-            }
-            images = {tuple(r.object_map[a] for r in down): a for a in cu.objects}
-            if len(images) != len(cu.objects) or set(images) != fams:
-                return False, ("objects", sorted(u), [sorted(v) for v in cover])
-            # morphisms
-            mfams = {
-                combo
-                for combo in itertools.product(*(range(F.values[v].n) for v in cover))
-                if all(r1.mor[combo[i]] == r2.mor[combo[j]] for i, j, r1, r2 in overlaps)
-            }
-            mimages = {tuple(r.mor[m] for r in down): m for m in range(cu.n)}
-            if len(mimages) != cu.n or set(mimages) != mfams:
-                return False, ("morphisms", sorted(u), [sorted(v) for v in cover])
+        mins = {F.space.min_open(x) for x in u}
+        cover = sorted((v for v in mins if not any(v < w for w in mins)), key=_open_key)
+        # the two restrictions onto each pairwise overlap of the cover
+        overlaps = [
+            (i, j, F.restriction(v1, v1 & v2), F.restriction(v2, v1 & v2))
+            for (i, v1), (j, v2) in itertools.combinations(enumerate(cover), 2)
+        ]
+        down = [F.restriction(u, v) for v in cover]
+        # objects
+        fams = {
+            combo
+            for combo in itertools.product(*(F.values[v].objects for v in cover))
+            if all(
+                r1.object_map[combo[i]] == r2.object_map[combo[j]]
+                for i, j, r1, r2 in overlaps
+            )
+        }
+        images = {tuple(r.object_map[a] for r in down): a for a in cu.objects}
+        if len(images) != len(cu.objects) or set(images) != fams:
+            return False, ("objects", sorted(u), [sorted(v) for v in cover])
+        # morphisms
+        mfams = {
+            combo
+            for combo in itertools.product(*(range(F.values[v].n) for v in cover))
+            if all(r1.mor[combo[i]] == r2.mor[combo[j]] for i, j, r1, r2 in overlaps)
+        }
+        mimages = {tuple(r.mor[m] for r in down): m for m in range(cu.n)}
+        if len(mimages) != cu.n or set(mimages) != mfams:
+            return False, ("morphisms", sorted(u), [sorted(v) for v in cover])
     return True, None
 
 
@@ -388,13 +374,9 @@ class SheafMap:
 # Constantification and sheafification
 
 
-def _terminal_value(base: FiniteCategory) -> tuple[FiniteCategory, ProductMeta]:
-    return product_category(base, ())
-
-
 def constantify(A: FiniteCategory, space: FiniteSpace) -> CatPresheaf:
     """The constant presheaf: A on every nonempty open, terminal on the empty one."""
-    empty_cat, _ = _terminal_value(A)
+    empty_cat, _ = product_category(A, ())
     values: dict[Open, FiniteCategory] = {}
     for u in space.opens:
         values[u] = A if u else empty_cat

@@ -5,6 +5,7 @@ Each test is self-contained and prints as a single pass/fail line under
 clock so a regression that blows the budget fails loudly.
 """
 
+import itertools
 import random
 import time
 
@@ -27,6 +28,7 @@ from conftest import (
 )
 
 from catcw import (
+    FiniteSpace,
     Functor,
     GroupoidComponent,
     GroupoidPresentation,
@@ -40,6 +42,7 @@ from catcw import (
     chaotic,
     classify_cw_sheaf,
     clear_completion_cache,
+    constantify,
     cone,
     cone_map,
     cone_unit,
@@ -64,6 +67,7 @@ from catcw import (
     verify_double_suspension,
 )
 from catcw.sheaftopos import (
+    check_gluing,
     discrete_two_point,
     exotic_map_demo,
     pseudocircle_base,
@@ -294,3 +298,34 @@ def test_criterion_9_left_properness():
         for f in cofibrations:
             po = pushout(f, g)
             assert is_equivalence(finite_form(po.inj_left, bound=64, budget=2000))
+
+
+def _discrete_space(n):
+    pts = [f"p{i}" for i in range(n)]
+    return FiniteSpace(pts, [c for r in range(n + 1) for c in itertools.combinations(pts, r)])
+
+
+def _chain_space(n):
+    pts = [f"p{i}" for i in range(n)]
+    return FiniteSpace(pts, [pts[:k] for k in range(n + 1)])
+
+
+def test_criterion_10_sheaf_gluing_scales_past_powerset_covers():
+    z2 = to_finite(c2_cat())
+    r, f = ("r",), ("f",)
+    d12 = to_finite(build(
+        ["x"],
+        [("r", "x", "x"), ("f", "x", "x")],
+        [(Path("x", r * 12), Path("x")), (Path("x", f * 2), Path("x")),
+         (Path("x", r + f), Path("x", f + r * 11))],
+        ["r", "f"],
+    ))
+    assert d12.n == 24
+    for A, space in ((z2, _discrete_space(4)), (z2, _discrete_space(5)), (d12, _chain_space(6))):
+        t0 = time.monotonic()
+        F = sheafify_constant(A, space)
+        assert time.monotonic() - t0 < 1.0
+        assert F.gluing_ok
+    ok, witness = check_gluing(constantify(z2, _discrete_space(4)))
+    assert not ok
+    assert witness == ("morphisms", ["p0", "p1"], [["p0"], ["p1"]])

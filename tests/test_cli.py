@@ -1,5 +1,6 @@
 """Exit codes, report formats, and certificate round trips for the CLI."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -233,6 +234,40 @@ def test_cw_build_random_is_seed_deterministic(capsys):
     assert first == second
     assert main(["cw-build", "random", "--seed", "8", "--json"]) == 0
     assert capsys.readouterr().out != first
+
+
+MALFORMED_GROUPOID_PRESENTATIONS = {
+    "missing-field": ({"comps": []}, "'components'"),
+    "top-level-array": ([], "'presentation': expected an object, got list"),
+    "string-generators": (
+        {"components": [{"extra_objects": [], "generators": "ab", "relations": []}]},
+        "'generators': expected a list, got str",
+    ),
+    "non-string-relation-token": (
+        {"components": [{"extra_objects": [], "generators": ["a"], "relations": [["a", 1]]}]},
+        "'relations': expected a string, got int",
+    ),
+    "string-component": ({"components": ["a"]}, "'components': expected an object, got str"),
+}
+
+
+@pytest.mark.parametrize("doc", list(MALFORMED_GROUPOID_PRESENTATIONS))
+def test_cw_build_malformed_presentation_is_input_error(tmp_path, capsys, doc):
+    obj, field = MALFORMED_GROUPOID_PRESENTATIONS[doc]
+    assert main(["cw-build", dump(tmp_path, "gp.json", obj), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "input error" in captured.err and field in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_sheaf_unit_over_the_discrete_four_point_space(tmp_path, capsys):
+    pts = ["p0", "p1", "p2", "p3"]
+    opens = [list(c) for r in range(5) for c in itertools.combinations(pts, r)]
+    space = dump(tmp_path, "disc4.json", {"points": pts, "opens": opens})
+    assert main(["sheaf-unit", cat_file(tmp_path, "d2.json", discrete2()), space, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"unit_iso": False, "reason": "object_count", "witness": "(2, 16)"}
 
 
 def test_sheaf_unit_exit_codes(tmp_path, capsys):

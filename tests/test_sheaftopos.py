@@ -4,8 +4,9 @@ the exotic attaching map, and CW recognition for sheaves."""
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import arrow_cat, c2_cat, c3_cat, groupoid_pool6, pool8, terminal_cat
+from conftest import arrow_cat, c2_cat, c3_cat, discrete2, groupoid_pool6, pool8, terminal_cat
 
 from catcw import (
     CatError,
@@ -374,3 +375,83 @@ def test_classify_requires_connected_base():
     F = sheafify_constant(discrete2_fin(), discrete_two_point())
     with pytest.raises(NotConnected):
         classify_cw_sheaf(F)
+
+
+def exhaustive_gluing(F):
+    """Oracle: the equalizer check over every cover of every open.
+
+    Returns (ok, kind, failing open) for the first failing open and the
+    first failing cover of it in powerset order.
+    """
+    for u in F.space.opens:
+        members = [v for v in F.space.opens if v <= u]
+        covers = (
+            combo
+            for r in range(len(members) + 1)
+            for combo in itertools.combinations(members, r)
+            if frozenset().union(*combo) == u
+        )
+        for cover in covers:
+            pairs = list(itertools.combinations(range(len(cover)), 2))
+            down = [F.restriction(u, v) for v in cover]
+            for kind, elems, image in (
+                ("objects", lambda c: c.objects, lambda r, a: r.object_map[a]),
+                ("morphisms", lambda c: range(c.n), lambda r, m: r.mor[m]),
+            ):
+                fams = {
+                    combo
+                    for combo in itertools.product(*(elems(F.values[v]) for v in cover))
+                    if all(
+                        image(F.restriction(cover[i], cover[i] & cover[j]), combo[i])
+                        == image(F.restriction(cover[j], cover[i] & cover[j]), combo[j])
+                        for i, j in pairs
+                    )
+                }
+                src = list(elems(F.values[u]))
+                images = {tuple(image(r, a) for r in down) for a in src}
+                if len(images) != len(src) or images != fams:
+                    return False, kind, sorted(u)
+    return True, None, None
+
+
+@st.composite
+def finite_topologies(draw):
+    """The down-sets of a random partial order on at most four points, when
+    there are at most six of them (the oracle tries every cover)."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    pts = [f"p{i}" for i in range(n)]
+    below = {x: {x} for x in pts}
+    for i, j in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            below[pts[j]].add(pts[i])
+    for k in pts:  # transitive closure, Warshall order
+        for x in pts:
+            if k in below[x]:
+                below[x] |= below[k]
+    opens = [
+        combo
+        for r in range(n + 1)
+        for combo in itertools.combinations(pts, r)
+        if all(below[x] <= set(combo) for x in combo)
+    ]
+    assume(len(opens) <= 6)
+    return FiniteSpace(pts, opens)
+
+
+GLUING_POOL = [to_finite(c) for c in (terminal_cat(), discrete2(), arrow_cat(), c2_cat(), c3_cat())]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(finite_topologies(), st.sampled_from(GLUING_POOL))
+def test_minimal_cover_gluing_agrees_with_every_cover(space, A):
+    """One minimal-open cover per open gives the oracle's verdict, kind and
+    failing open, for sheaves and for constant presheaves that fail."""
+    for F in (constantify(A, space), sheafify_constant(A, space)):
+        assert F.validate()
+        ok, witness = check_gluing(F)
+        got = (ok, None, None) if ok else (ok, witness[0], witness[1])
+        assert got == exhaustive_gluing(F)
+        if not ok:
+            cover = [frozenset(v) for v in witness[2]]
+            assert frozenset().union(*cover) == frozenset(witness[1])
+            assert all(v in {space.min_open(x) for x in witness[1]} for v in cover)
