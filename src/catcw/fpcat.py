@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -60,7 +61,16 @@ class BudgetTooSmall(CatError, ValueError):
 
 
 class IncompleteSystem(CatError):
-    """An operation needed a confluent rewriting system and did not get one."""
+    """An operation needed a confluent rewriting system and did not get one.
+
+    ``budget`` is the rule budget the completion ran under and ``rules`` the
+    number of rules in the incomplete system it ended with.
+    """
+
+    def __init__(self, message: str, budget: int, rules: int):
+        self.budget = budget
+        self.rules = rules
+        super().__init__(message)
 
 
 class IncompleteSystemWarning(UserWarning):
@@ -410,21 +420,13 @@ class RewritingSystem:
 
     def __init__(
         self, cat: FpCategory, rules: Sequence[Relation], status: str,
-        table: RuleTable | None = None,
+        table: RuleTable,
         finite: list | None = None,
     ):
-        """``table``, when given, is ``rules`` already encoded over ``cat``'s generators."""
+        """``table`` is ``rules`` encoded over ``cat``'s generators, in order."""
         self.cat = cat
         self.rules = tuple(rules)
         self.status = status  # "complete" | "incomplete"
-        if table is None:
-            idx = cat.quiver.gen_index
-            table = RuleTable(
-                [
-                    (tuple(idx[n] for n in l.gens), tuple(idx[n] for n in r.gens))
-                    for l, r in self.rules
-                ]
-            )
         self._table = table
         self.finite = [] if finite is None else finite
         self._names = tuple(g.name for g in cat.quiver.generators)
@@ -460,31 +462,61 @@ def _orient(w1: tuple[int, ...], w2: tuple[int, ...]):
     return (w1, w2) if k1 > k2 else (w2, w1)
 
 
-def _reduce_with(rules: Sequence[tuple], word: tuple[int, ...]) -> tuple[int, ...]:
-    return RuleTable(rules).reduce(word) if rules else tuple(word)
+def _rule_key(rule: tuple) -> tuple:
+    return (_shortlex_key(rule[0]), _shortlex_key(rule[1]))
+
+
+def _has_other_lhs(
+    word: tuple[int, ...], own: tuple[int, ...], lhs_count: Counter, lengths: Sequence[int]
+) -> bool:
+    """True iff a factor of ``word`` is the lhs of a rule other than one with lhs ``own``."""
+    n = len(word)
+    for k in lengths:
+        if k > n:
+            break
+        for s in range(n - k + 1):
+            f = word[s : s + k]
+            c = lhs_count.get(f)
+            if c and (c > 1 or f != own):
+                return True
+    return False
 
 
 def _interreduce(rules: list[tuple]) -> list[tuple]:
-    rules = sorted(set(rules), key=lambda lr: (_shortlex_key(lr[0]), _shortlex_key(lr[1])))
-    changed = True
-    while changed:
-        changed = False
+    """Reduce every rule by the others until none changes.
+
+    The rules are kept sorted by (lhs, rhs) in shortlex order.  Each pass
+    walks them in that order and stops at the first rule that the other
+    rules rewrite: that rule is reduced on both sides by a ``RuleTable`` of
+    the others, dropped, and put back re-oriented unless its sides met.
+    The next pass starts again from the first rule.  (A rule's own lhs can
+    never match inside its rhs, shortlex, so this is a full interreduction.)
+
+    A word is reducible by R minus r exactly when one of its factors is the
+    lhs of a rule in R minus r, and ``RuleTable.reduce`` stops only at an
+    irreducible word.  So a pass counts the left-hand sides once and looks
+    the factors of each rule's sides up in that count; only the rule it
+    finds gets a table.  Passes, restarts and rewrites are those of reducing
+    every rule by a table of the others, and the rules come out the same,
+    in the same order.
+    """
+    rules = sorted(set(rules), key=_rule_key)
+    while True:
+        lhs_count = Counter(lhs for lhs, _ in rules)
+        lengths = sorted({len(lhs) for lhs in lhs_count})
         for i, (lhs, rhs) in enumerate(rules):
-            others = rules[:i] + rules[i + 1 :]
-            # a rule's own lhs can never match inside its rhs (shortlex), so
-            # reducing both sides by the other rules is a full interreduction
-            lhs2 = _reduce_with(others, lhs)
-            rhs2 = _reduce_with(others, rhs)
-            if lhs2 == lhs and rhs2 == rhs:
-                continue
-            rules.pop(i)
-            oriented = _orient(lhs2, rhs2)
-            if oriented is not None:
-                rules.append(oriented)
-                rules.sort(key=lambda lr: (_shortlex_key(lr[0]), _shortlex_key(lr[1])))
-            changed = True
-            break
-    return rules
+            if _has_other_lhs(lhs, lhs, lhs_count, lengths) or _has_other_lhs(
+                rhs, lhs, lhs_count, lengths
+            ):
+                break
+        else:
+            return rules
+        others = RuleTable(rules[:i] + rules[i + 1 :])
+        rules.pop(i)
+        oriented = _orient(others.reduce(lhs), others.reduce(rhs))
+        if oriented is not None:
+            rules.append(oriented)
+            rules.sort(key=_rule_key)
 
 
 def _critical_pairs(rules: Sequence[tuple]) -> Iterator[tuple[tuple, tuple]]:
@@ -534,6 +566,7 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
             added = budget
             status = "incomplete"
             rules = _interreduce(rules)
+            table = RuleTable(rules)
             break
         rules.extend(fresh)
         added += len(fresh)
@@ -550,7 +583,7 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
     for lhs, rhs in rules:
         at = gens[names[lhs[0]]].src
         out.append((decode(lhs, at), decode(rhs, at)))
-    return RewritingSystem(cat, out, status)
+    return RewritingSystem(cat, out, status, table)
 
 
 # Presentations with equal objects, generators (in order) and relations (in
@@ -615,7 +648,9 @@ def _require_complete(cat: FpCategory, budget: int) -> RewritingSystem:
     rs = cat.completion(budget)
     if not rs.complete:
         raise IncompleteSystem(
-            f"completion exhausted its budget of {budget} rules; results would be unreliable"
+            f"completion exhausted its budget of {budget} rules; results would be unreliable",
+            budget,
+            len(rs.rules),
         )
     return rs
 
@@ -1162,7 +1197,9 @@ def check_functor(F: Functor | FiniteFunctor, budget: int = DEFAULT_RULE_BUDGET)
         if ln != rn:
             if not rs.complete:
                 raise IncompleteSystem(
-                    "cannot decide relation preservation under an incomplete system"
+                    "cannot decide relation preservation under an incomplete system",
+                    budget,
+                    len(rs.rules),
                 )
             return False
     return True

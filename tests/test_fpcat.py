@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from catcw import (
     BudgetTooSmall,
@@ -25,6 +26,7 @@ from catcw import (
     complete,
     completion_cache_info,
     compose_functors,
+    cone_map,
     finite_to_fp,
     from_json,
     functor_from_json,
@@ -32,9 +34,12 @@ from catcw import (
     identity_functor,
     irreducible_words,
     normalize,
+    pushout,
     to_finite,
 )
-from catcw.fpcat import _normal_forms
+from catcw import fpcat
+from catcw.fpcat import _critical_pairs, _interreduce, _normal_forms, _orient
+from catcw.kernel import RuleTable
 from conftest import (
     arrow_cat,
     c2_cat,
@@ -250,6 +255,133 @@ def test_cached_completion_equals_a_cold_one():
             pass
     assert completion_cache_info().hits >= len(cases)
     assert finite >= 30  # pool8 and 26 of the 60 draws
+
+
+# ---------------------------------------------------------------------------
+# Interreduction against the per-rule-table oracle
+
+
+def _interreduce_oracle(rules):
+    """Interreduction as first written: every rule of every pass is reduced
+    by fresh tables of all the other rules.  Returns the rules and the number
+    of rules rewritten."""
+
+    def shortlex(rule):
+        return ((len(rule[0]), rule[0]), (len(rule[1]), rule[1]))
+
+    rules = sorted(set(rules), key=shortlex)
+    rewritten = 0
+    changed = True
+    while changed:
+        changed = False
+        for i, (lhs, rhs) in enumerate(rules):
+            others = rules[:i] + rules[i + 1 :]
+            lhs2 = RuleTable(others).reduce(lhs) if others else lhs
+            rhs2 = RuleTable(others).reduce(rhs) if others else rhs
+            if lhs2 == lhs and rhs2 == rhs:
+                continue
+            rules.pop(i)
+            oriented = _orient(lhs2, rhs2)
+            if oriented is not None:
+                rules.append(oriented)
+                rules.sort(key=shortlex)
+            rewritten += 1
+            changed = True
+            break
+    return rules, rewritten
+
+
+@st.composite
+def _oriented_rules(draw):
+    letters = draw(st.integers(min_value=2, max_value=4))
+    word = st.lists(st.integers(min_value=0, max_value=letters - 1), max_size=5).map(tuple)
+    pairs = draw(st.lists(st.tuples(word, word), max_size=14))
+    return [r for r in (_orient(u, v) for u, v in pairs) if r is not None]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_oriented_rules())
+def test_interreduce_matches_the_per_rule_table_oracle(rules):
+    assert _interreduce(list(rules)) == _interreduce_oracle(list(rules))[0]
+
+
+def _apex_of_cones():
+    """The pushout of two cone maps, gluing chaotic(5) and chaotic(2) along
+    chaotic(3): 4 objects, 22 generators, 88 relations, 46 rules."""
+    A = build(["a0", "a1", "a2"])
+    B = build(["a0", "a1", "a2", "b0", "b1"])
+    C = chaotic(["c0", "c1"])
+    f = Functor(A, B, {x: x for x in A.objects}, {})
+    g = Functor(A, C, {"a0": "c0", "a1": "c1", "a2": "c0"}, {})
+    cone = chaotic(A.objects)
+    return pushout(
+        cone_map(f, cone, chaotic(B.objects)), cone_map(g, cone, chaotic(C.objects))
+    ).apex
+
+
+def test_complete_matches_the_oracle_loop_on_a_corpus(monkeypatch):
+    cases = [(chaotic([f"o{i}" for i in range(n)]), 500) for n in range(2, 8)]
+    cases += [(coxeter(links), 500) for links in ([3, 3], [3, 3, 3], [4, 3], [5, 3])]
+    cases += [(dihedral(12), 500), (abelian(4, 6), 500), (_apex_of_cones(), 500)]
+    cases += [(_braid(), budget) for budget in range(3, 61)]
+    rng = random.Random(41)
+    cases += [(random_pointed(rng).cat, 20) for _ in range(60)]
+    incomplete = 0
+    for cat, budget in cases:
+        rs = complete(cat, budget)
+        with monkeypatch.context() as m:
+            m.setattr(fpcat, "_interreduce", lambda rules: _interreduce_oracle(rules)[0])
+            old = complete(cat, budget)
+        assert (rs.rules, rs.status) == (old.rules, old.status), cat.to_json()
+        incomplete += rs.status == "incomplete"
+    assert incomplete >= 58  # every braid budget
+
+
+def test_cold_completion_builds_a_rule_table_per_round_and_rewrite(monkeypatch):
+    built = rounds = rewritten = 0
+
+    class CountingTable(RuleTable):
+        def __init__(self, rules):
+            nonlocal built
+            built += 1
+            super().__init__(rules)
+
+    def counting_pairs(rules):
+        nonlocal rounds
+        rounds += 1
+        return _critical_pairs(rules)
+
+    def counting_interreduce(rules):
+        nonlocal rewritten
+        rewritten += _interreduce_oracle(rules)[1]  # its tables are not counted
+        return _interreduce(rules)
+
+    monkeypatch.setattr(fpcat, "RuleTable", CountingTable)
+    monkeypatch.setattr(fpcat, "_critical_pairs", counting_pairs)
+    monkeypatch.setattr(fpcat, "_interreduce", counting_interreduce)
+    rs = complete(_apex_of_cones())
+    assert rs.complete and len(rs.rules) == 46
+    assert 0 < built <= rounds + rewritten
+
+
+def test_incomplete_system_names_its_budget_and_rules():
+    with pytest.raises(IncompleteSystem) as exc:
+        to_finite(_braid(), budget=4)
+    assert str(exc.value) == (
+        "completion exhausted its budget of 4 rules; results would be unreliable"
+    )
+    assert (exc.value.budget, exc.value.rules) == (4, 3)
+    # b a a a b a = b a a b a b in the braid monoid, but two rules cannot join them
+    src = build(
+        ["s"],
+        [("p", "s", "s"), ("q", "s", "s")],
+        [(Path("s", tuple("qpppqp")), Path("s", tuple("qppqpq")))],
+    )
+    F = Functor(src, _braid(), {"s": "x"}, {"p": Path("x", ("a",)), "q": Path("x", ("b",))})
+    with pytest.raises(IncompleteSystem) as exc:
+        check_functor(F, budget=2)
+    assert str(exc.value) == "cannot decide relation preservation under an incomplete system"
+    assert (exc.value.budget, exc.value.rules) == (2, 2)
 
 
 def test_irreducible_words_z_counts():
