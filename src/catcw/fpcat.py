@@ -80,16 +80,16 @@ class IncompleteSystemWarning(UserWarning):
 class NotFinite(CatError):
     """Hom-set enumeration exceeded the bound.
 
-    Carries the offending hom-set and the normal forms found there.
+    Carries the offending hom-set, the normal forms found there (one more
+    than ``bound``) and the per-hom ``bound`` that ran out.
     """
 
-    def __init__(self, src: str, dst: str, forms: Sequence["Path"]):
+    def __init__(self, src: str, dst: str, forms: Sequence["Path"], bound: int):
         self.src = src
         self.dst = dst
         self.forms = tuple(forms)
-        super().__init__(
-            f"hom({src}, {dst}) has more than {len(self.forms) - 1} normal forms"
-        )
+        self.bound = bound
+        super().__init__(f"hom({src}, {dst}) has more than {bound} normal forms")
 
 
 def _json_list(value, field: str) -> list | tuple:
@@ -189,8 +189,9 @@ class Quiver:
     def has_object(self, name: str) -> bool:
         return name in self._obj_set
 
-    def check_path(self, p: Path) -> None:
-        """Raise unless ``p`` is a composable word rooted at a declared object."""
+    def check_path(self, p: Path) -> str:
+        """The object ``p`` ends at; raise unless it is a composable word
+        rooted at a declared object."""
         if p.at not in self._obj_set:
             raise DanglingEndpoint(f"path starts at unknown object {p.at!r}")
         cur = p.at
@@ -203,11 +204,6 @@ class Quiver:
                     f"generator {name!r} expects source {g.src!r}, path is at {cur!r}"
                 )
             cur = g.dst
-
-    def path_dst(self, p: Path) -> str:
-        cur = p.at
-        for name in p.gens:
-            cur = self.gen_by_name[name].dst
         return cur
 
     def __eq__(self, other):
@@ -218,6 +214,12 @@ class Quiver:
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+
+def _has_unit_relation(relations: set[Relation], src: str, g: str, m: str) -> bool:
+    """True iff ``g;m`` = the identity at ``src`` is in ``relations``, either way round."""
+    unit = (Path(src, (g, m)), Path(src))
+    return unit in relations or (unit[1], unit[0]) in relations
 
 
 class FpCategory:
@@ -232,12 +234,13 @@ class FpCategory:
         self.quiver = quiver
         rels = []
         for lhs, rhs in relations:
-            quiver.check_path(lhs)
-            quiver.check_path(rhs)
-            if lhs.at != rhs.at or quiver.path_dst(lhs) != quiver.path_dst(rhs):
+            lhs_dst = quiver.check_path(lhs)
+            rhs_dst = quiver.check_path(rhs)
+            if lhs.at != rhs.at or lhs_dst != rhs_dst:
                 raise NonParallelRelation(f"relation sides are not parallel: {lhs} vs {rhs}")
             rels.append((lhs, rhs))
         self.relations: tuple[Relation, ...] = tuple(rels)
+        rel_set = set(rels)
         inv = dict(inverses or {})
         for g, m in inv.items():
             if g not in quiver.gen_by_name or m not in quiver.gen_by_name:
@@ -247,16 +250,10 @@ class FpCategory:
             gg, mm = quiver.gen_by_name[g], quiver.gen_by_name[m]
             if gg.src != mm.dst or gg.dst != mm.src:
                 raise NonParallelRelation(f"mates {g!r}, {m!r} have incompatible endpoints")
-            if not self._has_unit_relation(g, m):
+            if not _has_unit_relation(rel_set, gg.src, g, m):
                 raise NonParallelRelation(f"marked pair ({g!r}, {m!r}) lacks its unit relations")
         self.inverses: dict[str, str] = inv
         self._completions: dict[int, "RewritingSystem"] = {}
-
-    def _has_unit_relation(self, g: str, m: str) -> bool:
-        src = self.quiver.gen_by_name[g].src
-        want = (Path(src, (g, m)), Path(src))
-        flipped = (want[1], want[0])
-        return want in self.relations or flipped in self.relations
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -328,10 +325,13 @@ def build(
     """Assemble a presentation, expanding invertibility markings.
 
     Each name in ``invertible`` is paired with a mate: an existing generator
-    already tied to it by the two unit relations if one is declared (scanning
-    in declaration order), else a fresh ``<name>^-1`` generator with the unit
+    already tied to it by the two unit relations if one is declared (the
+    first in declaration order, mates synthesized earlier counting as
+    declared last), else a fresh ``<name>^-1`` generator with the unit
     relations appended.  The mate may be the generator itself when the
-    presentation says it squares to an identity.
+    presentation says it squares to an identity.  Unit relations are looked
+    up in a set and candidates in a ``(src, dst)`` index, so intake is linear
+    in the relations and generators.
     """
     objects = tuple(objects)
     gens: list[Generator] = []
@@ -351,10 +351,14 @@ def build(
         if name not in by_name:
             raise DanglingEndpoint(f"invertible marking names unknown generator {name!r}")
 
+    rel_set = set(rels)
+    # generator names by (src, dst) in declaration order, synthesized mates last
+    by_ends: dict[tuple[str, str], list[str]] = {}
+    for g in gens:
+        by_ends.setdefault((g.src, g.dst), []).append(g.name)
+
     def has_unit(a: str, b: str) -> bool:
-        src = by_name[a].src
-        want = (Path(src, (a, b)), Path(src))
-        return want in rels or (want[1], want[0]) in rels
+        return _has_unit_relation(rel_set, by_name[a].src, a, b)
 
     inverses: dict[str, str] = {}
     for name in wanted:
@@ -362,11 +366,10 @@ def build(
             continue
         g = by_name[name]
         mate = None
-        for cand in gens:
-            if cand.src == g.dst and cand.dst == g.src:
-                if has_unit(name, cand.name) and has_unit(cand.name, name):
-                    mate = cand.name
-                    break
+        for cand in by_ends.get((g.dst, g.src), ()):
+            if has_unit(name, cand) and has_unit(cand, name):
+                mate = cand
+                break
         if mate is None:
             mate = f"{name}^-1"
             if mate in by_name or mate in objects:
@@ -374,8 +377,13 @@ def build(
             mg = Generator(mate, g.dst, g.src)
             gens.append(mg)
             by_name[mate] = mg
-            rels.append((Path(g.src, (name, mate)), Path(g.src)))
-            rels.append((Path(g.dst, (mate, name)), Path(g.dst)))
+            by_ends.setdefault((g.dst, g.src), []).append(mate)
+            units = [
+                (Path(g.src, (name, mate)), Path(g.src)),
+                (Path(g.dst, (mate, name)), Path(g.dst)),
+            ]
+            rels += units
+            rel_set.update(units)
         inverses[name] = mate
         inverses[mate] = name
 
@@ -936,7 +944,9 @@ def to_finite(
         forms = hom_forms.setdefault((src, dst), [])
         forms.append(word)
         if len(forms) > bound:
-            raise NotFinite(src, dst, [Path(src, tuple(names[k] for k in w)) for w in forms])
+            raise NotFinite(
+                src, dst, [Path(src, tuple(names[k] for k in w)) for w in forms], bound
+            )
 
     gens_from: dict[str, list[int]] = {x: [] for x in cat.objects}
     for g in cat.quiver.generators:
@@ -1183,25 +1193,23 @@ def check_functor(F: Functor | FiniteFunctor, budget: int = DEFAULT_RULE_BUDGET)
         if not isinstance(img, Path):
             return False
         try:
-            tgt.quiver.check_path(img)
+            img_dst = tgt.quiver.check_path(img)
         except CatError:
             return False
-        if img.at != F.apply_obj(g.src) or tgt.quiver.path_dst(img) != F.apply_obj(g.dst):
+        if img.at != F.apply_obj(g.src) or img_dst != F.apply_obj(g.dst):
             return False
     rs = tgt.completion(budget)
-    for lhs, rhs in src.relations:
-        li, ri = F.apply_path(lhs), F.apply_path(rhs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IncompleteSystemWarning)
-            ln, rn = rs.normalize(li), rs.normalize(ri)
-        if ln != rn:
-            if not rs.complete:
-                raise IncompleteSystem(
-                    "cannot decide relation preservation under an incomplete system",
-                    budget,
-                    len(rs.rules),
-                )
-            return False
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IncompleteSystemWarning)
+        for lhs, rhs in src.relations:
+            if rs.normalize(F.apply_path(lhs)) != rs.normalize(F.apply_path(rhs)):
+                if not rs.complete:
+                    raise IncompleteSystem(
+                        "cannot decide relation preservation under an incomplete system",
+                        budget,
+                        len(rs.rules),
+                    )
+                return False
     return True
 
 

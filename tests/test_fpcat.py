@@ -14,11 +14,13 @@ from catcw import (
     FiniteCategory,
     FiniteFunctor,
     Functor,
+    Generator,
     IncompleteSystem,
     IncompleteSystemWarning,
     NonParallelRelation,
     NotFinite,
     Path,
+    Quiver,
     build,
     chaotic,
     check_functor,
@@ -116,6 +118,145 @@ def test_declared_mate_is_reused():
     )
     assert cat.inverses == {"a": "b", "b": "a"}
     assert len(cat.generators) == 2
+
+
+# ---------------------------------------------------------------------------
+# Presentation intake against the list-scan oracle
+
+
+def _build_oracle(objects, generators, relations, invertible):
+    """``build`` and the checks of ``FpCategory`` as first written: every unit
+    relation is looked for by scanning the relation list, and every mate
+    candidate by scanning the generators.  Returns the generators, the
+    relations, the inverse table and the canonical JSON."""
+    objects = tuple(objects)
+    gens = [g if isinstance(g, Generator) else Generator(*g) for g in generators]
+    rels = [(Path(*l), Path(*r)) for l, r in relations]
+    wanted = list(dict.fromkeys(invertible))
+    by_name = {g.name: g for g in gens}
+    for name in wanted:
+        if name not in by_name:
+            raise DanglingEndpoint(f"invertible marking names unknown generator {name!r}")
+
+    def has_unit(a, b):
+        src = by_name[a].src
+        want = (Path(src, (a, b)), Path(src))
+        return want in rels or (want[1], want[0]) in rels
+
+    inverses = {}
+    for name in wanted:
+        if name in inverses:
+            continue
+        g = by_name[name]
+        mate = None
+        for cand in gens:
+            if cand.src == g.dst and cand.dst == g.src:
+                if has_unit(name, cand.name) and has_unit(cand.name, name):
+                    mate = cand.name
+                    break
+        if mate is None:
+            mate = f"{name}^-1"
+            if mate in by_name or mate in objects:
+                raise DuplicateName(f"cannot synthesize mate {mate!r}: name in use")
+            mg = Generator(mate, g.dst, g.src)
+            gens.append(mg)
+            by_name[mate] = mg
+            rels.append((Path(g.src, (name, mate)), Path(g.src)))
+            rels.append((Path(g.dst, (mate, name)), Path(g.dst)))
+        inverses[name] = mate
+        inverses[mate] = name
+
+    quiver = Quiver(objects, gens)
+
+    def path_dst(p):
+        cur = p.at
+        for name in p.gens:
+            cur = quiver.gen_by_name[name].dst
+        return cur
+
+    for lhs, rhs in rels:
+        quiver.check_path(lhs)
+        quiver.check_path(rhs)
+        if lhs.at != rhs.at or path_dst(lhs) != path_dst(rhs):
+            raise NonParallelRelation(f"relation sides are not parallel: {lhs} vs {rhs}")
+    for g, m in inverses.items():
+        if inverses.get(m) != g:
+            raise NonParallelRelation(f"inverse table is not symmetric at {g!r}")
+        src = quiver.gen_by_name[g].src
+        want = (Path(src, (g, m)), Path(src))
+        if want not in rels and (want[1], want[0]) not in rels:
+            raise NonParallelRelation(f"marked pair ({g!r}, {m!r}) lacks its unit relations")
+    doc = {
+        "objects": list(objects),
+        "generators": [{"name": g.name, "src": g.src, "dst": g.dst} for g in gens],
+        "relations": [{"lhs": l.to_json_obj(), "rhs": r.to_json_obj()} for l, r in rels],
+        "invertible": [g.name for g in gens if g.name in inverses],
+    }
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return tuple(gens), tuple(rels), inverses, text
+
+
+@st.composite
+def _intake_cases(draw):
+    """1-3 objects, at most 6 generators (one may already be named ``a^-1``,
+    one may repeat a name), unit relations either way round, self-mates, and
+    invertible markings with repeats and, now and then, an unknown name."""
+    rarely = st.sampled_from([False] * 5 + [True])
+    objects = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    obj = st.sampled_from(objects)
+    pool = ["a", "b", "c", "d", "a^-1", "b^-1"]
+    names = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1, max_size=6))
+    if len(names) < 6 and draw(rarely):
+        names.append(draw(st.sampled_from(names)))
+    gens = [(n, draw(obj), draw(obj)) for n in names]
+    ends = {n: (s, d) for n, s, d in gens}
+    rels = []
+    for _ in range(draw(st.integers(0, 8))):
+        a = draw(st.sampled_from(names))
+        back = [n for n in names if ends[n] == ends[a][::-1]]
+        b = draw(st.sampled_from(back if back and draw(st.booleans()) else names))
+        pairs = draw(st.sampled_from([[(a, b)], [(b, a)], [(a, b), (b, a)]]))
+        for p, q in pairs:
+            unit = ((ends[p][0], (p, q)), (ends[p][0], ()))
+            rels.append(unit if draw(st.booleans()) else unit[::-1])
+    invertible = draw(st.lists(st.sampled_from(names), max_size=4))
+    if draw(rarely):
+        invertible.insert(draw(st.integers(0, len(invertible))), "ghost")
+    return objects, gens, rels, invertible
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_intake_cases())
+def test_build_matches_the_list_scan_oracle(case):
+    try:
+        expected = _build_oracle(*case)
+    except CatError as exc:
+        with pytest.raises(type(exc)) as got:
+            build(*case)
+        assert str(got.value) == str(exc)
+        return
+    cat = build(*case)
+    assert (cat.generators, cat.relations, cat.inverses, cat.to_json()) == expected
+
+
+def test_presentation_intake_compares_paths_at_most_once_per_relation(monkeypatch):
+    compared = 0
+    path_eq = Path.__eq__
+
+    def counting_eq(self, other):
+        nonlocal compared
+        compared += 1
+        return path_eq(self, other)
+
+    monkeypatch.setattr(Path, "__eq__", counting_eq)
+    cat = chaotic([f"o{i}" for i in range(12)])
+    assert (len(cat.generators), len(cat.relations)) == (132, 1452)
+    assert compared <= len(cat.relations)  # 192,060 when every lookup scanned the list
+    compared = 0
+    doc = cat.to_json()
+    again = from_json(doc)
+    assert compared <= len(again.relations)
+    assert again.to_json() == doc and again.inverses == cat.inverses
 
 
 # ---------------------------------------------------------------------------
@@ -503,12 +644,14 @@ def test_to_finite_z_not_finite():
     with pytest.raises(NotFinite) as exc:
         to_finite(z_cat(), bound=10)
     err = exc.value
-    assert (err.src, err.dst) == ("x", "x")
+    assert (err.src, err.dst, err.bound) == ("x", "x", 10)
     assert len(err.forms) == 11
+    assert str(err) == "hom(x, x) has more than 10 normal forms"
     # raised at the first form over the bound, before the level is finished
     with pytest.raises(NotFinite) as exc:
         to_finite(z_cat(), bound=1)
     assert exc.value.forms == (Path("x"), Path("x", ("a",)))
+    assert (exc.value.bound, str(exc.value)) == (1, "hom(x, x) has more than 1 normal forms")
 
 
 def test_to_finite_morphism_order():
