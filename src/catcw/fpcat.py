@@ -325,11 +325,11 @@ def build(
     """Assemble a presentation, expanding invertibility markings.
 
     Each name in ``invertible`` is paired with a mate: an existing generator
-    already tied to it by the two unit relations if one is declared (the
-    first in declaration order, mates synthesized earlier counting as
-    declared last), else a fresh ``<name>^-1`` generator with the unit
-    relations appended.  The mate may be the generator itself when the
-    presentation says it squares to an identity.  Unit relations are looked
+    that has no mate yet and is already tied to it by the two unit relations
+    if one is declared (the first in declaration order, mates synthesized
+    earlier counting as declared last), else a fresh ``<name>^-1`` generator
+    with the unit relations appended.  The mate may be the generator itself
+    when the presentation says it squares to an identity.  Unit relations are looked
     up in a set and candidates in a ``(src, dst)`` index, so intake is linear
     in the relations and generators.
     """
@@ -367,7 +367,7 @@ def build(
         g = by_name[name]
         mate = None
         for cand in by_ends.get((g.dst, g.src), ()):
-            if has_unit(name, cand) and has_unit(cand, name):
+            if cand not in inverses and has_unit(name, cand) and has_unit(cand, name):
                 mate = cand
                 break
         if mate is None:

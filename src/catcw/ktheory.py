@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .colimits import PushoutResult, chaotic, pushout
 from .cw import point_collapse
@@ -40,6 +40,18 @@ INVERSE_SEARCH_LEN = 6
 K0_SCOPE_NOTE = (
     "closure conditions are checked for the objects occurring in this witness only"
 )
+
+K0_FORMAT = "catcw-k0-witness-2"
+K0_FORMATS_READ = ("catcw-k0-witness-1", K0_FORMAT)
+K0_STAGES = ("X", "PX", "SX", "PSX", "S2X")
+
+
+def _write_category(field: str, cat) -> dict:
+    return cat.to_json_obj()
+
+
+def _read_category(field: str, value) -> FpCategory:
+    return category_from_json(value)
 
 
 class CompletionBudgetExceeded(CatError):
@@ -199,11 +211,13 @@ class CofiberCertificate:
     inverse: Functor | None
     hom_card: dict | None
 
-    def to_json_obj(self) -> dict:
+    def to_json_obj(self, write_category: Callable = _write_category) -> dict:
+        """``write_category(field, category)`` gives the value of ``A``, ``B``
+        and ``C``; by default each category in full."""
         return {
-            "A": self.i.source.to_json_obj(),
-            "B": self.i.target.to_json_obj(),
-            "C": self.q.target.to_json_obj(),
+            "A": write_category("A", self.i.source),
+            "B": write_category("B", self.i.target),
+            "C": write_category("C", self.q.target),
             "i": self.i.to_json_obj(),
             "q": self.q.to_json_obj(),
             "basepoint": self.basepoint,
@@ -217,16 +231,27 @@ class CofiberCertificate:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
     def verify(self, budget: int = DEFAULT_RULE_BUDGET) -> bool:
-        """Re-run the full recognition and demand the identical certificate."""
+        """Re-run the full recognition and demand the identical certificate.
+
+        The two ``to_json_obj`` dicts are compared rather than their JSON
+        text, which costs a serialization of each.
+        """
         fresh = is_cofiber_sequence(self.i, self.q, self.basepoint, budget)
-        return isinstance(fresh, CofiberCertificate) and fresh.to_json() == self.to_json()
+        return (
+            isinstance(fresh, CofiberCertificate)
+            and fresh.to_json_obj() == self.to_json_obj()
+        )
 
     @staticmethod
-    def from_json(doc: Union[str, Mapping]) -> "CofiberCertificate":
+    def from_json(
+        doc: Union[str, Mapping], read_category: Callable = _read_category
+    ) -> "CofiberCertificate":
+        """``read_category(field, value)`` turns the value of ``A``, ``B`` or
+        ``C`` into a category; by default it parses a category in full."""
         obj = json.loads(doc) if isinstance(doc, str) else doc
-        A = category_from_json(obj["A"])
-        B = category_from_json(obj["B"])
-        C = category_from_json(obj["C"])
+        A = read_category("A", obj["A"])
+        B = read_category("B", obj["B"])
+        C = read_category("C", obj["C"])
         i = functor_from_json(A, B, obj["i"])
         q = functor_from_json(B, C, obj["q"])
         apex = pushout(i, point_collapse(A)).apex
@@ -375,8 +400,8 @@ class ContractibilityCertificate:
             and is_contractible(self.category, budget)
         )
 
-    def to_json_obj(self) -> dict:
-        return {"category": self.category.to_json_obj(), "objects": self.objects}
+    def to_json_obj(self, write_category: Callable = _write_category) -> dict:
+        return {"category": write_category("category", self.category), "objects": self.objects}
 
 
 @dataclass
@@ -386,6 +411,12 @@ class K0Witness:
     Chain: X -> PX -> ΣX and ΣX -> PΣX -> Σ²X are cofiber sequences, the two
     cones are contractible, and Σ²X is terminal; together these force the
     class of X to vanish in any admissible home for it.
+
+    In the JSON (format 2) each stage category is written once, X under
+    ``input`` and the others under ``stages``; a certificate's category field
+    holds the name of the stage it is ``==`` to ("X", "PX", "SX", "PSX",
+    "S2X"), and the category in full only when it is no such stage.
+    Format-1 documents, which hold every category in full, still read.
     """
 
     x: PointedCategory
@@ -400,8 +431,20 @@ class K0Witness:
     s2x_morphisms: int
 
     def to_json_obj(self) -> dict:
+        stages = dict(zip(K0_STAGES, (self.x.cat, self.px, self.sx.cat, self.psx, self.s2x.cat)))
+
+        def refs(**expected: str) -> Callable:
+            """Write each field as the name of its expected stage when it is that stage."""
+
+            def write(field: str, cat) -> Union[str, dict]:
+                name = expected[field]
+                stage = stages[name]
+                return name if cat is stage or cat == stage else cat.to_json_obj()
+
+            return write
+
         return {
-            "format": "catcw-k0-witness-1",
+            "format": K0_FORMAT,
             "input": {
                 "category": self.x.cat.to_json_obj(),
                 "basepoint": self.x.basepoint,
@@ -414,10 +457,10 @@ class K0Witness:
                 "S2X": self.s2x.cat.to_json_obj(),
                 "S2X_basepoint": self.s2x.basepoint,
             },
-            "cert1": self.cert1.to_json_obj(),
-            "cert2": self.cert2.to_json_obj(),
-            "contract_PX": self.contract_px.to_json_obj(),
-            "contract_PSX": self.contract_psx.to_json_obj(),
+            "cert1": self.cert1.to_json_obj(refs(A="X", B="PX", C="SX")),
+            "cert2": self.cert2.to_json_obj(refs(A="SX", B="PSX", C="S2X")),
+            "contract_PX": self.contract_px.to_json_obj(refs(category="PX")),
+            "contract_PSX": self.contract_psx.to_json_obj(refs(category="PSX")),
             "terminal_S2X": {
                 "objects": len(self.s2x.cat.objects),
                 "generators": len(self.s2x.cat.generators),
@@ -427,7 +470,7 @@ class K0Witness:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, indent=2)
+        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
     def replay(self, budget: int = DEFAULT_RULE_BUDGET) -> bool:
         """Re-run all five checks on the stored data."""
@@ -454,27 +497,42 @@ class K0Witness:
 
     @staticmethod
     def from_json(doc: Union[str, Mapping]) -> "K0Witness":
+        """Read format 2 or format 1; each stage is parsed once and shared."""
         obj = json.loads(doc) if isinstance(doc, str) else doc
-        if obj.get("format") != "catcw-k0-witness-1":
+        if obj.get("format") not in K0_FORMATS_READ:
             raise CatError("unrecognized witness format")
-        x = PointedCategory(
-            category_from_json(obj["input"]["category"]), obj["input"]["basepoint"]
-        )
-        stages = obj["stages"]
-        px = category_from_json(stages["PX"])
-        sx = PointedCategory(category_from_json(stages["SX"]), stages["SX_basepoint"])
-        psx = category_from_json(stages["PSX"])
-        s2x = PointedCategory(category_from_json(stages["S2X"]), stages["S2X_basepoint"])
+        doc_stages = obj["stages"]
+        stages = {"X": category_from_json(obj["input"]["category"])}
+        for name in K0_STAGES[1:]:
+            stages[name] = category_from_json(doc_stages[name])
+
+        def read(field: str, value) -> FpCategory:
+            """A stage name reads as that stage, an object as a category."""
+            if not isinstance(value, str):
+                return category_from_json(value)
+            if value not in stages:
+                raise CatError(f"{field}: unknown stage {value!r}")
+            return stages[value]
+
+        def within(cert: str) -> Callable:
+            return lambda field, value: read(f"{cert}.{field}", value)
+
         return K0Witness(
-            x,
-            px,
-            sx,
-            psx,
-            s2x,
-            CofiberCertificate.from_json(obj["cert1"]),
-            CofiberCertificate.from_json(obj["cert2"]),
-            ContractibilityCertificate(px, obj["contract_PX"]["objects"]),
-            ContractibilityCertificate(psx, obj["contract_PSX"]["objects"]),
+            PointedCategory(stages["X"], obj["input"]["basepoint"]),
+            stages["PX"],
+            PointedCategory(stages["SX"], doc_stages["SX_basepoint"]),
+            stages["PSX"],
+            PointedCategory(stages["S2X"], doc_stages["S2X_basepoint"]),
+            CofiberCertificate.from_json(obj["cert1"], within("cert1")),
+            CofiberCertificate.from_json(obj["cert2"], within("cert2")),
+            ContractibilityCertificate(
+                read("contract_PX.category", obj["contract_PX"]["category"]),
+                obj["contract_PX"]["objects"],
+            ),
+            ContractibilityCertificate(
+                read("contract_PSX.category", obj["contract_PSX"]["category"]),
+                obj["contract_PSX"]["objects"],
+            ),
             obj["terminal_S2X"]["morphisms"],
         )
 

@@ -40,6 +40,22 @@ def test_check_reports_completion(tmp_path, capsys):
     assert doc["objects"] == 1
 
 
+def test_check_pairs_each_generator_with_one_mate(tmp_path, capsys):
+    # ⟨a, b, c | ab = ba = ac = ca = 1⟩: b takes a as its mate, so c gets c^-1
+    doc = {
+        "objects": ["x"],
+        "generators": [{"name": n, "src": "x", "dst": "x"} for n in "abc"],
+        "relations": [
+            {"lhs": {"at": "x", "gens": list(pq)}, "rhs": {"at": "x", "gens": []}}
+            for pq in ("ab", "ba", "ac", "ca")
+        ],
+        "invertible": ["b", "c"],
+    }
+    path = dump(tmp_path, "shared_mate.json", doc)
+    assert main(["check", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["complete"] is True
+
+
 def test_check_to_finite_negative_verdict(tmp_path, capsys, z_file):
     assert main(["check", z_file, "--to-finite", "--bound", "5"]) == 1
     out = capsys.readouterr().out
@@ -183,6 +199,40 @@ def test_k0_witness_detects_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert main(["k0-witness", "--verify", tampered]) == 1
     assert "FAILED" in capsys.readouterr().out
+
+
+def test_k0_witness_prints_one_line_of_canonical_json(tmp_path, capsys):
+    path = dump(tmp_path, "pointed.json", {"category": c2_cat().to_json_obj(), "basepoint": "x"})
+    runs = []
+    for _ in range(2):
+        assert main(["k0-witness", path]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
+    assert runs[0].count("\n") == 1 and runs[0].endswith("\n")
+    doc = json.loads(runs[0])
+    assert doc["format"] == "catcw-k0-witness-2"
+    assert runs[0] == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    written = tmp_path / "w.json"
+    written.write_text(runs[0])
+    assert main(["k0-witness", "--verify", str(written)]) == 0
+
+
+def test_k0_witness_unknown_stage_is_input_error(tmp_path, capsys):
+    path = cat_file(tmp_path, "one.json", terminal_cat())
+    out = str(tmp_path / "w.json")
+    assert main(["k0-witness", path, "-o", out]) == 0
+    doc = json.loads(open(out).read())
+    doc["cert1"]["B"] = "QX"
+    tampered = dump(tmp_path, "tampered.json", doc)
+    capsys.readouterr()
+    assert main(["k0-witness", "--verify", tampered]) == 2
+    assert "cert1.B" in capsys.readouterr().err
+
+
+def test_k0_witness_verifies_format1_files(capsys):
+    fixture = os.path.join(os.path.dirname(__file__), "data", "k0_witness_format1_z2.json")
+    assert main(["k0-witness", "--verify", fixture, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"replay": True}
 
 
 def test_k0_witness_needs_some_input(capsys):

@@ -120,6 +120,23 @@ def test_declared_mate_is_reused():
     assert len(cat.generators) == 2
 
 
+def _shared_mate_doc():
+    """⟨a, b, c | ab = ba = ac = ca = 1⟩ with b and c marked invertible."""
+    units = [
+        (Path("x", (p, q)), Path("x")) for p, q in (("a", "b"), ("b", "a"), ("a", "c"), ("c", "a"))
+    ]
+    return ["x"], [("a", "x", "x"), ("b", "x", "x"), ("c", "x", "x")], units, ["b", "c"]
+
+
+def test_a_generator_with_a_mate_is_not_taken_again():
+    cat = build(*_shared_mate_doc())
+    assert cat.inverses == {"b": "a", "a": "b", "c": "c^-1", "c^-1": "c"}
+    assert [g.name for g in cat.generators] == ["a", "b", "c", "c^-1"]
+    assert len(cat.relations) == 6
+    again = from_json(cat.to_json())
+    assert again.to_json() == cat.to_json() and again.inverses == cat.inverses
+
+
 # ---------------------------------------------------------------------------
 # Presentation intake against the list-scan oracle
 
@@ -127,8 +144,8 @@ def test_declared_mate_is_reused():
 def _build_oracle(objects, generators, relations, invertible):
     """``build`` and the checks of ``FpCategory`` as first written: every unit
     relation is looked for by scanning the relation list, and every mate
-    candidate by scanning the generators.  Returns the generators, the
-    relations, the inverse table and the canonical JSON."""
+    candidate by scanning the generators that have no mate yet.  Returns the
+    generators, the relations, the inverse table and the canonical JSON."""
     objects = tuple(objects)
     gens = [g if isinstance(g, Generator) else Generator(*g) for g in generators]
     rels = [(Path(*l), Path(*r)) for l, r in relations]
@@ -150,7 +167,7 @@ def _build_oracle(objects, generators, relations, invertible):
         g = by_name[name]
         mate = None
         for cand in gens:
-            if cand.src == g.dst and cand.dst == g.src:
+            if cand.src == g.dst and cand.dst == g.src and cand.name not in inverses:
                 if has_unit(name, cand.name) and has_unit(cand.name, name):
                     mate = cand.name
                     break

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 import random
 
 import pytest
@@ -271,9 +272,14 @@ def test_k0_witness_json_round_trip():
 def test_k0_witness_shape_and_scope():
     w = k0_vanishing_witness(pointed_sphere_zero())
     doc = json.loads(w.to_json())
-    assert doc["format"] == "catcw-k0-witness-1"
+    assert doc["format"] == "catcw-k0-witness-2"
     assert doc["scope"] == K0_SCOPE_NOTE
     assert doc["terminal_S2X"] == {"objects": 1, "generators": 0, "morphisms": 1}
+    # each stage is stored once; the certificates name the stages they use
+    assert [doc["cert1"][k] for k in "ABC"] == ["X", "PX", "SX"]
+    assert [doc["cert2"][k] for k in "ABC"] == ["SX", "PSX", "S2X"]
+    assert doc["contract_PX"]["category"] == "PX"
+    assert doc["contract_PSX"]["category"] == "PSX"
     # the suspension of two points is the free loop, two mate generators
     assert len(w.sx.cat.generators) == 2
 
@@ -297,6 +303,78 @@ def test_tampered_witness_fails_replay():
     doc = json.loads(w.to_json())
     doc["terminal_S2X"]["morphisms"] = 2
     assert not K0Witness.from_json(doc).replay()
+
+
+FORMAT1_Z2 = pathlib.Path(__file__).parent / "data" / "k0_witness_format1_z2.json"
+
+
+def test_format1_witness_still_replays():
+    doc = json.loads(FORMAT1_Z2.read_text())
+    assert doc["format"] == "catcw-k0-witness-1"
+    w = K0Witness.from_json(doc)
+    assert w.replay()
+    # rewritten, it is the format-2 witness of the same pointed category
+    assert w.to_json() == k0_vanishing_witness(PointedCategory(c2_cat(), "x")).to_json()
+    doc["terminal_S2X"]["morphisms"] = 2
+    assert not K0Witness.from_json(doc).replay()
+
+
+def test_stage_reference_to_the_wrong_stage_fails_replay():
+    text = k0_vanishing_witness(pointed_sphere_zero()).to_json()
+    assert json.loads(text)["cert1"]["B"] == "PX"
+    for field, stage in (("B", "X"), ("C", "PSX")):
+        doc = json.loads(text)
+        doc["cert1"][field] = stage
+        assert not K0Witness.from_json(doc).replay()
+    # SX has one object, L.0.pt, so the stored i: X -> PX cannot land in it
+    doc = json.loads(text)
+    doc["cert1"]["B"] = "SX"
+    with pytest.raises(CatError, match="not in the target"):
+        K0Witness.from_json(doc)
+
+
+def test_unknown_stage_reference_names_the_field():
+    doc = json.loads(k0_vanishing_witness(pointed_sphere_zero()).to_json())
+    doc["cert2"]["C"] = "S3X"
+    with pytest.raises(CatError, match=r"cert2\.C"):
+        K0Witness.from_json(doc)
+    doc = json.loads(k0_vanishing_witness(pointed_sphere_zero()).to_json())
+    doc["contract_PSX"]["category"] = "P"
+    with pytest.raises(CatError, match=r"contract_PSX\.category"):
+        K0Witness.from_json(doc)
+
+
+def test_broken_chain_is_written_in_full_and_still_fails():
+    w = k0_vanishing_witness(pointed_sphere_zero())
+    other = chaotic(["p", "q"])
+    broken = dataclasses.replace(w, px=other)
+    assert broken.cert1.i.target != broken.px
+    assert not broken.replay()
+    doc = json.loads(broken.to_json())
+    assert doc["cert1"]["B"] == w.px.to_json_obj()
+    assert doc["contract_PX"]["category"] == w.px.to_json_obj()
+    again = K0Witness.from_json(doc)
+    assert again.px == other and again.cert1.i.target == w.px
+    assert not again.replay()
+    assert again.to_json() == broken.to_json()
+
+
+def _json_string_verdict(cert):
+    """``CofiberCertificate.verify`` as first written: compare JSON text."""
+    fresh = is_cofiber_sequence(cert.i, cert.q, cert.basepoint)
+    return isinstance(fresh, CofiberCertificate) and fresh.to_json() == cert.to_json()
+
+
+def test_certificate_comparison_agrees_with_json_text():
+    for X in k0_pool().values():
+        w = k0_vanishing_witness(X)
+        for cert in (w.cert1, w.cert2):
+            assert cert.mode == "strict-inverse"
+            assert cert.verify() is _json_string_verdict(cert) is True
+            obj = cert.to_json_obj()
+            for tamper in ({"mode": "finite"}, {"inverse": None}, {"hom_card": {}}):
+                bad = CofiberCertificate.from_json({**obj, **tamper})
+                assert bad.verify() is _json_string_verdict(bad) is False
 
 
 def test_unknown_witness_format_is_rejected():
