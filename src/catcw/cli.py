@@ -381,7 +381,7 @@ def _cmd_sheaf_classify(args) -> int:
     A = to_finite(_load_category(args.category), args.bound, args.budget)
     space = _load(args.space, space_from_json)
     F = sheafify_constant(A, space)
-    verdict = classify_cw_sheaf(F, args.product_bound)
+    verdict = classify_cw_sheaf(F)
     report = {"verdict": verdict.kind}
     lines = [f"verdict: {verdict.kind}"]
     if verdict.witness is not None:
@@ -502,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sheaf-classify", help="CW recognition for a constant sheaf")
     p.add_argument("category")
     p.add_argument("space")
-    _add_common(p, bound=True, budget=True, product=True)
+    _add_common(p, bound=True, budget=True)
     p.set_defaults(handler=_cmd_sheaf_classify)
 
     return parser

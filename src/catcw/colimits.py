@@ -20,6 +20,7 @@ from .fpcat import (
     Functor,
     Generator,
     Path,
+    Quiver,
     build,
     check_functor,
     compose_functors,
@@ -78,8 +79,6 @@ def _prefixed(cat: FpCategory, prefix: str) -> tuple[FpCategory, Functor]:
 
 
 def _quiver_prefixed(cat: FpCategory, prefix: str):
-    from .fpcat import Quiver
-
     return Quiver(
         [prefix + x for x in cat.objects],
         [Generator(prefix + g.name, prefix + g.src, prefix + g.dst) for g in cat.quiver.generators],
@@ -101,8 +100,6 @@ def coproduct(cats: Sequence[FpCategory]) -> CoproductResult:
         gens.extend(piece.quiver.generators)
         rels.extend(piece.relations)
         inverses.update(piece.inverses)
-    from .fpcat import Quiver
-
     apex = FpCategory(Quiver(objects, gens), rels, inverses)
     for cat, (piece, ren) in zip(cats, pieces):
         injections.append(Functor(cat, apex, dict(ren.object_map), dict(ren.gen_map)))
@@ -183,8 +180,6 @@ def pushout(f: Functor, g: Functor) -> PushoutResult:
 
     inverses = {("L." + k): ("L." + v) for k, v in B.inverses.items()}
     inverses.update({("R." + k): ("R." + v) for k, v in C.inverses.items()})
-
-    from .fpcat import Quiver
 
     apex = FpCategory(Quiver(objects, gens), rels, inverses)
     inj_left = Functor(

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .colimits import coproduct, one_sided_homotopy_pushout, pushout
+from .colimits import chaotic, coproduct, one_sided_homotopy_pushout, pushout
 from .fpcat import (
     DEFAULT_HOM_BOUND,
     DEFAULT_RULE_BUDGET,
@@ -134,8 +134,6 @@ def _one_complex_component(
     if n == 0:
         return base, "*", {}, {t: t for t in T}
     co_s0 = coproduct([sphere(0)] * n)
-    from .colimits import chaotic
-
     co_cyl = coproduct([chaotic(["0.pt", "1.pt"])] * n)
     incl = Functor(
         co_s0.apex,

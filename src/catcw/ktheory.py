@@ -542,28 +542,25 @@ def k0_vanishing_witness(
 ) -> K0Witness:
     """Assemble and check the five-certificate vanishing witness for X."""
     X = as_pointed_fp(X)
-    px = cone(X)
-    unit1 = cone_unit(X)
-    sx, po1, _ = _suspension(X)
+    sx, po1, unit1 = _suspension(X)
     cert1 = is_cofiber_sequence(unit1, po1.inj_left, sx.basepoint, budget)
     if not isinstance(cert1, CofiberCertificate):
         raise CatError(f"first cofiber sequence failed: {cert1.reason}")
-    psx = cone(sx)
-    unit2 = cone_unit(sx)
-    s2x, po2, _ = _suspension(sx)
+    s2x, po2, unit2 = _suspension(sx)
     cert2 = is_cofiber_sequence(unit2, po2.inj_left, s2x.basepoint, budget)
     if not isinstance(cert2, CofiberCertificate):
         raise CatError(f"second cofiber sequence failed: {cert2.reason}")
+    px, psx = unit1.target, unit2.target
     witness = K0Witness(
         X,
-        px.cat,
+        px,
         sx,
-        psx.cat,
+        psx,
         s2x,
         cert1,
         cert2,
-        ContractibilityCertificate(px.cat, len(px.cat.objects)),
-        ContractibilityCertificate(psx.cat, len(psx.cat.objects)),
+        ContractibilityCertificate(px, len(px.objects)),
+        ContractibilityCertificate(psx, len(psx.objects)),
         to_finite(s2x.cat, bound=4, budget=budget).n,
     )
     if not witness.replay(budget):

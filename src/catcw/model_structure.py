@@ -25,6 +25,7 @@ from .fpcat import (
     IncompleteSystem,
     NotFinite,
     Path,
+    irreducible_words,
     to_finite,
 )
 
@@ -218,8 +219,6 @@ def is_groupoid_fp(
         return is_groupoid(fin)
     # infinite (or too large): decide generator by generator via bounded
     # enumeration of candidate inverses
-    from .fpcat import irreducible_words
-
     rs = cat.completion(budget)
     if not rs.complete:
         return None

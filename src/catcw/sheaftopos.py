@@ -28,7 +28,6 @@ from .fpcat import (
 from .model_structure import (
     DEFAULT_PRODUCT_BOUND,
     all_functors,
-    find_isomorphism,
     groupoid_witness,
     is_groupoid,
 )
@@ -207,6 +206,25 @@ def product_category(
     }
     cat = FiniteCategory(objects, mor_src, mor_dst, compose, identities, labels)
     return cat, ProductMeta(comps, obj_name, mor_ix, tuple(mor_tuples))
+
+
+def _product_functor(src: FiniteCategory, ms: ProductMeta, dst: FiniteCategory, md: ProductMeta,
+                     coords: Sequence[tuple[int, FiniteFunctor]]) -> FiniteFunctor:
+    """Send a family t in src to (f_j(t[p_j]))_j in dst, for coords = [(p_j, f_j)]."""
+    obj_map = {
+        name: md.obj_name[tuple(f.object_map[t[p]] for p, f in coords)]
+        for t, name in ms.obj_name.items()
+    }
+    mor = [md.mor_ix[tuple(f.mor[t[p]] for p, f in coords)] for t in ms.mor_tuple]
+    return FiniteFunctor(src, dst, obj_map, mor)
+
+
+def _is_bijective(f: FiniteFunctor) -> bool:
+    """Is f bijective on objects and on morphisms?"""
+    return (
+        len(f.source.objects) == len(set(f.object_map.values())) == len(f.target.objects)
+        and f.source.n == len(set(f.mor)) == f.target.n
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +428,7 @@ def sheafify_constant(A: FiniteCategory, space: FiniteSpace) -> CatSheaf:
     built = {u: product_category(A, comps[u]) for u in space.opens}
     values = {u: cat for u, (cat, _) in built.items()}
     metas = {u: meta for u, (_, meta) in built.items()}
+    ident = identity_functor(A)
     restrictions: dict[tuple[Open, Open], FiniteFunctor] = {}
     for u in space.opens:
         mu = metas[u]
@@ -417,17 +436,13 @@ def sheafify_constant(A: FiniteCategory, space: FiniteSpace) -> CatSheaf:
             if not v <= u:
                 continue
             mv = metas[v]
-            parent = []
+            coords = []
             for c in mv.comps:
                 hits = [i for i, d in enumerate(mu.comps) if set(c) <= set(d)]
                 if len(hits) != 1:
                     raise CatError("component refinement is not a function")
-                parent.append(hits[0])
-            obj_map = {}
-            for t, name in mu.obj_name.items():
-                obj_map[name] = mv.obj_name[tuple(t[p] for p in parent)]
-            mor = [mv.mor_ix[tuple(t[p] for p in parent)] for t in mu.mor_tuple]
-            restrictions[(u, v)] = FiniteFunctor(values[u], values[v], obj_map, mor)
+                coords.append((hits[0], ident))
+            restrictions[(u, v)] = _product_functor(values[u], mu, values[v], mv, coords)
     return CatSheaf(space, values, restrictions, base=A, meta=metas)
 
 
@@ -442,12 +457,8 @@ def sheafify_functor(g: FiniteFunctor, FS: CatSheaf, FT: CatSheaf) -> SheafMap:
     components = {}
     for u in FS.space.opens:
         ms, mt = FS.meta[u], FT.meta[u]
-        obj_map = {
-            name: mt.obj_name[tuple(g.apply_obj(x) for x in t)]
-            for t, name in ms.obj_name.items()
-        }
-        mor = [mt.mor_ix[tuple(g.mor[m] for m in t)] for t in ms.mor_tuple]
-        components[u] = FiniteFunctor(FS.values[u], FT.values[u], obj_map, mor)
+        coords = [(j, g) for j in range(len(ms.comps))]
+        components[u] = _product_functor(FS.values[u], ms, FT.values[u], mt, coords)
     return SheafMap(FS, FT, components)
 
 
@@ -521,12 +532,11 @@ def unit_check(
         return UnitFailure("object_count", (len(A.objects), len(G.objects)))
     if A.n != G.n:
         return UnitFailure("morphism_count", (A.n, G.n))
-    images = eta.mor
-    if len(set(images)) != G.n or len(set(obj_map.values())) != len(G.objects):
+    if not _is_bijective(eta):
         return UnitFailure("not_bijective")
     inv_obj = {v: k2 for k2, v in obj_map.items()}
     inv_mor = [0] * G.n
-    for i, j in enumerate(images):
+    for i, j in enumerate(eta.mor):
         inv_mor[j] = i
     inverse = FiniteFunctor(G, A, inv_obj, inv_mor)
     cert = IsoCertificate(eta, inverse)
@@ -567,13 +577,8 @@ def exotic_map_demo(variant: str = "exotic") -> tuple[SheafMap, bool]:
     components = {}
     for u in space.opens:
         meta = F.meta[u]
-        assign = [per_point[c[0]] for c in meta.comps]
-        obj_map = {
-            name: meta.obj_name[tuple(f.apply_obj(x) for f, x in zip(assign, t))]
-            for t, name in meta.obj_name.items()
-        }
-        mor = [meta.mor_ix[tuple(f.mor[m] for f, m in zip(assign, t))] for t in meta.mor_tuple]
-        components[u] = FiniteFunctor(F.values[u], F.values[u], obj_map, mor)
+        coords = [(j, per_point[c[0]]) for j, c in enumerate(meta.comps)]
+        components[u] = _product_functor(F.values[u], meta, F.values[u], meta, coords)
     xi = SheafMap(F, F, components)
     xi.validate()
     return xi, is_in_constant_image(xi)
@@ -592,19 +597,23 @@ class CwSheafVerdict:
         return self.kind == "CW"
 
 
-def classify_cw_sheaf(
-    F: CatPresheaf, product_bound: int = DEFAULT_PRODUCT_BOUND
-) -> CwSheafVerdict:
-    """A sheaf over a connected space is CW iff it is the constant
-    sheafification of a groupoid, up to open-by-open isomorphism."""
-    if not is_connected(F.space):
+def classify_cw_sheaf(F: CatPresheaf) -> CwSheafVerdict:
+    """A sheaf over a connected space is CW iff it is the constant sheafification
+    of a groupoid: it glues, Γ(F) is a groupoid and every restriction
+    Γ(F) -> F(U_x) to a stalk is bijective.  NotCW witnesses: ("not_groupoid",
+    morphism), or ("open", U) for the open failing gluing or the first stalk
+    U_x, in ``space.opens`` order, with a non-bijective restriction."""
+    space = F.space
+    if not is_connected(space):
         raise NotConnected("classification requires a connected base space")
     G = global_sections(F)
     if not is_groupoid(G):
         return CwSheafVerdict("NotCW", ("not_groupoid", groupoid_witness(G)))
-    S = sheafify_constant(G, F.space)
-    for u in F.space.opens:
-        iso = find_isomorphism(F.value(u), S.value(u), product_bound)
-        if iso is None:
+    ok, witness = check_gluing(F)
+    if not ok:
+        return CwSheafVerdict("NotCW", ("open", witness[1]))
+    stalks = {space.min_open(x) for x in space.points}
+    for u in space.opens:
+        if u in stalks and not _is_bijective(F.restriction(space.full, u)):
             return CwSheafVerdict("NotCW", ("open", sorted(u)))
     return CwSheafVerdict("CW")

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -453,6 +454,27 @@ def test_sheaf_classify_decides_z3_over_the_pseudocircle(tmp_path, capsys):
     c3 = cat_file(tmp_path, "c3.json", c3_cat())
     assert main(["sheaf-classify", c3, space]) == 0
     assert capsys.readouterr().out == "verdict: CW\n"
+
+
+def test_sheaf_classify_decides_five_points_under_a_top_point(tmp_path, capsys):
+    # 33 opens; the open of the five minimal points carries (Z/2)^5
+    low = ["a", "b", "c", "d", "e"]
+    opens = [list(c) for r in range(6) for c in itertools.combinations(low, r)]
+    space = dump(tmp_path, "six.json", {"points": low + ["t"], "opens": opens + [low + ["t"]]})
+    c2 = cat_file(tmp_path, "c2.json", c2_cat())
+    t0 = time.monotonic()
+    assert main(["sheaf-classify", c2, space, "--json"]) == 0
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().out == '{"verdict":"CW"}\n'
+
+
+def test_sheaf_classify_takes_no_product_bound(tmp_path, capsys):
+    sier = dump(tmp_path, "sier.json", sierpinski().to_json_obj())
+    c2 = cat_file(tmp_path, "c2.json", c2_cat())
+    with pytest.raises(SystemExit) as exc:
+        main(["sheaf-classify", c2, sier, "--product-bound", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --product-bound" in capsys.readouterr().err
 
 
 def test_json_reports_are_byte_deterministic(tmp_path, capsys):

@@ -27,8 +27,10 @@ from catcw import (
     find_equivalence,
     find_isomorphism,
     global_sections,
+    identity_functor,
     is_connected,
     is_equivalence,
+    is_groupoid,
     is_in_constant_image,
     sheafify_constant,
     sheafify_functor,
@@ -39,6 +41,7 @@ from catcw import (
 )
 from catcw.model_structure import all_functors
 from catcw.sheaftopos import (
+    _product_functor,
     check_gluing,
     discrete_two_point,
     product_category,
@@ -218,13 +221,8 @@ def per_point_map(F, per_point):
     comps = {}
     for u in F.space.opens:
         meta = F.meta[u]
-        assign = [per_point[c[0]] for c in meta.comps]
-        obj_map = {
-            name: meta.obj_name[tuple(f.apply_obj(x) for f, x in zip(assign, t))]
-            for t, name in meta.obj_name.items()
-        }
-        mor = [meta.mor_ix[tuple(f.mor[m] for f, m in zip(assign, t))] for t in meta.mor_tuple]
-        comps[u] = FiniteFunctor(F.values[u], F.values[u], obj_map, mor)
+        coords = [(j, per_point[c[0]]) for j, c in enumerate(meta.comps)]
+        comps[u] = _product_functor(F.values[u], meta, F.values[u], meta, coords)
     return SheafMap(F, F, comps)
 
 
@@ -377,6 +375,39 @@ def test_classify_requires_connected_base():
         classify_cw_sheaf(F)
 
 
+def two_under_one():
+    """Two open points p0, p1 below m; the opens are those of the pseudocircle."""
+    return FiniteSpace(["p0", "p1", "m"], [[], ["p0"], ["p1"], ["p0", "p1"], ["p0", "p1", "m"]])
+
+
+def test_classify_rejects_a_sheaf_whose_restriction_is_not_invertible():
+    """Each F(U) is isomorphic to the constant sheaf's, and F glues, but the
+    restriction to {p1} forgets Z/2, which no constant sheaf does."""
+    space = two_under_one()
+    A = to_finite(c2_cat())
+    F = sheafify_constant(A, space)
+    ident = identity_functor(A)
+    trivial = FiniteFunctor(A, A, {"x": "x"}, [0, 0])
+    full = space.full
+    for v, coords in (("p1",), [(0, trivial)]), (("p0", "p1"), [(0, ident), (0, trivial)]):
+        v = frozenset(v)
+        F.restrictions[(full, v)] = _product_functor(
+            F.values[full], F.meta[full], F.values[v], F.meta[v], coords
+        )
+    assert F.validate()
+    assert check_gluing(F) == (True, None)
+    v = classify_cw_sheaf(F)
+    assert v.kind == "NotCW"
+    assert v.witness == ("open", ["p1"])
+
+
+def test_classify_reports_the_open_where_gluing_fails():
+    pre = constantify(to_finite(c2_cat()), pseudocircle_base())
+    v = classify_cw_sheaf(pre)
+    assert v.kind == "NotCW"
+    assert v.witness == ("open", ["a", "b"])
+
+
 def exhaustive_gluing(F):
     """Oracle: the equalizer check over every cover of every open.
 
@@ -415,9 +446,10 @@ def exhaustive_gluing(F):
 
 
 @st.composite
-def finite_topologies(draw):
+def finite_topologies(draw, max_opens=6):
     """The down-sets of a random partial order on at most four points, when
-    there are at most six of them (the oracle tries every cover)."""
+    there are at most ``max_opens`` of them (the gluing oracle tries every
+    cover, so it keeps the default six)."""
     n = draw(st.integers(min_value=1, max_value=4))
     pts = [f"p{i}" for i in range(n)]
     below = {x: {x} for x in pts}
@@ -434,7 +466,7 @@ def finite_topologies(draw):
         for combo in itertools.combinations(pts, r)
         if all(below[x] <= set(combo) for x in combo)
     ]
-    assume(len(opens) <= 6)
+    assume(len(opens) <= max_opens)
     return FiniteSpace(pts, opens)
 
 
@@ -455,3 +487,74 @@ def test_minimal_cover_gluing_agrees_with_every_cover(space, A):
             cover = [frozenset(v) for v in witness[2]]
             assert frozenset().union(*cover) == frozenset(witness[1])
             assert all(v in {space.min_open(x) for x in witness[1]} for v in cover)
+
+
+def twisted_constant_sheaf(A, space, T, e):
+    """The constant sheaf on A with e applied, in each restriction U -> V, to
+    the coordinate of every component of V inside T whose parent component in
+    U is not inside T.  Such restrictions compose."""
+    S = sheafify_constant(A, space)
+    ident = identity_functor(A)
+    restrictions = {}
+    for u, v in S.restrictions:
+        mu, mv = S.meta[u], S.meta[v]
+        coords = []
+        for c in mv.comps:
+            p = next(i for i, d in enumerate(mu.comps) if set(c) <= set(d))
+            twist = set(c) <= T and not set(mu.comps[p]) <= T
+            coords.append((p, e if twist else ident))
+        restrictions[(u, v)] = _product_functor(S.values[u], mu, S.values[v], mv, coords)
+    return CatPresheaf(space, S.values, restrictions)
+
+
+def _bijective_functors(C, D):
+    return [
+        f
+        for f in all_functors(C, D)
+        if sorted(f.object_map.values()) == sorted(D.objects) and sorted(f.mor) == list(range(D.n))
+    ]
+
+
+def compose_finite(f, g):
+    """g ∘ f for finite functors."""
+    return FiniteFunctor(
+        f.source, g.target, {x: g.object_map[y] for x, y in f.object_map.items()},
+        [g.mor[m] for m in f.mor],
+    )
+
+
+def natural_stalk_isomorphism_exists(F):
+    """Oracle: Γ(F) is a groupoid and some isomorphisms φ_x: Γ(F) -> F(U_x)
+    satisfy r ∘ φ_x = φ_y for every restriction r: F(U_x) -> F(U_y) between
+    minimal opens, found by trying every family."""
+    G = global_sections(F)
+    if not is_groupoid(G):
+        return False
+    stalks = sorted({F.space.min_open(x) for x in F.space.points}, key=sorted)
+    edges = [(i, j) for i, u in enumerate(stalks) for j, v in enumerate(stalks) if v < u]
+    for phi in itertools.product(*(_bijective_functors(G, F.value(u)) for u in stalks)):
+        if all(
+            compose_finite(phi[i], F.restriction(stalks[i], stalks[j])) == phi[j]
+            for i, j in edges
+        ):
+            return True
+    return False
+
+
+CLASSIFY_POOL = [
+    to_finite(c) for c in (terminal_cat(), c2_cat(), c3_cat(), chaotic(["p", "q"]), arrow_cat())
+]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(finite_topologies(max_opens=16), st.sampled_from(CLASSIFY_POOL), st.data())
+def test_classify_agrees_with_a_natural_isomorphism_oracle(space, A, data):
+    """The stalk check gives CW exactly when the twisted sheaf is naturally
+    isomorphic, on minimal opens, to the constant sheaf on its sections."""
+    assume(is_connected(space))
+    T = data.draw(st.sampled_from(space.opens))
+    e = data.draw(st.sampled_from(list(all_functors(A, A))))
+    F = twisted_constant_sheaf(A, space, T, e)
+    assert F.validate()
+    assume(check_gluing(F)[0])
+    assert bool(classify_cw_sheaf(F)) == natural_stalk_isomorphism_exists(F)
