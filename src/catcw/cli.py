@@ -42,6 +42,7 @@ from .sheaftopos import (
     IsoCertificate,
     classify_cw_sheaf,
     exotic_map_demo,
+    require_connected,
     sheafify_constant,
     space_from_json,
     unit_check,
@@ -380,8 +381,8 @@ def _cmd_sheaf_exotic(args) -> int:
 def _cmd_sheaf_classify(args) -> int:
     A = to_finite(_load_category(args.category), args.bound, args.budget)
     space = _load(args.space, space_from_json)
-    F = sheafify_constant(A, space)
-    verdict = classify_cw_sheaf(F)
+    require_connected(space)
+    verdict = classify_cw_sheaf(sheafify_constant(A, space))
     report = {"verdict": verdict.kind}
     lines = [f"verdict: {verdict.kind}"]
     if verdict.witness is not None:
@@ -459,13 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suspend", help="suspension of a pointed category")
     p.add_argument("file")
     p.add_argument("--basepoint")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.set_defaults(handler=_cmd_suspend)
 
     p = sub.add_parser("cone", help="cone of a pointed category")
     p.add_argument("file")
     p.add_argument("--basepoint")
-    _add_common(p, budget=True)
+    _add_common(p)
     p.set_defaults(handler=_cmd_cone)
 
     p = sub.add_parser("k0-witness", help="emit or re-verify a K0 vanishing witness")

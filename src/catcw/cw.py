@@ -35,7 +35,7 @@ from .fpcat import (
     _json_names,
     _json_object,
 )
-from .model_structure import NotDecided, groupoid_witness, is_groupoid, is_groupoid_fp
+from .model_structure import NotDecided, _inverses_found, groupoid_witness, is_groupoid
 
 
 class MixedDimensions(CatError):
@@ -377,11 +377,8 @@ def cw_classify(
         return _classify_finite(to_finite(C, bound, budget))
     except (NotFinite, IncompleteSystem):
         pass
-    gro = is_groupoid_fp(C, budget, bound)
-    if gro is False:
-        bad = next(g.name for g in C.quiver.generators if g.name not in C.inverses)
-        return CwVerdict("NotCW", witness=bad)
-    if gro is None:
+    # to_finite has failed, so only the inverse-word search can decide
+    if not _inverses_found(C, budget):
         raise NotDecided("groupoid status undecided within bounds")
     free = _syntactically_free(C)
     if free is not None:

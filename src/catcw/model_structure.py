@@ -206,36 +206,36 @@ def is_groupoid_fp(
     two-sided inverse provably; False with a definitive witness; None when
     the bounds ran out first.
     """
+    if all(g.name in cat.inverses for g in cat.quiver.generators):
+        return True
+    try:
+        return is_groupoid(to_finite(cat, bound, budget))
+    except NotFinite:
+        # infinite (or too large): decide generator by generator
+        return _inverses_found(cat, budget)
+    except IncompleteSystem:
+        return None
+
+
+def _inverses_found(cat: FpCategory, budget: int) -> bool | None:
+    """True when every generator not marked invertible has a two-sided
+    inverse among the irreducible words of length at most 6, else None."""
     pending = [g for g in cat.quiver.generators if g.name not in cat.inverses]
     if not pending:
         return True
-    try:
-        fin = to_finite(cat, bound, budget)
-    except NotFinite:
-        fin = None
-    except IncompleteSystem:
-        return None
-    if fin is not None:
-        return is_groupoid(fin)
-    # infinite (or too large): decide generator by generator via bounded
-    # enumeration of candidate inverses
     rs = cat.completion(budget)
     if not rs.complete:
         return None
     words = irreducible_words(cat, max_len=6, budget=budget)
-    undecided = False
     for g in pending:
         img = rs.normalize(Path(g.src, (g.name,)))
-        found = False
-        for q in words.get((g.dst, g.src), []):
-            left = rs.normalize(Path(g.src, img.gens + q.gens))
-            right = rs.normalize(Path(g.dst, q.gens + img.gens))
-            if left.is_identity and right.is_identity:
-                found = True
-                break
-        if not found:
-            undecided = True
-    return None if undecided else True
+        if not any(
+            rs.normalize(Path(g.src, img.gens + q.gens)).is_identity
+            and rs.normalize(Path(g.dst, q.gens + img.gens)).is_identity
+            for q in words.get((g.dst, g.src), [])
+        ):
+            return None
+    return True
 
 
 def is_contractible(

@@ -177,6 +177,14 @@ def test_cone_rejects_unknown_basepoint(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["cone", "suspend"])
+def test_cone_and_suspend_take_no_budget(capsys, z_file, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, z_file, "--budget", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
 def test_k0_witness_emit_and_replay(tmp_path, capsys):
     path = dump(
         tmp_path,
@@ -319,6 +327,23 @@ def test_sheaf_unit_over_the_discrete_four_point_space(tmp_path, capsys):
     assert main(["sheaf-unit", cat_file(tmp_path, "d2.json", discrete2()), space, "--json"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"unit_iso": False, "reason": "object_count", "witness": "(2, 16)"}
+
+
+def discrete_space(tmp_path, n):
+    pts = [f"p{i}" for i in range(n)]
+    opens = [list(c) for r in range(n + 1) for c in itertools.combinations(pts, r)]
+    return dump(tmp_path, f"disc{n}.json", {"points": pts, "opens": opens})
+
+
+def test_sheaf_unit_of_z3_over_the_discrete_five_point_space(tmp_path, capsys):
+    space = discrete_space(tmp_path, 5)
+    c3 = cat_file(tmp_path, "c3.json", c3_cat())
+    t0 = time.monotonic()
+    assert main(["sheaf-unit", c3, space, "--json"]) == 1
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().out == (
+        '{"reason":"morphism_count","unit_iso":false,"witness":"(3, 243)"}\n'
+    )
 
 
 def test_sheaf_unit_exit_codes(tmp_path, capsys):
@@ -466,6 +491,17 @@ def test_sheaf_classify_decides_five_points_under_a_top_point(tmp_path, capsys):
     assert main(["sheaf-classify", c2, space, "--json"]) == 0
     assert time.monotonic() - t0 < 1.0
     assert capsys.readouterr().out == '{"verdict":"CW"}\n'
+
+
+def test_sheaf_classify_refuses_a_disconnected_space_before_sheafifying(tmp_path, capsys):
+    space = discrete_space(tmp_path, 5)
+    c3 = cat_file(tmp_path, "c3.json", c3_cat())
+    t0 = time.monotonic()
+    assert main(["sheaf-classify", c3, space, "--json"]) == 2
+    assert time.monotonic() - t0 < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: NotConnected: classification requires a connected base space\n"
 
 
 def test_sheaf_classify_takes_no_product_bound(tmp_path, capsys):

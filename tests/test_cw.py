@@ -6,6 +6,7 @@ import pytest
 
 from conftest import arrow_cat, c2_cat, groupoid_pool6, pool8
 
+from catcw import cw, model_structure
 from catcw import (
     CatError,
     Functor,
@@ -267,6 +268,26 @@ def test_classifier_undecided_raises():
     )
     with pytest.raises(NotDecided):
         cw_classify(braid, bound=8, budget=3)
+
+
+def test_classifier_runs_to_finite_once(monkeypatch):
+    """After to_finite fails, the inverse-word search decides directly."""
+    calls = []
+
+    def counting_to_finite(*args, **kwargs):
+        calls.append(args)
+        return to_finite(*args, **kwargs)
+
+    monkeypatch.setattr(model_structure, "to_finite", counting_to_finite)
+    monkeypatch.setattr(cw, "to_finite", counting_to_finite)
+    ab = build(
+        ["*"],
+        [("a", "*", "*"), ("b", "*", "*")],
+        [(Path("*", ("a", "b")), Path("*")), (Path("*", ("b", "a")), Path("*"))],
+    )
+    # a and b are mutually inverse, so the search finds both inverses
+    assert cw_classify(ab).kind != "NotCW"
+    assert len(calls) == 1
 
 
 def test_not_cw_iff_not_groupoid_on_finite_pool():

@@ -21,6 +21,7 @@ from catcw import (
     CatError,
     CofiberCertificate,
     CofiberFailure,
+    ContractibilityCertificate,
     Functor,
     K0Witness,
     Path,
@@ -252,6 +253,28 @@ def test_k0_witnesses_assemble_and_replay():
     for X in k0_pool().values():
         w = k0_vanishing_witness(X)
         assert w.replay()
+
+
+def test_k0_witness_assembly_does_not_replay(monkeypatch):
+    """The cofiber certificates are checked once, as they are made, and not
+    again by a replay of the whole witness."""
+    calls = []
+    original = CofiberCertificate.verify
+
+    def counting_verify(self, *args, **kwargs):
+        calls.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(CofiberCertificate, "verify", counting_verify)
+    for X in k0_pool().values():
+        k0_vanishing_witness(X)
+    assert calls == []
+
+
+def test_k0_witness_assembly_still_checks_the_cones(monkeypatch):
+    monkeypatch.setattr(ContractibilityCertificate, "verify", lambda self, budget=0: False)
+    with pytest.raises(CatError, match="freshly assembled witness failed to replay"):
+        k0_vanishing_witness(pointed_sphere_zero())
 
 
 def test_k0_witnesses_are_byte_stable():

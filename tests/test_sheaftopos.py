@@ -20,6 +20,7 @@ from catcw import (
     UnitFailure,
     build,
     chaotic,
+    check_functor,
     classify_cw_sheaf,
     connected_components,
     constantify,
@@ -40,6 +41,7 @@ from catcw import (
     unit_check,
 )
 from catcw.model_structure import all_functors
+from catcw import sheaftopos
 from catcw.sheaftopos import (
     _product_functor,
     check_gluing,
@@ -136,6 +138,14 @@ def test_product_category_squares_the_base():
     assert meta.obj_name[("x", "y")] == "(x,y)"
 
 
+def test_products_validate_over_their_axis_morphisms():
+    z3 = to_finite(c3_cat())
+    cube, meta = product_category(z3, (("a",), ("b",), ("c",)))
+    gens = cube._generating_set()
+    assert len(gens) == 6
+    assert all(sum(not z3.is_identity(m) for m in meta.mor_tuple[i]) == 1 for i in gens)
+
+
 def test_empty_product_is_terminal():
     one, _ = product_category(discrete2_fin(), ())
     assert one.objects == ("()",)
@@ -192,6 +202,31 @@ def test_unit_fails_on_the_discrete_space():
     assert r.witness == (2, 4)
 
 
+def sheafified_unit_check(A, space):
+    """Oracle: the unit check that sheafifies cA at every open and then reads
+    Γ(#(cA)) off the sheaf."""
+    F = sheafify_constant(A, space)
+    G = global_sections(F)
+    meta = F.meta[space.full]
+    k = len(meta.comps)
+    obj_map = {x: meta.obj_name[(x,) * k] for x in A.objects}
+    eta = FiniteFunctor(A, G, obj_map, [meta.mor_ix[(i,) * k] for i in range(A.n)])
+    if not check_functor(eta):
+        return UnitFailure("not_functorial")
+    if len(A.objects) != len(G.objects):
+        return UnitFailure("object_count", (len(A.objects), len(G.objects)))
+    if A.n != G.n:
+        return UnitFailure("morphism_count", (A.n, G.n))
+    if sorted(eta.object_map.values()) != sorted(G.objects) or sorted(eta.mor) != list(range(G.n)):
+        return UnitFailure("not_bijective")
+    inv_mor = [0] * G.n
+    for i, j in enumerate(eta.mor):
+        inv_mor[j] = i
+    inverse = FiniteFunctor(G, A, {v: x for x, v in obj_map.items()}, inv_mor)
+    cert = IsoCertificate(eta, inverse)
+    return cert if cert.verify() else UnitFailure("inverse_check")
+
+
 def test_unit_degenerate_point_survives_disconnection():
     assert isinstance(
         unit_check(to_finite(terminal_cat()), discrete_two_point()), IsoCertificate
@@ -216,14 +251,27 @@ def test_exotic_rejects_unknown_variant():
         exotic_map_demo("mystery")
 
 
-def per_point_map(F, per_point):
-    """Assemble the sheaf endomap acting by per_point[p] over each point."""
+def per_point_map(F, per_point, target=None):
+    """Assemble the sheaf map F -> target (default F) acting by per_point[p]
+    on each component, p its first point.  It is natural only when the
+    functors agree along the specialization order."""
+    T = F if target is None else target
     comps = {}
     for u in F.space.opens:
-        meta = F.meta[u]
-        coords = [(j, per_point[c[0]]) for j, c in enumerate(meta.comps)]
-        comps[u] = _product_functor(F.values[u], meta, F.values[u], meta, coords)
-    return SheafMap(F, F, comps)
+        ms, mt = F.meta[u], T.meta[u]
+        coords = [(j, per_point[c[0]]) for j, c in enumerate(ms.comps)]
+        comps[u] = _product_functor(F.values[u], ms, T.values[u], mt, coords)
+    return SheafMap(F, T, comps)
+
+
+def searched_constant_image(m):
+    """Oracle: is some functor between the bases, found by trying every one,
+    sheafified to m at every open?"""
+    FS, FT = m.source, m.target
+    return any(
+        all(sheafify_functor(g, FS, FT).components[u] == m.components[u] for u in FS.space.opens)
+        for g in all_functors(FS.base, FT.base)
+    )
 
 
 def test_constant_image_agrees_with_pointwise_oracle():
@@ -272,6 +320,43 @@ def test_constant_image_over_a_point_recovers_the_functor():
     swap = FiniteFunctor(d2, d2, {"x": "y", "y": "x"}, [d2.identities["y"], d2.identities["x"]])
     m = sheafify_functor(swap, F, F)
     assert is_in_constant_image(m)
+
+
+def test_constant_image_reads_a_stalk_without_searching(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("all_functors called on a space with points")
+
+    monkeypatch.setattr(sheaftopos, "all_functors", no_search)
+    for variant in ("exotic", "identity", "constant"):
+        assert exotic_map_demo(variant)[1] is (variant != "exotic")
+    c3 = to_finite(c3_cat())
+    F = sheafify_constant(c3, pseudocircle_base())
+    square = FiniteFunctor(c3, c3, {"x": "x"}, [0, 2, 1])
+    assert is_in_constant_image(sheafify_functor(square, F, F))
+
+
+def test_constant_image_rejects_a_family_that_is_not_a_functor():
+    """Every map c3 -> c3 that sends the identity to the identity, applied at
+    every point: sheafified open by open, but only the functors among them
+    are in the constant image."""
+    c3 = to_finite(c3_cat())
+    maps = [FiniteFunctor(c3, c3, {"x": "x"}, [0, a, b]) for a in range(3) for b in range(3)]
+    for space in (sierpinski(), discrete_two_point()):
+        F = sheafify_constant(c3, space)
+        verdicts = [is_in_constant_image(per_point_map(F, {p: g for p in space.points})) for g in maps]
+        assert verdicts == [check_functor(g) for g in maps]
+        assert verdicts.count(True) == 3
+
+
+def test_constant_image_over_the_empty_space_asks_for_any_functor():
+    empty_space = FiniteSpace([], [[]])
+    none, one = to_finite(build([])), to_finite(terminal_cat())
+    for A, B, expected in ((none, one, True), (one, none, False), (one, one, True)):
+        FS, FT = sheafify_constant(A, empty_space), sheafify_constant(B, empty_space)
+        only = frozenset()
+        m = SheafMap(FS, FT, {only: FiniteFunctor(FS.values[only], FT.values[only], {"()": "()"}, [0])})
+        assert is_in_constant_image(m) is expected
+        assert searched_constant_image(m) is expected
 
 
 def test_constant_image_rejects_plain_presheaves():
@@ -558,3 +643,41 @@ def test_classify_agrees_with_a_natural_isomorphism_oracle(space, A, data):
     assert F.validate()
     assume(check_gluing(F)[0])
     assert bool(classify_cw_sheaf(F)) == natural_stalk_isomorphism_exists(F)
+
+
+UNIT_POOL = GLUING_POOL + [to_finite(build([])), to_finite(chaotic(["p", "q"]))]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(finite_topologies(max_opens=16), st.sampled_from(UNIT_POOL))
+def test_unit_check_agrees_with_the_sheafified_oracle(space, A):
+    """Counting |A|^k and building only Γ gives the verdict, reason and
+    witness of sheafifying every open, connected space or not."""
+    got, want = unit_check(A, space), sheafified_unit_check(A, space)
+    assert type(got) is type(want)
+    if isinstance(want, UnitFailure):
+        assert (got.reason, got.witness) == (want.reason, want.witness)
+    else:
+        assert got.verify() and want.verify()
+        assert (got.functor, got.inverse) == (want.functor, want.inverse)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    finite_topologies(max_opens=16),
+    st.sampled_from(GLUING_POOL),
+    st.sampled_from(GLUING_POOL),
+    st.data(),
+)
+def test_stalk_read_agrees_with_the_functor_search(space, A, B, data):
+    """The candidate read off one stalk gives the search's verdict, for
+    sheafified functors and for per-point families, natural or not."""
+    functors = list(all_functors(A, B))
+    assume(functors)
+    FS, FT = sheafify_constant(A, space), sheafify_constant(B, space)
+    if data.draw(st.booleans()):
+        m = sheafify_functor(data.draw(st.sampled_from(functors)), FS, FT)
+    else:
+        per_point = {p: data.draw(st.sampled_from(functors)) for p in space.points}
+        m = per_point_map(FS, per_point, FT)
+    assert is_in_constant_image(m) == searched_constant_image(m)
