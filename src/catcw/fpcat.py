@@ -116,19 +116,22 @@ def _json_object(value, field: str) -> Mapping:
     return value
 
 
+_is_str = str.__instancecheck__  # isinstance(v, str) as a one-argument builtin
+
+
 def _json_names(value, field: str) -> list[str]:
     """A JSON array of strings, checked entry by entry."""
     return [_json_str(v, field) for v in _json_list(value, field)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     name: str
     src: str
     dst: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A composable word of generators starting at ``at``.
 
@@ -140,7 +143,8 @@ class Path:
     gens: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "gens", tuple(self.gens))
+        if type(self.gens) is not tuple:
+            object.__setattr__(self, "gens", tuple(self.gens))
 
     @property
     def is_identity(self) -> bool:
@@ -151,8 +155,21 @@ class Path:
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "Path":
-        return Path(_json_str(obj["at"], "at"), tuple(_json_names(obj["gens"], "gens")))
+        at, gens = _json_str(obj["at"], "at"), obj["gens"]
+        # well-formed names pass in one scan in C, and the path is made without
+        # the __init__ and __post_init__ frames; malformed ones get the checks
+        # of _json_names, which name the field at fault
+        if isinstance(gens, (list, tuple)) and all(map(_is_str, gens)):
+            p = _new_object(Path)
+            _set_at(p, at)
+            _set_gens(p, tuple(gens))
+            return p
+        return Path(at, tuple(_json_names(gens, "gens")))
 
+
+_new_object = object.__new__
+_set_at = Path.__dict__["at"].__set__  # slot descriptors: they bypass the frozen __setattr__
+_set_gens = Path.__dict__["gens"].__set__
 
 Relation = tuple[Path, Path]
 
@@ -216,10 +233,19 @@ class Quiver:
     __hash__ = None  # type: ignore[assignment]
 
 
-def _has_unit_relation(relations: set[Relation], src: str, g: str, m: str) -> bool:
-    """True iff ``g;m`` = the identity at ``src`` is in ``relations``, either way round."""
-    unit = (Path(src, (g, m)), Path(src))
-    return unit in relations or (unit[1], unit[0]) in relations
+def _unit_index(relations: Iterable[Relation]) -> set[tuple[str, str, str]]:
+    """``(src, g, m)`` for every relation ``g;m`` = the identity at ``src``, either way round.
+
+    Plain string triples, so a lookup hashes no ``Path``.
+    """
+    units = set()
+    for lhs, rhs in relations:
+        if lhs.at == rhs.at:
+            if not rhs.gens and len(lhs.gens) == 2:
+                units.add((lhs.at, *lhs.gens))
+            elif not lhs.gens and len(rhs.gens) == 2:
+                units.add((rhs.at, *rhs.gens))
+    return units
 
 
 class FpCategory:
@@ -240,8 +266,8 @@ class FpCategory:
                 raise NonParallelRelation(f"relation sides are not parallel: {lhs} vs {rhs}")
             rels.append((lhs, rhs))
         self.relations: tuple[Relation, ...] = tuple(rels)
-        rel_set = set(rels)
         inv = dict(inverses or {})
+        units = _unit_index(rels) if inv else set()
         for g, m in inv.items():
             if g not in quiver.gen_by_name or m not in quiver.gen_by_name:
                 raise DanglingEndpoint(f"inverse pair ({g!r}, {m!r}) names unknown generators")
@@ -250,10 +276,11 @@ class FpCategory:
             gg, mm = quiver.gen_by_name[g], quiver.gen_by_name[m]
             if gg.src != mm.dst or gg.dst != mm.src:
                 raise NonParallelRelation(f"mates {g!r}, {m!r} have incompatible endpoints")
-            if not _has_unit_relation(rel_set, gg.src, g, m):
+            if (gg.src, g, m) not in units:
                 raise NonParallelRelation(f"marked pair ({g!r}, {m!r}) lacks its unit relations")
         self.inverses: dict[str, str] = inv
         self._completions: dict[int, "RewritingSystem"] = {}
+        self._cache_key: tuple | None = None
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -277,9 +304,13 @@ class FpCategory:
         """
         rs = self._completions.get(budget)
         if rs is None:
-            rules, status, table, finite = _shared_completion(
-                self.quiver.objects, self.quiver.generators, self.relations, budget
-            )
+            if self._cache_key is None:
+                self._cache_key = (
+                    self.quiver.objects,
+                    tuple((g.name, g.src, g.dst) for g in self.quiver.generators),
+                    tuple((l.at, l.gens, r.at, r.gens) for l, r in self.relations),
+                )
+            rules, status, table, finite = _shared_completion(*self._cache_key, budget)
             rs = RewritingSystem(self, rules, status, table, finite)
             self._completions[budget] = rs
         return rs
@@ -330,8 +361,8 @@ def build(
     earlier counting as declared last), else a fresh ``<name>^-1`` generator
     with the unit relations appended.  The mate may be the generator itself
     when the presentation says it squares to an identity.  Unit relations are looked
-    up in a set and candidates in a ``(src, dst)`` index, so intake is linear
-    in the relations and generators.
+    up in a set of name triples and candidates in a ``(src, dst)`` index, so
+    intake is linear in the relations and generators.
     """
     objects = tuple(objects)
     gens: list[Generator] = []
@@ -351,14 +382,14 @@ def build(
         if name not in by_name:
             raise DanglingEndpoint(f"invertible marking names unknown generator {name!r}")
 
-    rel_set = set(rels)
+    units = _unit_index(rels) if wanted else set()
     # generator names by (src, dst) in declaration order, synthesized mates last
     by_ends: dict[tuple[str, str], list[str]] = {}
     for g in gens:
         by_ends.setdefault((g.src, g.dst), []).append(g.name)
 
     def has_unit(a: str, b: str) -> bool:
-        return _has_unit_relation(rel_set, by_name[a].src, a, b)
+        return (by_name[a].src, a, b) in units
 
     inverses: dict[str, str] = {}
     for name in wanted:
@@ -378,12 +409,9 @@ def build(
             gens.append(mg)
             by_name[mate] = mg
             by_ends.setdefault((g.dst, g.src), []).append(mate)
-            units = [
-                (Path(g.src, (name, mate)), Path(g.src)),
-                (Path(g.dst, (mate, name)), Path(g.dst)),
-            ]
-            rels += units
-            rel_set.update(units)
+            rels.append((Path(g.src, (name, mate)), Path(g.src)))
+            rels.append((Path(g.dst, (mate, name)), Path(g.dst)))
+            units.update([(g.src, name, mate), (g.dst, mate, name)])
         inverses[name] = mate
         inverses[mate] = name
 
@@ -395,7 +423,7 @@ def from_json(doc: Union[str, Mapping]) -> FpCategory:
     return build(
         _json_names(obj["objects"], "objects"),
         [
-            tuple(_json_str(g[k], k) for k in ("name", "src", "dst"))
+            (_json_str(g["name"], "name"), _json_str(g["src"], "src"), _json_str(g["dst"], "dst"))
             for g in _json_list(obj["generators"], "generators")
         ],
         [
@@ -599,23 +627,28 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 # that ``complete`` and ``to_finite`` read.  The inverse table is left out of
 # the key on purpose: neither reads it (its unit relations are already among
 # the relations), so presentations that differ only there share a system and
-# its finite table.
+# its finite table.  The key spells generators and relations as tuples of
+# names, which hash and compare in C; ``FpCategory.completion`` builds it once
+# per instance.
 COMPLETION_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=COMPLETION_CACHE_SIZE)
 def _shared_completion(
     objects: tuple[str, ...],
-    generators: tuple[Generator, ...],
-    relations: tuple[Relation, ...],
+    generators: tuple[tuple[str, str, str], ...],
+    relations: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...]], ...],
     budget: int,
 ) -> tuple[tuple[Relation, ...], str, RuleTable, list]:
     """The rules, status and rule table of a completion, and its table slot.
 
-    The slot is the ``finite`` list of ``RewritingSystem``: empty until
-    ``to_finite`` first builds the table, then kept with the entry.
+    ``generators`` holds ``(name, src, dst)`` and ``relations`` holds
+    ``(lhs.at, lhs.gens, rhs.at, rhs.gens)``.  The slot is the ``finite``
+    list of ``RewritingSystem``: empty until ``to_finite`` first builds the
+    table, then kept with the entry.
     """
-    rs = complete(FpCategory(Quiver(objects, generators), relations), budget)
+    rels = [(Path(la, lg), Path(ra, rg)) for la, lg, ra, rg in relations]
+    rs = complete(FpCategory(Quiver(objects, generators), rels), budget)
     return rs.rules, rs.status, rs._table, rs.finite
 
 
@@ -674,8 +707,8 @@ def _normal_forms(
     the previous level.  The stream is infinite when the language is.
     """
     idx = cat.quiver.gen_index
-    lhs_set = {tuple(idx[n] for n in l.gens) for l, _ in rs.rules}
-    max_lhs = max((len(l) for l in lhs_set), default=0)
+    lhs_set = {l for l, _ in rs._table.rules}
+    max_lhs = rs._table.max_lhs
     out_gens: dict[str, list[tuple[int, str]]] = {x: [] for x in cat.objects}
     for g in cat.quiver.generators:
         out_gens[g.src].append((idx[g.name], g.dst))

@@ -192,20 +192,22 @@ def product_category(
     obj_name = {t: _tuple_name(t) for t in obj_tuples}
     objects = [obj_name[t] for t in obj_tuples]
     mor_ix = {t: i for i, t in enumerate(mor_tuples)}
-    mor_src = [
-        obj_name[tuple(base.mor_src[m] for m in t)] for t in mor_tuples
-    ]
-    mor_dst = [
-        obj_name[tuple(base.mor_dst[m] for m in t)] for t in mor_tuples
-    ]
+    src_tuples = [tuple(base.mor_src[m] for m in t) for t in mor_tuples]
+    dst_tuples = [tuple(base.mor_dst[m] for m in t) for t in mor_tuples]
+    mor_src = [obj_name[t] for t in src_tuples]
+    mor_dst = [obj_name[t] for t in dst_tuples]
     labels = [_tuple_name(tuple(base.labels[m] for m in t)) for t in mor_tuples]
+    # (id, tuple) of the morphisms leaving each object tuple, ids increasing:
+    # f composes exactly with those leaving its target
+    leaving: dict[tuple[str, ...], list[tuple[int, tuple[int, ...]]]] = {
+        t: [] for t in obj_tuples
+    }
+    for j, (src, gt) in enumerate(zip(src_tuples, mor_tuples)):
+        leaving[src].append((j, gt))
     compose = {}
-    for i, ft in enumerate(mor_tuples):
-        for j, gt in enumerate(mor_tuples):
-            if all(base.mor_dst[f] == base.mor_src[g] for f, g in zip(ft, gt)):
-                compose[(i, j)] = mor_ix[
-                    tuple(base.compose_table[(f, g)] for f, g in zip(ft, gt))
-                ]
+    for i, (dst, ft) in enumerate(zip(dst_tuples, mor_tuples)):
+        for j, gt in leaving[dst]:
+            compose[(i, j)] = mor_ix[tuple(base.compose_table[fg] for fg in zip(ft, gt))]
     identities = {
         obj_name[t]: mor_ix[tuple(base.identities[x] for x in t)]
         for t in obj_tuples

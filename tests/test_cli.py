@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from conftest import arrow_cat, c2_cat, c3_cat, discrete2, terminal_cat
+from conftest import arrow_cat, c2_cat, c3_cat, discrete2, path2_cat, terminal_cat
 
 import catcw
 from catcw import Path, build
@@ -491,6 +491,19 @@ def test_sheaf_classify_decides_five_points_under_a_top_point(tmp_path, capsys):
     assert main(["sheaf-classify", c2, space, "--json"]) == 0
     assert time.monotonic() - t0 < 1.0
     assert capsys.readouterr().out == '{"verdict":"CW"}\n'
+
+
+def test_sheaf_classify_of_a_non_groupoid_over_five_points_under_a_top_point(tmp_path, capsys):
+    # the open of the five minimal points carries A^5 with 6^5 morphisms; only
+    # its composable pairs are composed
+    low = ["a", "b", "c", "d", "e"]
+    opens = [list(c) for r in range(6) for c in itertools.combinations(low, r)]
+    space = dump(tmp_path, "six.json", {"points": low + ["t"], "opens": opens + [low + ["t"]]})
+    path2 = cat_file(tmp_path, "path2.json", path2_cat())
+    t0 = time.monotonic()
+    assert main(["sheaf-classify", path2, space, "--json"]) == 1
+    assert time.monotonic() - t0 < 10.0
+    assert capsys.readouterr().out == '{"verdict":"NotCW","witness":"(\'not_groupoid\', 3)"}\n'
 
 
 def test_sheaf_classify_refuses_a_disconnected_space_before_sheafifying(tmp_path, capsys):

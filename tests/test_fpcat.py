@@ -1,10 +1,11 @@
 """Presentations, completion, normal forms, finite backends, functors."""
 
+import dataclasses
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from catcw import (
     BudgetTooSmall,
@@ -276,6 +277,164 @@ def test_presentation_intake_compares_paths_at_most_once_per_relation(monkeypatc
     assert again.to_json() == doc and again.inverses == cat.inverses
 
 
+def test_warm_intake_hashes_and_compares_no_path(monkeypatch):
+    doc = chaotic([f"o{i}" for i in range(5)]).to_json()
+    from_json(doc).completion()  # warm the shared cache
+    calls = {"hash": 0, "eq": 0}
+    path_hash, path_eq = Path.__hash__, Path.__eq__
+
+    def counting_hash(self):
+        calls["hash"] += 1
+        return path_hash(self)
+
+    def counting_eq(self, other):
+        calls["eq"] += 1
+        return path_eq(self, other)
+
+    monkeypatch.setattr(Path, "__hash__", counting_hash)
+    monkeypatch.setattr(Path, "__eq__", counting_eq)
+    hits = completion_cache_info().hits
+    rs = from_json(doc).completion()
+    assert completion_cache_info().hits == hits + 1 and rs.complete
+    assert calls == {"hash": 0, "eq": 0}
+    assert hash(Path("x")) == hash(("x", ())) and calls["hash"] == 1  # the wrapper counts
+
+
+# The unit-relation lookup as first written: the full relation set, probed with
+# the two orientations of ``g;m`` = the identity at ``src``.
+
+
+def _has_unit_relation_oracle(relations, src, g, m):
+    unit = (Path(src, (g, m)), Path(src))
+    return unit in relations or (unit[1], unit[0]) in relations
+
+
+class _UnitRelationOracle:
+    """Stands in for ``fpcat._unit_index``: membership of ``(src, g, m)`` is
+    a lookup of both unit relations in the set of all relations."""
+
+    def __init__(self, relations):
+        self.relations = set(relations)
+
+    def __contains__(self, triple):
+        return _has_unit_relation_oracle(self.relations, *triple)
+
+    def update(self, triples):
+        self.relations.update((Path(src, (g, m)), Path(src)) for src, g, m in triples)
+
+
+@st.composite
+def _unit_cases(draw):
+    """At most 3 objects and 5 generators; relations that are unit relations
+    either way round, unit relations rooted at the wrong object, units whose
+    sides start at different objects, and length-2 relations that are not
+    units; invertible markings that find a declared mate, synthesize one, or
+    clash with a declared ``a^-1``; and an inverse table for ``FpCategory``."""
+    objects = ["x", "y", "z"][: draw(st.integers(1, 3))]
+    obj = st.sampled_from(objects)
+    pool = ["a", "b", "c", "d", "a^-1"]
+    names = draw(st.lists(st.sampled_from(pool), unique=True, min_size=1))
+    gens = [(n, draw(obj), draw(obj)) for n in names]
+    ends = {n: (s, d) for n, s, d in gens}
+    name = st.sampled_from(names)
+    rels = []
+    for _ in range(draw(st.integers(0, 7))):
+        p, q = draw(name), draw(name)
+        kind = draw(st.sampled_from(["unit", "unit", "wrong-object", "split", "not-unit"]))
+        at = ends[p][0] if kind != "wrong-object" else draw(obj)
+        rhs = (at, (draw(name),)) if kind == "not-unit" else (at, ())
+        if kind == "split":
+            rhs = (draw(obj), ())
+        lhs = (at, (p, q))
+        rels.append((lhs, rhs) if draw(st.booleans()) else (rhs, lhs))
+    invertible = draw(st.lists(name, max_size=3))
+    pairs = draw(st.lists(st.tuples(name, name), max_size=2))
+    inverses = {g: m for p in pairs for g, m in (p, p[::-1])}
+    return objects, gens, rels, invertible, inverses
+
+
+def _intake_outcome(case):
+    """What ``build`` and ``FpCategory`` make of a case: their results, or the
+    type and text of the error each raises."""
+    objects, gens, rels, invertible, inverses = case
+    out = []
+    try:
+        cat = build(objects, gens, rels, invertible)
+        out.append((cat.generators, cat.relations, cat.inverses, cat.to_json()))
+    except CatError as exc:
+        out.append((type(exc), str(exc)))
+    try:
+        paths = [(Path(*l), Path(*r)) for l, r in rels]
+        cat = fpcat.FpCategory(Quiver(objects, gens), paths, inverses)
+        out.append((cat.relations, cat.inverses))
+    except CatError as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+_SPLIT_UNITS = (  # a;b and b;a run from x to the identity at y: not units of a
+    ["x", "y"],
+    [("a", "x", "x"), ("b", "x", "x"), ("a^-1", "x", "x")],
+    [(("x", ("a", "b")), ("y", ())), (("y", ()), ("x", ("b", "a")))],
+    ["a"],
+    {},
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_unit_cases())
+@example(_SPLIT_UNITS)
+def test_unit_index_matches_the_full_relation_set_oracle(case):
+    got = _intake_outcome(case)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fpcat, "_unit_index", _UnitRelationOracle)
+        assert _intake_outcome(case) == got
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        ({"at": 0, "gens": ["t"]}, "'at': expected a string, got int"),
+        ({"at": 0}, "'at': expected a string, got int"),  # checked before gens is read
+        ({"at": None, "gens": []}, "'at': expected a string, got NoneType"),
+        ({"at": "x", "gens": "tt"}, "'gens': expected a list, got str"),
+        ({"at": "x", "gens": {"t": 1}}, "'gens': expected a list, got dict"),
+        ({"at": "x", "gens": ["t", 1]}, "'gens': expected a string, got int"),
+        ({"at": "x", "gens": [["t"]]}, "'gens': expected a string, got list"),
+    ],
+)
+def test_malformed_json_paths_keep_their_messages(path, message):
+    with pytest.raises(TypeError) as exc:
+        Path.from_json_obj(path)
+    assert str(exc.value) == message
+    obj = c2_cat().to_json_obj()
+    obj["relations"][0]["lhs"] = path
+    with pytest.raises(TypeError) as exc:
+        from_json(obj)
+    assert str(exc.value) == message
+
+
+def test_json_paths_accept_tuples_and_give_tuples():
+    assert Path.from_json_obj({"at": "x", "gens": ("t", "t")}) == Path("x", ("t", "t"))
+    assert Path.from_json_obj({"at": "x", "gens": []}).gens == ()
+    assert type(Path.from_json_obj({"at": "x", "gens": ["t"]}).gens) is tuple
+
+
+def test_paths_and_generators_are_slotted_frozen_values():
+    p, g = Path("x", ["a", "b"]), Generator("a", "x", "y")
+    for value, field in ((p, "at"), (g, "name")):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, field, "y")
+    assert p.gens == ("a", "b") and type(p.gens) is tuple
+    assert repr(p) == "Path(at='x', gens=('a', 'b'))"
+    assert repr(g) == "Generator(name='a', src='x', dst='y')"
+    assert repr(Path("x")) == "Path(at='x', gens=())"
+    assert hash(p) == hash(("x", ("a", "b"))) and p != ("x", ("a", "b"))
+    assert hash(g) == hash(("a", "x", "y")) and g != ("a", "x", "y")
+    assert p == Path("x", ("a", "b")) and {p: 1}[Path("x", ("a", "b"))] == 1
+
+
 # ---------------------------------------------------------------------------
 # Completion and normal forms
 
@@ -371,6 +530,13 @@ def test_completion_cache_key_is_budget_and_relation_order():
     assert marked.inverses and marked.relations == cat.relations
     assert marked.completion(100).rules is cat.completion(100).rules
     assert completion_cache_info().hits == 1
+    # two documents that differ only in relation order: a miss, not a hit
+    obj = chaotic(["p", "q", "r"]).to_json_obj()
+    from_json(obj).completion()
+    obj["relations"] = obj["relations"][::-1]
+    from_json(obj).completion()
+    info = completion_cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 5, 5)
 
 
 def test_incomplete_completion_is_shared_as_incomplete():

@@ -146,6 +146,30 @@ def test_products_validate_over_their_axis_morphisms():
     assert all(sum(not z3.is_identity(m) for m in meta.mor_tuple[i]) == 1 for i in gens)
 
 
+def _product_compose_oracle(base, k):
+    """The composition table of A^k as first written: every pair of morphism
+    tuples is tried, composable or not, in id order."""
+    tuples = list(itertools.product(range(base.n), repeat=k))
+    index = {t: i for i, t in enumerate(tuples)}
+    table = {}
+    for i, ft in enumerate(tuples):
+        for j, gt in enumerate(tuples):
+            if all(base.mor_dst[f] == base.mor_src[g] for f, g in zip(ft, gt)):
+                table[(i, j)] = index[tuple(base.compose_table[(f, g)] for f, g in zip(ft, gt))]
+    return list(table.items())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_product_composes_exactly_the_pairs_of_the_all_pairs_oracle(k):
+    bases = [to_finite(cat) for cat in pool8()] + list(groupoid_pool6())
+    for base in bases:
+        if base.n ** k > 400:
+            continue
+        prod, _ = product_category(base, tuple((f"p{i}",) for i in range(k)))
+        # insertion order too: the table's order is the order of its JSON
+        assert list(prod.compose_table.items()) == _product_compose_oracle(base, k)
+
+
 def test_empty_product_is_terminal():
     one, _ = product_category(discrete2_fin(), ())
     assert one.objects == ("()",)
