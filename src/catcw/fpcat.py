@@ -156,20 +156,11 @@ class Path:
     @staticmethod
     def from_json_obj(obj: Mapping) -> "Path":
         at, gens = _json_str(obj["at"], "at"), obj["gens"]
-        # well-formed names pass in one scan in C, and the path is made without
-        # the __init__ and __post_init__ frames; malformed ones get the checks
-        # of _json_names, which name the field at fault
+        # well-formed names pass in one scan in C; malformed ones get the
+        # checks of _json_names, which name the field at fault
         if isinstance(gens, (list, tuple)) and all(map(_is_str, gens)):
-            p = _new_object(Path)
-            _set_at(p, at)
-            _set_gens(p, tuple(gens))
-            return p
+            return Path(at, tuple(gens))
         return Path(at, tuple(_json_names(gens, "gens")))
-
-
-_new_object = object.__new__
-_set_at = Path.__dict__["at"].__set__  # slot descriptors: they bypass the frozen __setattr__
-_set_gens = Path.__dict__["gens"].__set__
 
 Relation = tuple[Path, Path]
 
@@ -280,7 +271,6 @@ class FpCategory:
                 raise NonParallelRelation(f"marked pair ({g!r}, {m!r}) lacks its unit relations")
         self.inverses: dict[str, str] = inv
         self._completions: dict[int, "RewritingSystem"] = {}
-        self._cache_key: tuple | None = None
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -304,13 +294,12 @@ class FpCategory:
         """
         rs = self._completions.get(budget)
         if rs is None:
-            if self._cache_key is None:
-                self._cache_key = (
-                    self.quiver.objects,
-                    tuple((g.name, g.src, g.dst) for g in self.quiver.generators),
-                    tuple((l.at, l.gens, r.at, r.gens) for l, r in self.relations),
-                )
-            rules, status, table, finite = _shared_completion(*self._cache_key, budget)
+            rules, status, table, finite = _shared_completion(
+                self.quiver.objects,
+                tuple((g.name, g.src, g.dst) for g in self.quiver.generators),
+                tuple((l.at, l.gens, r.at, r.gens) for l, r in self.relations),
+                budget,
+            )
             rs = RewritingSystem(self, rules, status, table, finite)
             self._completions[budget] = rs
         return rs
