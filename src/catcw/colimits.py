@@ -55,33 +55,19 @@ class PushoutResult:
         return functors_equal(left, right, budget)
 
 
-def _prefixed(cat: FpCategory, prefix: str) -> tuple[FpCategory, Functor]:
-    """A renamed copy of ``cat`` plus the renaming functor onto it."""
-
-    def po(x: str) -> str:
-        return prefix + x
+def _renamed(
+    cat: FpCategory, prefix: str
+) -> tuple[list[str], list[Generator], list, dict[str, str]]:
+    """``cat``'s objects, generators, relations and mate table, every name prefixed."""
 
     def pp(p: Path) -> Path:
-        return Path(po(p.at), tuple(prefix + g for g in p.gens))
+        return Path(prefix + p.at, tuple(prefix + g for g in p.gens))
 
-    out = FpCategory(
-        _quiver_prefixed(cat, prefix),
-        [(pp(l), pp(r)) for l, r in cat.relations],
-        {prefix + a: prefix + b for a, b in cat.inverses.items()},
-    )
-    iso = Functor(
-        cat,
-        out,
-        {x: po(x) for x in cat.objects},
-        {g.name: Path(po(g.src), (prefix + g.name,)) for g in cat.quiver.generators},
-    )
-    return out, iso
-
-
-def _quiver_prefixed(cat: FpCategory, prefix: str):
-    return Quiver(
+    return (
         [prefix + x for x in cat.objects],
         [Generator(prefix + g.name, prefix + g.src, prefix + g.dst) for g in cat.quiver.generators],
+        [(pp(l), pp(r)) for l, r in cat.relations],
+        {prefix + a: prefix + b for a, b in cat.inverses.items()},
     )
 
 
@@ -91,19 +77,23 @@ def coproduct(cats: Sequence[FpCategory]) -> CoproductResult:
     gens: list[Generator] = []
     rels: list = []
     inverses: dict[str, str] = {}
-    injections: list[Functor] = []
-    pieces: list[tuple[FpCategory, Functor]] = []
     for i, cat in enumerate(cats):
-        pieces.append(_prefixed(cat, f"{i}."))
-    for piece, _ in pieces:
-        objects.extend(piece.objects)
-        gens.extend(piece.quiver.generators)
-        rels.extend(piece.relations)
-        inverses.update(piece.inverses)
+        o, g, r, inv = _renamed(cat, f"{i}.")
+        objects += o
+        gens += g
+        rels += r
+        inverses.update(inv)
     apex = FpCategory(Quiver(objects, gens), rels, inverses)
-    for cat, (piece, ren) in zip(cats, pieces):
-        injections.append(Functor(cat, apex, dict(ren.object_map), dict(ren.gen_map)))
-    return CoproductResult(apex, tuple(injections))
+    injections = tuple(
+        Functor(
+            cat,
+            apex,
+            {x: f"{i}.{x}" for x in cat.objects},
+            {G.name: Path(f"{i}.{G.src}", (f"{i}.{G.name}",)) for G in cat.quiver.generators},
+        )
+        for i, cat in enumerate(cats)
+    )
+    return CoproductResult(apex, injections)
 
 
 class _UnionFind:
@@ -139,33 +129,18 @@ def pushout(f: Functor, g: Functor) -> PushoutResult:
         uf.union("L." + f.apply_obj(a), "R." + g.apply_obj(a))
 
     # representative = earliest member in B-then-C declaration order
-    order = {name: i for i, name in enumerate(b_objs + c_objs)}
-    rep_of_class: dict[str, str] = {}
-    for name in b_objs + c_objs:
-        root = uf.find(name)
-        cur = rep_of_class.get(root)
-        if cur is None or order[name] < order[cur]:
-            rep_of_class[root] = name
-
-    def rep(name: str) -> str:
-        return rep_of_class[uf.find(name)]
-
-    objects: list[str] = []
-    seen = set()
-    for name in b_objs + c_objs:
-        r = rep(name)
-        if r not in seen:
-            seen.add(r)
-            objects.append(r)
+    first: dict[str, str] = {}
+    rep = {name: first.setdefault(uf.find(name), name) for name in b_objs + c_objs}
+    objects = [name for name, r in rep.items() if r == name]
 
     gens: list[Generator] = []
     for G in B.quiver.generators:
-        gens.append(Generator("L." + G.name, rep("L." + G.src), rep("L." + G.dst)))
+        gens.append(Generator("L." + G.name, rep["L." + G.src], rep["L." + G.dst]))
     for G in C.quiver.generators:
-        gens.append(Generator("R." + G.name, rep("R." + G.src), rep("R." + G.dst)))
+        gens.append(Generator("R." + G.name, rep["R." + G.src], rep["R." + G.dst]))
 
     def map_path(p: Path, side: str) -> Path:
-        return Path(rep(side + p.at), tuple(side + n for n in p.gens))
+        return Path(rep[side + p.at], tuple(side + n for n in p.gens))
 
     rels: list = []
     for l, r in B.relations:
@@ -185,28 +160,21 @@ def pushout(f: Functor, g: Functor) -> PushoutResult:
     inj_left = Functor(
         B,
         apex,
-        {x: rep("L." + x) for x in B.objects},
-        {G.name: Path(rep("L." + G.src), ("L." + G.name,)) for G in B.quiver.generators},
+        {x: rep["L." + x] for x in B.objects},
+        {G.name: Path(rep["L." + G.src], ("L." + G.name,)) for G in B.quiver.generators},
     )
     inj_right = Functor(
         C,
         apex,
-        {x: rep("R." + x) for x in C.objects},
-        {G.name: Path(rep("R." + G.src), ("R." + G.name,)) for G in C.quiver.generators},
+        {x: rep["R." + x] for x in C.objects},
+        {G.name: Path(rep["R." + G.src], ("R." + G.name,)) for G in C.quiver.generators},
     )
     return PushoutResult(apex, inj_left, inj_right, (f, g))
 
 
-def chaotic(names: Sequence[str]) -> FpCategory:
-    """The chaotic category: one morphism between every ordered pair of objects.
-
-    Generators ``x>y`` for distinct objects; every composable pair collapses
-    to the direct generator (or the identity), and every generator is
-    invertible with mate the reversed generator.
-    """
-    names = list(names)
-    if not names:
-        raise EmptySet("chaotic category needs at least one object")
+def _chaotic_parts(names: Sequence[str]) -> tuple[list[tuple[str, str, str]], list]:
+    """Generators ``x>y`` for distinct objects, and a relation collapsing
+    every composable pair to the direct generator (or the identity)."""
     gens: list[tuple[str, str, str]] = []
     for x in names:
         for y in names:
@@ -221,6 +189,20 @@ def chaotic(names: Sequence[str]) -> FpCategory:
             lhs = Path(x, (g1[0], g2[0]))
             rhs = Path(x) if x == z else Path(x, (f"{x}>{z}",))
             rels.append((lhs, rhs))
+    return gens, rels
+
+
+def chaotic(names: Sequence[str]) -> FpCategory:
+    """The chaotic category: one morphism between every ordered pair of objects.
+
+    Generators ``x>y`` for distinct objects; every composable pair collapses
+    to the direct generator (or the identity), and every generator is
+    invertible with mate the reversed generator.
+    """
+    names = list(names)
+    if not names:
+        raise EmptySet("chaotic category needs at least one object")
+    gens, rels = _chaotic_parts(names)
     return build(names, gens, rels, invertible=[g[0] for g in gens])
 
 
@@ -242,7 +224,6 @@ def cofibrant_replacement(g: Functor) -> tuple[Functor, Functor]:
         objects: list[str] = []
         gens: list[tuple[str, str, str]] = []
         rels: list = []
-        invertible: list[str] = []
         obj_img: dict[str, str] = {}
         proj_obj: dict[str, str] = {}
         for y in Y.objects:
@@ -251,16 +232,15 @@ def cofibrant_replacement(g: Functor) -> tuple[Functor, Functor]:
                 objects.append("L." + y)
                 proj_obj["L." + y] = y
                 continue
-            part = chaotic(["R." + x for x in fib])
-            objects.extend(part.objects)
-            for G in part.quiver.generators:
-                gens.append((G.name, G.src, G.dst))
-                invertible.append(G.name)
-            rels.extend(part.relations)
+            names = ["R." + x for x in fib]
+            part_gens, part_rels = _chaotic_parts(names)
+            objects += names
+            gens += part_gens
+            rels += part_rels
             for x in fib:
                 obj_img[x] = "R." + x
                 proj_obj["R." + x] = y
-        cyl = build(objects, gens, rels, invertible=invertible)
+        cyl = build(objects, gens, rels, invertible=[G[0] for G in gens])
         gen_img: dict[str, Path] = {}
         for G in X.quiver.generators:
             a, b = obj_img[G.src], obj_img[G.dst]
@@ -274,18 +254,17 @@ def cofibrant_replacement(g: Functor) -> tuple[Functor, Functor]:
         )
         return incl, proj
 
-    yc, y_ren = _prefixed(Y, "L.")
-    xc, x_ren = _prefixed(X, "R.")
-    objects = list(yc.objects) + list(xc.objects)
-    gens = [(G.name, G.src, G.dst) for G in yc.quiver.generators]
-    gens += [(G.name, G.src, G.dst) for G in xc.quiver.generators]
-    rels = list(yc.relations) + list(xc.relations)
-    invertible = [k for k in yc.inverses] + [k for k in xc.inverses]
+    y_objs, y_gens, y_rels, y_inv = _renamed(Y, "L.")
+    x_objs, x_gens, x_rels, x_inv = _renamed(X, "R.")
+    objects = y_objs + x_objs
+    gens = y_gens + x_gens
+    rels = y_rels + x_rels
+    invertible = [*y_inv, *x_inv]
     conn: dict[str, str] = {}
     for x in X.objects:
         name = f"e.{x}"
         conn[x] = name
-        gens.append((name, "R." + x, "L." + g.apply_obj(x)))
+        gens.append(Generator(name, "R." + x, "L." + g.apply_obj(x)))
         invertible.append(name)
     for G in X.quiver.generators:
         img = g.gen_map[G.name]

@@ -245,23 +245,14 @@ def read_off_presentation(G: FiniteCategory) -> GroupoidPresentation:
     """
     if not is_groupoid(G):
         raise CatError("read_off_presentation needs a groupoid")
-    comp_of: dict[str, int] = {}
+    # in a groupoid the component of x is every object x has an arrow to
+    placed: set[str] = set()
     comps: list[list[str]] = []
     for x in G.objects:
-        if x in comp_of:
+        if x in placed:
             continue
-        members = [x]
-        comp_of[x] = len(comps)
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for z in G.objects:
-                if z in comp_of:
-                    continue
-                if G.hom(y, z) or G.hom(z, y):
-                    comp_of[z] = len(comps)
-                    members.append(z)
-                    frontier.append(z)
+        members = [z for z in G.objects if z not in placed and G.hom(x, z)]
+        placed.update(members)
         comps.append(members)
     out: list[GroupoidComponent] = []
     for members in comps:
@@ -326,14 +317,9 @@ def _syntactically_free(cat: FpCategory) -> dict[str, tuple[str, ...]] | None:
         paired.add(b)
     if paired != {g.name for g in cat.quiver.generators}:
         return None
-    units = set()
-    for a, b in pairs:
-        src = cat.quiver.gen_by_name[a].src
-        dst = cat.quiver.gen_by_name[a].dst
-        units.add((Path(src, (a, b)), Path(src)))
-        units.add((Path(dst, (b, a)), Path(dst)))
+    mates = {*pairs, *((b, a) for a, b in pairs)}
     for l, r in cat.relations:
-        if (l, r) not in units and (r, l) not in units:
+        if l.gens and r.gens or (l.gens or r.gens) not in mates:
             return None
     adj: dict[str, list[tuple[str, tuple[str, str]]]] = {x: [] for x in cat.objects}
     for a, b in pairs:

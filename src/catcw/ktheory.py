@@ -264,9 +264,7 @@ class CofiberCertificate:
         )
 
 
-def _strict_inverse(
-    m: Functor, budget: int, search_len: int = INVERSE_SEARCH_LEN
-) -> Functor | None:
+def _strict_inverse(m: Functor, budget: int) -> Functor | None:
     """A two-sided inverse of m up to normalization, by normal-form search."""
     apex: FpCategory = m.source
     C: FpCategory = m.target
@@ -281,7 +279,7 @@ def _strict_inverse(
         inv_obj[y] = x
     if set(inv_obj) != set(C.objects):
         return None
-    words = irreducible_words(apex, search_len, budget)
+    words = irreducible_words(apex, INVERSE_SEARCH_LEN, budget)
     gen_map: dict[str, Path] = {}
     for c in C.quiver.generators:
         want = rs_c.normalize(Path(c.src, (c.name,)))

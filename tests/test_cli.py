@@ -272,6 +272,24 @@ def test_cw_classify_undecided(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"verdict": "NotDecided"}
 
 
+def test_cw_classify_reports_its_note(tmp_path, capsys):
+    gp = {
+        "components": [
+            {
+                "extra_objects": [],
+                "generators": ["a", "b"],
+                "relations": [["a", "b", "a^-1", "b^-1"]],
+            }
+        ]
+    }
+    assert main(["cw-build", dump(tmp_path, "gp.json", gp), "--json"]) == 0
+    complex_file = dump(tmp_path, "complex.json", json.loads(capsys.readouterr().out)["complex"])
+    assert main(["cw-classify", complex_file, "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "Dim2"
+    assert report["note"] == "freeness not witnessed syntactically"
+
+
 def test_cw_build_from_file(tmp_path, capsys):
     gp = {
         "components": [

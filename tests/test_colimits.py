@@ -1,22 +1,29 @@
 """Coproducts, pushouts (with a brute-force universal-property oracle),
 chaotic categories, and cofibrant replacement."""
 
+import hashlib
+import json
+
 import pytest
 
 from catcw import (
     EmptySet,
+    FpCategory,
     Functor,
     Path,
+    PointedCategory,
     chaotic,
     check_functor,
     cofibrant_replacement,
     compose_functors,
     coproduct,
     functors_equal,
+    identity_functor,
     irreducible_words,
     is_cofibration,
     is_contractible,
     is_equivalence,
+    k0_vanishing_witness,
     one_sided_homotopy_pushout,
     pushout,
     sphere,
@@ -29,9 +36,12 @@ from conftest import (
     discrete2,
     finite_form,
     interval_cat,
+    path2_cat,
+    pool8,
     span_pool,
     terminal_cat,
 )
+from catcw.cli import main
 
 
 def test_coproduct_prefixes_and_injections():
@@ -159,3 +169,96 @@ def test_one_sided_homotopy_pushout_circle():
     x = po.apex.objects[0]
     words = irreducible_words(po.apex, 10)
     assert len(words[(x, x)]) == 21
+
+
+# ---------------------------------------------------------------------------
+# Guards: each apex is assembled once, and no name moves
+
+
+@pytest.fixture()
+def presentations_built(monkeypatch):
+    """A list that records every ``FpCategory`` built while the test runs."""
+    built = []
+    init = FpCategory.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FpCategory, "__init__", counting_init)
+    return built
+
+
+def test_coproduct_builds_only_its_apex(presentations_built):
+    cats = [c2_cat(), interval_cat(), path2_cat()]
+    presentations_built.clear()
+    res = coproduct(cats)
+    assert presentations_built == [res.apex]
+
+
+def test_discrete_cylinder_builds_only_its_apex(presentations_built):
+    a2 = discrete2()
+    collapse = Functor(
+        path2_cat(), a2, {"a": "x", "b": "x", "c": "y"}, {"f": Path("x"), "g": Path("x")}
+    )
+    presentations_built.clear()
+    incl, _proj = cofibrant_replacement(collapse)
+    assert presentations_built == [incl.target]
+    assert incl.target.objects == ("R.a", "R.b", "R.c")
+
+
+def _digest(docs) -> str:
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cat_doc(cat):
+    return {**cat.to_json_obj(), "inverses": cat.inverses}
+
+
+def _cw_build_docs(capsys):
+    docs = []
+    for seed in range(20):
+        assert main(["cw-build", "random", "--seed", str(seed), "--json"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    return docs
+
+
+def _coproduct_doc():
+    res = coproduct(pool8())
+    return {"apex": _cat_doc(res.apex), "injections": [F.to_json_obj() for F in res.injections]}
+
+
+def _cylinder_docs():
+    docs = []
+    for c in pool8():
+        incl, proj = cofibrant_replacement(identity_functor(c))
+        docs.append(
+            {"cyl": _cat_doc(incl.target), "incl": incl.to_json_obj(), "proj": proj.to_json_obj()}
+        )
+    return docs
+
+
+def test_constructions_keep_every_name(capsys):
+    """Canonical JSON of the colimit-built constructions, pinned by digest,
+    so that a refactor cannot rename an object or generator unnoticed."""
+    got = {
+        "spheres": _digest([_cat_doc(sphere(n)) for n in range(5)]),
+        "two_complexes": _digest(_cw_build_docs(capsys)),
+        "coproduct": _digest(_coproduct_doc()),
+        "cylinders": _digest(_cylinder_docs()),
+        "k0_witness": _digest(
+            k0_vanishing_witness(PointedCategory(path2_cat(), "a")).to_json_obj()
+        ),
+    }
+    assert got == PINNED_DIGESTS
+
+
+# sha256 of the canonical JSON above; a new value means a name moved
+PINNED_DIGESTS = {
+    "spheres": "8892296ef2d657c2199833b8f9009bacee398aed304a31c87cd1f091fbaa3489",
+    "two_complexes": "f67d1ef4f266d186750ee673d1c3aa6fd791cc27ead582fa581832b0608b57b3",
+    "coproduct": "680e5bbe06486bb8b61c7a5c12b4f21cfcd6a103cb0745243b78463205d48cbc",
+    "cylinders": "57336bd7fe4e54c4f50e61c379b8102b26c1e153aa4d8ec8faae119e682ebffc",
+    "k0_witness": "212437c294f1c4a28efb0769be3ee43b669358917b4862937fb7ad46d6f46ba0",
+}

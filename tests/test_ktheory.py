@@ -207,6 +207,39 @@ def test_second_leg_must_collapse_the_image():
     assert r.witness == ("1.pt",)
 
 
+def _cyclic(obj: str, gen: str, order: int):
+    """The cyclic monoid of the given order on one object, with no inverse marked."""
+    return build([obj], [(gen, obj, obj)], [(Path(obj, (gen,) * order), Path(obj))])
+
+
+def _cyclic_quotient(power: int) -> tuple[Functor, Functor]:
+    """A = point -> B = <b | b^16> -> C = <c | c^16>, with q sending b to c^power."""
+    B, C = _cyclic("x", "b", 16), _cyclic("y", "c", 16)
+    i = Functor(build(["pt"]), B, {"pt": "x"}, {})
+    q = Functor(B, C, {"x": "y"}, {"b": Path("y", ("c",) * power)})
+    return i, q
+
+
+def test_cofiber_certificate_falls_back_to_finite_backends():
+    # c is the image of b^11, past the strict search's words of length 6
+    i, q = _cyclic_quotient(3)
+    cert = is_cofiber_sequence(i, q)
+    assert isinstance(cert, CofiberCertificate)
+    assert cert.mode == "finite"
+    assert cert.inverse is None
+    assert cert.hom_card == {"L.x|L.x": 16}
+    assert cert.verify()
+    again = CofiberCertificate.from_json(cert.to_json())
+    assert again.to_json() == cert.to_json()
+    assert again.verify()
+
+
+def test_cofiber_finite_fallback_rejects_a_map_that_is_not_onto():
+    i, q = _cyclic_quotient(2)
+    r = is_cofiber_sequence(i, q)
+    assert r == CofiberFailure("cofiber_mismatch", (16, 16))
+
+
 def test_cone_suite_on_random_pointed_pool():
     rng = random.Random(424242)
     for _ in range(8):

@@ -18,11 +18,13 @@ from catcw import (
     SearchSpaceTooLarge,
     all_functors,
     build,
+    check_functor,
     chaotic,
     discrete,
     find_equivalence,
     finite_to_fp,
     find_isomorphism,
+    functors_equal,
     is_cofibration,
     is_contractible,
     is_equivalence,
@@ -192,6 +194,21 @@ def test_all_functors_respects_relations():
     z3 = to_finite(c3_cat())
     # t must land on an element of order dividing 2: only the identity
     assert sum(1 for _ in all_functors(c2, z3)) == 1
+
+
+def test_functors_into_a_finite_category_are_checked_on_the_table():
+    c2 = c2_cat()
+    z3 = to_finite(c3_cat())
+    found = list(all_functors(c2, z3))
+    assert found and all(check_functor(F) for F in found)
+    F = found[0]
+    assert functors_equal(F, F)
+    rotation = next(i for i in z3.hom("x", "x") if not z3.is_identity(i))
+    # t;t = id fails when t goes to an element of order 3
+    breaks_relation = Functor(c2, z3, F.object_map, {"t": rotation})
+    assert not check_functor(breaks_relation)
+    assert not functors_equal(F, breaks_relation)
+    assert not check_functor(Functor(c2, z3, F.object_map, {"t": z3.n}))
 
 
 def test_search_space_guard():
