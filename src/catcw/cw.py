@@ -319,7 +319,7 @@ def _syntactically_free(cat: FpCategory) -> dict[str, tuple[str, ...]] | None:
         return None
     mates = {*pairs, *((b, a) for a, b in pairs)}
     for l, r in cat.relations:
-        if l.gens and r.gens or (l.gens or r.gens) not in mates:
+        if (l.gens and r.gens) or (l.gens or r.gens) not in mates:
             return None
     adj: dict[str, list[tuple[str, tuple[str, str]]]] = {x: [] for x in cat.objects}
     for a, b in pairs:

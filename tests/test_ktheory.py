@@ -208,7 +208,7 @@ def test_second_leg_must_collapse_the_image():
 
 
 def _cyclic(obj: str, gen: str, order: int):
-    """The cyclic monoid of the given order on one object, with no inverse marked."""
+    """The cyclic group of the given order on one object, with no generator marked invertible."""
     return build([obj], [(gen, obj, obj)], [(Path(obj, (gen,) * order), Path(obj))])
 
 
