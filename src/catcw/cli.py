@@ -27,7 +27,8 @@ from .fpcat import (
     CatError,
     FpCategory,
     NotFinite,
-    check_functor,
+    Path,
+    _functor_defect,
     from_json as category_from_json,
     functor_from_json,
     to_finite,
@@ -103,6 +104,17 @@ def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
 
 def _word(path_obj) -> str:
     return ";".join(path_obj.gens) if path_obj.gens else f"id_{path_obj.at}"
+
+
+def _defect_text(defect: dict) -> str:
+    """A functor defect (``fpcat._functor_defect``) in words."""
+    if defect["defect"] == "relation":
+        lhs, rhs = (Path.from_json_obj(defect[side]) for side in ("lhs", "rhs"))
+        return f"breaks the relation {_word(lhs)} = {_word(rhs)} of A"
+    image = "no arrow of its target" if defect["defect"] == "image" else (
+        "an arrow with the wrong endpoints"
+    )
+    return f"sends generator {defect['generator']!r} to {image}"
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +213,10 @@ def _cmd_pushout(args) -> int:
     except (KeyError, TypeError) as exc:
         raise InputError(f"{args.file}: missing or malformed field {exc}")
     for name, leg in (("f", f), ("g", g)):
-        if not check_functor(leg, args.budget):
-            _emit({"functor": False, "leg": name}, args.json,
-                  [f"NotFunctor: leg {name} breaks an endpoint or a relation of A"])
+        defect = _functor_defect(leg, args.budget)
+        if defect is not None:
+            _emit({"functor": False, "leg": name, "witness": defect}, args.json,
+                  [f"NotFunctor: leg {name} {_defect_text(defect)}"])
             return 1
     po = pushout(f, g)
     report = {

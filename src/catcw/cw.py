@@ -35,7 +35,14 @@ from .fpcat import (
     _json_names,
     _json_object,
 )
-from .model_structure import NotDecided, _inverses_found, groupoid_witness, is_groupoid
+from .model_structure import (
+    INVERSE_CANDIDATES,
+    INVERSE_WORD_LEN,
+    NotDecided,
+    _inverses_found,
+    groupoid_witness,
+    is_groupoid,
+)
 
 
 class MixedDimensions(CatError):
@@ -365,7 +372,11 @@ def cw_classify(
         pass
     # to_finite has failed, so only the inverse-word search can decide
     if not _inverses_found(C, budget):
-        raise NotDecided("groupoid status undecided within bounds")
+        raise NotDecided(
+            f"groupoid status undecided within bounds: rule budget {budget}, "
+            f"inverse words of length at most {INVERSE_WORD_LEN}, "
+            f"at most {INVERSE_CANDIDATES} candidates per generator"
+        )
     free = _syntactically_free(C)
     if free is not None:
         if all(not v for v in free.values()):

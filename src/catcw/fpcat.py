@@ -24,6 +24,7 @@ import json
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .kernel import RuleTable
@@ -222,6 +223,11 @@ class Quiver:
         )
 
     __hash__ = None  # type: ignore[assignment]
+
+
+def _encode(quiver: Quiver, gens: Iterable[str]) -> tuple[int, ...]:
+    """Generator names as their indices in ``quiver``."""
+    return tuple(map(quiver.gen_index.__getitem__, gens))
 
 
 def _unit_index(relations: Iterable[Relation]) -> set[tuple[str, str, str]]:
@@ -719,6 +725,18 @@ def _normal_forms(
         level = nxt
 
 
+def _hom_words(
+    cat: FpCategory, rs: RewritingSystem, src: str, dst: str, max_len: int
+) -> Iterator[tuple[int, ...]]:
+    """The irreducible words of hom(src, dst) of length <= max_len, lazily,
+    in ``_normal_forms`` order."""
+    for s, d, word in _normal_forms(cat, rs):
+        if len(word) > max_len:
+            return
+        if s == src and d == dst:
+            yield word
+
+
 def irreducible_words(
     cat: FpCategory, max_len: int, budget: int = DEFAULT_RULE_BUDGET
 ) -> dict[tuple[str, str], list[Path]]:
@@ -1180,12 +1198,75 @@ def identity_functor(C: FpCategory | FiniteCategory) -> Functor | FiniteFunctor:
     return FiniteFunctor(C, C, objects, range(C.n))
 
 
+def _image_words(F: Functor) -> dict[str, tuple[int, ...]]:
+    """Each generator's image under ``F`` (a presentation target), encoded
+    over the target's generators."""
+    quiver = F.target.quiver
+    return {name: _encode(quiver, p.gens) for name, p in F.gen_map.items()}
+
+
+def _image_word(images: Mapping | Sequence, word: Iterable) -> tuple[int, ...]:
+    """The image of a source word whose letters key ``images``: the letters'
+    image words, concatenated."""
+    return tuple(chain.from_iterable(map(images.__getitem__, word)))
+
+
+def _functor_defect(F: Functor, budget: int) -> dict | None:
+    """The first defect of a functor out of a presentation, as JSON, or None.
+
+    A defect is a generator whose image is no arrow of the target
+    (``"image"``) or has the wrong endpoints (``"endpoints"``), or else the
+    first relation whose sides have different images (``"relation"``).
+    Under a presentation target the images of a relation's sides are
+    compared as reduced generator-index words; both sides start at the same
+    object, so the words decide.  A mismatch under an incomplete system
+    raises ``IncompleteSystem``.
+    """
+    src, tgt = F.source, F.target
+    finite = isinstance(tgt, FiniteCategory)
+    for g in src.quiver.generators:
+        img = F.gen_map[g.name]
+        if finite:
+            if not isinstance(img, int) or not (0 <= img < tgt.n):
+                return {"defect": "image", "generator": g.name}
+            ends = (tgt.mor_src[img], tgt.mor_dst[img])
+        else:
+            if not isinstance(img, Path):
+                return {"defect": "image", "generator": g.name}
+            try:
+                ends = (img.at, tgt.quiver.check_path(img))
+            except CatError:
+                return {"defect": "image", "generator": g.name}
+        if ends != (F.apply_obj(g.src), F.apply_obj(g.dst)):
+            return {"defect": "endpoints", "generator": g.name}
+    if finite:
+        image = F.apply_path
+    else:
+        rs = tgt.completion(budget)
+        images = _image_words(F)
+
+        def image(p: Path) -> tuple[int, ...]:
+            return rs.reduce_word(_image_word(images, p.gens))
+
+    for lhs, rhs in src.relations:
+        if image(lhs) != image(rhs):
+            if not finite and not rs.complete:
+                raise IncompleteSystem(
+                    "cannot decide relation preservation under an incomplete system",
+                    budget,
+                    len(rs.rules),
+                )
+            return {"defect": "relation", "lhs": lhs.to_json_obj(), "rhs": rhs.to_json_obj()}
+    return None
+
+
 def check_functor(F: Functor | FiniteFunctor, budget: int = DEFAULT_RULE_BUDGET) -> bool:
     """True iff object/endpoint compatibility and relation preservation hold.
 
     A finite functor must preserve endpoints and every cell of the source's
     composition table; a functor out of a presentation must send generators
-    to arrows with the right endpoints and preserve every relation.
+    to arrows with the right endpoints and preserve every relation
+    (``_functor_defect`` finds nothing).
     """
     src, tgt = F.source, F.target
     if isinstance(F, FiniteFunctor):
@@ -1200,39 +1281,7 @@ def check_functor(F: Functor | FiniteFunctor, budget: int = DEFAULT_RULE_BUDGET)
                 return False
         table = tgt.compose_table
         return all(table[(mor[f], mor[g])] == mor[h] for (f, g), h in src.compose_table.items())
-
-    if isinstance(tgt, FiniteCategory):
-        for g in src.quiver.generators:
-            img = F.gen_map[g.name]
-            if not isinstance(img, int) or not (0 <= img < tgt.n):
-                return False
-            if tgt.mor_src[img] != F.apply_obj(g.src) or tgt.mor_dst[img] != F.apply_obj(g.dst):
-                return False
-        return all(F.apply_path(lhs) == F.apply_path(rhs) for lhs, rhs in src.relations)
-
-    for g in src.quiver.generators:
-        img = F.gen_map[g.name]
-        if not isinstance(img, Path):
-            return False
-        try:
-            img_dst = tgt.quiver.check_path(img)
-        except CatError:
-            return False
-        if img.at != F.apply_obj(g.src) or img_dst != F.apply_obj(g.dst):
-            return False
-    rs = tgt.completion(budget)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IncompleteSystemWarning)
-        for lhs, rhs in src.relations:
-            if rs.normalize(F.apply_path(lhs)) != rs.normalize(F.apply_path(rhs)):
-                if not rs.complete:
-                    raise IncompleteSystem(
-                        "cannot decide relation preservation under an incomplete system",
-                        budget,
-                        len(rs.rules),
-                    )
-                return False
-    return True
+    return _functor_defect(F, budget) is None
 
 
 def compose_functors(F: Functor, G: Functor) -> Functor:
@@ -1245,7 +1294,11 @@ def compose_functors(F: Functor, G: Functor) -> Functor:
 
 
 def functors_equal(F: Functor, G: Functor, budget: int = DEFAULT_RULE_BUDGET) -> bool:
-    """Equality of functors as morphism maps (normalizing fp-target images)."""
+    """Equality of functors as morphism maps.
+
+    Fp-target images are compared by start object and reduced
+    generator-index word; each image must be a path of the target.
+    """
     if F.source != G.source or F.target != G.target:
         return False
     if F.object_map != G.object_map:
@@ -1254,6 +1307,13 @@ def functors_equal(F: Functor, G: Functor, budget: int = DEFAULT_RULE_BUDGET) ->
     if isinstance(F.target, FiniteCategory):
         return all(F.gen_map[k] == G.gen_map[k] for k in names)
     rs = F.target.completion(budget)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IncompleteSystemWarning)
-        return all(rs.normalize(F.gen_map[k]) == rs.normalize(G.gen_map[k]) for k in names)
+    quiver = F.target.quiver
+    for k in names:
+        p, q = F.gen_map[k], G.gen_map[k]
+        quiver.check_path(p)
+        quiver.check_path(q)
+        if p.at != q.at:
+            return False
+        if rs.reduce_word(_encode(quiver, p.gens)) != rs.reduce_word(_encode(quiver, q.gens)):
+            return False
+    return True

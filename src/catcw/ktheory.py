@@ -26,11 +26,13 @@ from .fpcat import (
     FpCategory,
     Functor,
     Path,
+    _hom_words,
+    _image_word,
+    _image_words,
     check_functor,
     finite_to_fp,
     from_json as category_from_json,
     functor_from_json,
-    irreducible_words,
     to_finite,
 )
 from .model_structure import is_cofibration, is_contractible
@@ -123,68 +125,6 @@ def suspend(X: PointedCategory) -> PointedCategory:
 
 
 @dataclass
-class DoubleSuspensionCertificate:
-    category: FpCategory
-    basepoint: str
-    sigma_objects: int
-    sigma2_objects: int
-    sigma2_generators: int
-    sigma2_morphisms: int
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.sigma_objects == 1
-            and self.sigma2_objects == 1
-            and self.sigma2_generators == 0
-            and self.sigma2_morphisms == 1
-        )
-
-    def verify(self) -> bool:
-        fresh = verify_double_suspension(PointedCategory(self.category, self.basepoint))
-        return fresh.ok and (
-            fresh.sigma_objects,
-            fresh.sigma2_objects,
-            fresh.sigma2_generators,
-            fresh.sigma2_morphisms,
-        ) == (
-            self.sigma_objects,
-            self.sigma2_objects,
-            self.sigma2_generators,
-            self.sigma2_morphisms,
-        )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "category": self.category.to_json_obj(),
-            "basepoint": self.basepoint,
-            "sigma_objects": self.sigma_objects,
-            "sigma2_objects": self.sigma2_objects,
-            "sigma2_generators": self.sigma2_generators,
-            "sigma2_morphisms": self.sigma2_morphisms,
-        }
-
-
-def verify_double_suspension(X: PointedCategory) -> DoubleSuspensionCertificate:
-    """Compute Σ²X and certify it is the terminal category."""
-    X = as_pointed_fp(X)
-    sx = suspend(X)
-    s2x = suspend(sx)
-    try:
-        fin = to_finite(s2x.cat, bound=4)
-    except CatError as exc:  # pragma: no cover - terminal by construction
-        raise CompletionBudgetExceeded(str(exc))
-    return DoubleSuspensionCertificate(
-        X.cat,
-        X.basepoint,
-        len(sx.cat.objects),
-        len(s2x.cat.objects),
-        len(s2x.cat.generators),
-        fin.n,
-    )
-
-
-@dataclass
 class CofiberFailure:
     reason: str
     witness: object = None
@@ -233,14 +173,14 @@ class CofiberCertificate:
     def verify(self, budget: int = DEFAULT_RULE_BUDGET) -> bool:
         """Re-run the full recognition and demand the identical certificate.
 
-        The two ``to_json_obj`` dicts are compared rather than their JSON
-        text, which costs a serialization of each.
+        The fresh certificate is recognized from this one's ``i``, ``q`` and
+        ``basepoint``, so only the fields the recognition computes can
+        differ; they are compared with ``==``, with no JSON built.
         """
         fresh = is_cofiber_sequence(self.i, self.q, self.basepoint, budget)
-        return (
-            isinstance(fresh, CofiberCertificate)
-            and fresh.to_json_obj() == self.to_json_obj()
-        )
+        return isinstance(fresh, CofiberCertificate) and (
+            fresh.mode, fresh.basepoint, fresh.hom_card, fresh.comparison, fresh.inverse
+        ) == (self.mode, self.basepoint, self.hom_card, self.comparison, self.inverse)
 
     @staticmethod
     def from_json(
@@ -265,7 +205,14 @@ class CofiberCertificate:
 
 
 def _strict_inverse(m: Functor, budget: int) -> Functor | None:
-    """A two-sided inverse of m up to normalization, by normal-form search."""
+    """A two-sided inverse of m up to normalization, by normal-form search.
+
+    ``m`` must be a functor.  Images are compared as reduced generator-index
+    words, which is exact here: ``inv_obj`` inverts ``m.object_map``, so a
+    candidate for a generator c lies in hom(inv_obj[c.src], inv_obj[c.dst])
+    and its image starts at c.src, and each round trip starts at the object
+    its generator does.  Objects are fixed by construction; words decide.
+    """
     apex: FpCategory = m.source
     C: FpCategory = m.target
     rs_apex = apex.completion(budget)
@@ -279,28 +226,30 @@ def _strict_inverse(m: Functor, budget: int) -> Functor | None:
         inv_obj[y] = x
     if set(inv_obj) != set(C.objects):
         return None
-    words = irreducible_words(apex, INVERSE_SEARCH_LEN, budget)
-    gen_map: dict[str, Path] = {}
-    for c in C.quiver.generators:
-        want = rs_c.normalize(Path(c.src, (c.name,)))
-        found = None
-        for w in words.get((inv_obj[c.src], inv_obj[c.dst]), []):
-            if rs_c.normalize(m.apply_path(w)) == want:
-                found = w
+    m_words = _image_words(m)
+    m_img = [m_words[g.name] for g in apex.quiver.generators]  # by apex generator index
+    c_forms = [rs_c.reduce_word((j,)) for j in range(len(C.quiver.generators))]
+    n_img: list[tuple[int, ...]] = []  # by C generator index
+    for c, want in zip(C.quiver.generators, c_forms):
+        for w in _hom_words(apex, rs_apex, inv_obj[c.src], inv_obj[c.dst], INVERSE_SEARCH_LEN):
+            if rs_c.reduce_word(_image_word(m_img, w)) == want:
+                n_img.append(w)
                 break
-        if found is None:
+        else:
             return None
-        gen_map[c.name] = found
+    names = tuple(g.name for g in apex.quiver.generators)
+    gen_map = {
+        c.name: Path(inv_obj[c.src], tuple(names[k] for k in w))
+        for c, w in zip(C.quiver.generators, n_img)
+    }
     n = Functor(C, apex, inv_obj, gen_map)
     if not check_functor(n, budget):
         return None
-    for g in apex.quiver.generators:
-        back = n.apply_path(m.gen_map[g.name])
-        if rs_apex.normalize(back) != rs_apex.normalize(Path(g.src, (g.name,))):
+    for k, word in enumerate(m_img):
+        if rs_apex.reduce_word(_image_word(n_img, word)) != rs_apex.reduce_word((k,)):
             return None
-    for c in C.quiver.generators:
-        forth = m.apply_path(n.gen_map[c.name])
-        if rs_c.normalize(forth) != rs_c.normalize(Path(c.src, (c.name,))):
+    for word, want in zip(n_img, c_forms):
+        if rs_c.reduce_word(_image_word(m_img, word)) != want:
             return None
     return n
 
@@ -342,9 +291,9 @@ def is_cofiber_sequence(
     for a in A.objects:
         if q.apply_obj(i.apply_obj(a)) != basepoint:
             return CofiberFailure("not_collapsing", (a,))
+    q_words = _image_words(q)
     for g in A.quiver.generators:
-        img = q.apply_path(i.gen_map[g.name])
-        if not rs_c.normalize(img).is_identity:
+        if rs_c.reduce_word(_image_word(q_words, i.gen_map[g.name].gens)):
             return CofiberFailure("not_collapsing", (g.name,))
 
     po = pushout(i, point_collapse(A))

@@ -24,12 +24,15 @@ from .fpcat import (
     Functor,
     IncompleteSystem,
     NotFinite,
-    Path,
-    irreducible_words,
+    _hom_words,
     to_finite,
 )
 
 DEFAULT_PRODUCT_BOUND = 10**6
+# The inverse-word search of ``_inverses_found``: candidate words of length at
+# most INVERSE_WORD_LEN, at most INVERSE_CANDIDATES of them per generator.
+INVERSE_WORD_LEN = 6
+INVERSE_CANDIDATES = 10_000
 
 
 class NotDecided(CatError):
@@ -219,20 +222,25 @@ def is_groupoid_fp(
 
 def _inverses_found(cat: FpCategory, budget: int) -> bool | None:
     """True when every generator not marked invertible has a two-sided
-    inverse among the irreducible words of length at most 6, else None."""
+    inverse among the first ``INVERSE_CANDIDATES`` irreducible words of
+    length at most ``INVERSE_WORD_LEN`` in its reverse hom-set, else None.
+
+    Candidates are drawn one at a time, in ``irreducible_words`` order, and
+    tested as reduced generator-index words.
+    """
     pending = [g for g in cat.quiver.generators if g.name not in cat.inverses]
     if not pending:
         return True
     rs = cat.completion(budget)
     if not rs.complete:
         return None
-    words = irreducible_words(cat, max_len=6, budget=budget)
+    reduce = rs.reduce_word
     for g in pending:
-        img = rs.normalize(Path(g.src, (g.name,)))
+        a = reduce((cat.quiver.gen_index[g.name],))
+        words = _hom_words(cat, rs, g.dst, g.src, INVERSE_WORD_LEN)
         if not any(
-            rs.normalize(Path(g.src, img.gens + q.gens)).is_identity
-            and rs.normalize(Path(g.dst, q.gens + img.gens)).is_identity
-            for q in words.get((g.dst, g.src), [])
+            not reduce(a + w) and not reduce(w + a)
+            for w in itertools.islice(words, INVERSE_CANDIDATES)
         ):
             return None
     return True

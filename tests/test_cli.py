@@ -449,7 +449,57 @@ def test_pushout_rejects_a_leg_that_is_not_a_functor(tmp_path, capsys, leg):
     span[{"f": "B", "g": "C"}[leg]] = z
     span[leg] = bad
     assert main(["pushout", dump(tmp_path, "span.json", span), "--verify", "--json"]) == 1
-    assert json.loads(capsys.readouterr().out) == {"functor": False, "leg": leg}
+    assert json.loads(capsys.readouterr().out) == {
+        "functor": False,
+        "leg": leg,
+        "witness": {
+            "defect": "relation",
+            "lhs": {"at": "x", "gens": ["t", "t"]},
+            "rhs": {"at": "x", "gens": []},
+        },
+    }
+
+
+NOT_FUNCTOR_LEGS = {
+    # f -> unknown generator of the arrow category
+    "image": (
+        {"object_map": {"a": "a", "b": "b"}, "gen_map": {"f": {"at": "a", "gens": ["g"]}}},
+        {"defect": "image", "generator": "f"},
+        "NotFunctor: leg g sends generator 'f' to no arrow of its target",
+    ),
+    # f -> the identity at a, but f runs from a to b
+    "endpoints": (
+        {"object_map": {"a": "a", "b": "b"}, "gen_map": {"f": {"at": "a", "gens": []}}},
+        {"defect": "endpoints", "generator": "f"},
+        "NotFunctor: leg g sends generator 'f' to an arrow with the wrong endpoints",
+    ),
+}
+
+
+@pytest.mark.parametrize("defect", list(NOT_FUNCTOR_LEGS))
+def test_pushout_names_the_generator_a_leg_breaks(tmp_path, capsys, defect):
+    arrow = arrow_cat().to_json_obj()
+    good = {"object_map": {"a": "a", "b": "b"}, "gen_map": {"f": {"at": "a", "gens": ["f"]}}}
+    leg, witness, line = NOT_FUNCTOR_LEGS[defect]
+    span = dump(tmp_path, "span.json", {"A": arrow, "B": arrow, "C": arrow, "f": good, "g": leg})
+    assert main(["pushout", span, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "functor": False, "leg": "g", "witness": witness
+    }
+    assert main(["pushout", span]) == 1
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_pushout_names_the_relation_a_leg_breaks(tmp_path, capsys):
+    c2 = c2_cat().to_json_obj()
+    z = build(["*"], [("a", "*", "*")], invertible=["a"]).to_json_obj()
+    bad = {"object_map": {"x": "*"}, "gen_map": {"t": {"at": "*", "gens": ["a"]}}}
+    ident = {"object_map": {"x": "x"}, "gen_map": {"t": {"at": "x", "gens": ["t"]}}}
+    span = {"A": c2, "B": z, "C": c2, "f": bad, "g": ident}
+    assert main(["pushout", dump(tmp_path, "span.json", span)]) == 1
+    assert capsys.readouterr().out == (
+        "NotFunctor: leg f breaks the relation t;t = id_x of A\n"
+    )
 
 
 MALFORMED_LEGS = {

@@ -1,10 +1,11 @@
 """Spheres, cell attachment, complex builders, and the CW dimension ladder."""
 
 import random
+import time
 
 import pytest
 
-from conftest import arrow_cat, c2_cat, groupoid_pool6, pool8
+from conftest import arrow_cat, c2_cat, groupoid_pool6, pool8, random_pointed
 
 from catcw import cw, model_structure
 from catcw import (
@@ -268,6 +269,29 @@ def test_classifier_undecided_raises():
     )
     with pytest.raises(NotDecided):
         cw_classify(braid, bound=8, budget=3)
+
+
+def test_inverse_search_stops_at_its_candidate_cap(monkeypatch):
+    """An infinite one-object draw (8 generators, one marked invertible)
+    whose first generator has no inverse among 10,000 candidates."""
+    rng = random.Random(7)
+    for _ in range(11):
+        X = random_pointed(rng)
+    assert (len(X.cat.objects), len(X.cat.generators)) == (1, 8)
+    drawn = []
+    hom_words = model_structure._hom_words
+
+    def counting_hom_words(*args):
+        for w in hom_words(*args):
+            drawn.append(w)
+            yield w
+
+    monkeypatch.setattr(model_structure, "_hom_words", counting_hom_words)
+    t0 = time.monotonic()
+    with pytest.raises(NotDecided, match="at most 10000 candidates per generator"):
+        cw_classify(X.cat)
+    assert time.monotonic() - t0 < 2.0  # 5.9 s without the cap
+    assert len(drawn) == model_structure.INVERSE_CANDIDATES
 
 
 def test_classifier_runs_to_finite_once(monkeypatch):

@@ -44,7 +44,6 @@ from catcw import (
     sphere,
     suspend,
     to_finite,
-    verify_double_suspension,
 )
 
 
@@ -128,19 +127,15 @@ def test_double_suspension_certificates():
         PointedCategory(arrow_cat(), "a"),
         PointedCategory(terminal_cat(), "pt"),
     ):
-        cert = verify_double_suspension(X)
-        assert cert.ok
-        assert cert.sigma_objects == 1
-        assert (cert.sigma2_objects, cert.sigma2_generators) == (1, 0)
-        assert cert.sigma2_morphisms == 1
-        assert cert.verify()
-        assert set(cert.to_json_obj()) == {
-            "category",
-            "basepoint",
-            "sigma_objects",
-            "sigma2_objects",
-            "sigma2_generators",
-            "sigma2_morphisms",
+        w = k0_vanishing_witness(X)
+        assert len(w.sx.cat.objects) == 1
+        assert (len(w.s2x.cat.objects), len(w.s2x.cat.generators)) == (1, 0)
+        assert w.s2x_morphisms == 1
+        assert w.replay()
+        assert json.loads(w.to_json())["terminal_S2X"] == {
+            "objects": 1,
+            "generators": 0,
+            "morphisms": 1,
         }
 
 
@@ -250,7 +245,11 @@ def test_cone_suite_on_random_pointed_pool():
         assert is_contractible(px.cat)
         assert is_cofibration(cone_unit(X))
         assert len(suspend(X).cat.objects) == 1
-        assert verify_double_suspension(X).ok
+        w = k0_vanishing_witness(X)
+        assert len(w.sx.cat.objects) == 1
+        assert (len(w.s2x.cat.objects), len(w.s2x.cat.generators)) == (1, 0)
+        assert w.s2x_morphisms == 1
+        assert w.replay()
 
 
 def test_cone_preserves_pushouts_along_cofibrations():
