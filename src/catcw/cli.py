@@ -57,11 +57,15 @@ class InputError(Exception):
 def _read_json(path: str):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"{path}: {exc.strerror or exc}")
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    if isinstance(obj, str):
+        # the from_json readers take a string for JSON text and would parse it again
+        raise InputError(f"{path}: expected a JSON object, got a string")
+    return obj
 
 
 def _load(path: str, parse):

@@ -5,10 +5,12 @@ A zero-sphere is two bare points; higher spheres are iterated one-sided
 homotopy pushouts of the collapse to a point.  Attaching cells of dimension n
 pushes the base out along a coproduct of sphere collapses; the cofibrant
 replacement inserts chaotic categories for the two-point fibers of dimension
-zero and collapses directly in higher dimensions.  The classifier implements
-the dimension ladder: not a groupoid means not CW at all, trivial
-automorphism groups mean dimension 0, syntactically free ones mean dimension
-1, and any groupoid sits in dimension 2.
+zero and collapses directly in higher dimensions.  The complex builders write
+out in one pass, names and orders included, what cell attachment gives; an
+oracle in ``tests/test_cw.py`` pins that.  The classifier implements the
+dimension ladder: not a groupoid means not CW at all, trivial automorphism
+groups mean dimension 0, syntactically free ones mean dimension 1, and any
+groupoid sits in dimension 2.
 """
 
 from __future__ import annotations
@@ -17,18 +19,20 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .colimits import chaotic, coproduct, one_sided_homotopy_pushout, pushout
+from .colimits import coproduct, one_sided_homotopy_pushout
 from .fpcat import (
     DEFAULT_HOM_BOUND,
     DEFAULT_RULE_BUDGET,
     CatError,
+    DuplicateName,
     FiniteCategory,
     FpCategory,
     Functor,
+    Generator,
     IncompleteSystem,
     NotFinite,
     Path,
-    build,
+    Quiver,
     terminal,
     to_finite,
     _json_list,
@@ -126,47 +130,62 @@ def attach_cells(
     return one_sided_homotopy_pushout(attach, collapse).apex
 
 
-def _one_complex_component(
-    S: Sequence[str], T: Sequence[str]
-) -> tuple[FpCategory, str, dict[str, str], dict[str, str]]:
-    """The free one-complex on S loops and T extra objects.
+def _check_distinct(names: Sequence[str], kind: str) -> None:
+    seen: set[str] = set()
+    for x in names:
+        if x in seen:
+            raise DuplicateName(f"{kind} {x!r} declared twice")
+        seen.add(x)
 
-    Returns (complex, basepoint, generator-name per s in S, object-name per
-    t in T); names are resolved through the pushout injections.
+
+def _assemble(parts: Sequence[tuple]) -> FpCategory:
+    """The coproduct of two-complexes that cell attachment gives, in one pass.
+
+    Part k is (S, T, words): at a basepoint ``*``, a loop per entry of S, an
+    edge to each extra object in T, and a two-cell per word, relating the
+    word and its inverse to the identity (an empty word relates nothing).
+    ``words`` None means a one-complex, whose loop names are never read.  The
+    names are the colimits': ``k.`` from the coproduct, ``L.`` from
+    ``attach_cells`` when there are words, and the one-complex's own, a
+    pushout of ``["*", *T]`` (``L.``) and a chaotic cylinder on ``e.0.pt``,
+    ``e.1.pt`` per edge e (``R.``).
     """
-    S = list(S)
-    T = list(T)
-    n = len(S) + len(T)
-    base = build(["*"] + T)
-    if n == 0:
-        return base, "*", {}, {t: t for t in T}
-    co_s0 = coproduct([sphere(0)] * n)
-    co_cyl = coproduct([chaotic(["0.pt", "1.pt"])] * n)
-    incl = Functor(
-        co_s0.apex,
-        co_cyl.apex,
-        {x: x for x in co_s0.apex.objects},
-        {},
-    )
-    obj_map = {}
-    for i in range(n):
-        obj_map[f"{i}.0.pt"] = "*"
-        obj_map[f"{i}.1.pt"] = "*" if i < len(S) else T[i - len(S)]
-    p = Functor(co_s0.apex, base, obj_map, {})
-    po = pushout(p, incl)
-    bp = po.inj_left.apply_obj("*")
-    gen_for = {
-        s: po.inj_right.gen_map[f"{i}.0.pt>1.pt"].gens[0] for i, s in enumerate(S)
-    }
-    obj_for = {t: po.inj_left.apply_obj(t) for t in T}
-    return po.apex, bp, gen_for, obj_for
+    objects: list[str] = []
+    gens: list[Generator] = []
+    rels: list[tuple[Path, Path]] = []
+    inverses: dict[str, str] = {}
+    for k, (S, T, words) in enumerate(parts):
+        _check_distinct(("*", *T), "object")
+        if words is not None:
+            _check_distinct(S, "generator")
+        p = f"{k}.L." if words else f"{k}."
+        bp = p + ("L.*" if S or T else "*")
+        ends = [f"{p}L.{t}" for t in T]
+        objects += [bp, *ends]
+        names: list[str] = []  # edge e is names[2e], its mate names[2e + 1]
+        for e, dst in enumerate([bp] * len(S) + ends):
+            g, m = f"{p}R.{e}.0.pt>1.pt", f"{p}R.{e}.1.pt>0.pt"
+            gens += (Generator(g, bp, dst), Generator(m, dst, bp))
+            rels += ((Path(bp, (g, m)), Path(bp)), (Path(dst, (m, g)), Path(dst)))
+            inverses.update({g: m, m: g})
+            names += (g, m)
+        letter = {s: 2 * e for e, s in enumerate(S)}
+        for word in words or ():
+            w = []
+            for token in word:
+                name = token.removesuffix("^-1")
+                if name not in letter:
+                    raise CatError(f"relation token {token!r} names no generator")
+                w.append(letter[name] + (name != token))
+            if w:
+                rels.append((Path(bp, tuple(names[a] for a in w)), Path(bp)))
+                rels.append((Path(bp, tuple(names[a ^ 1] for a in reversed(w))), Path(bp)))
+    return FpCategory(Quiver(objects, gens), rels, inverses)
 
 
-def build_one_complex(
-    components: Sequence[tuple[Sequence[str], Sequence[str]]]
-) -> FpCategory:
+def build_one_complex(components: Sequence[tuple[Sequence[str], Sequence[str]]]) -> FpCategory:
     """Coproduct of free one-complexes, one per (S, T) component."""
-    return coproduct([_one_complex_component(S, T)[0] for S, T in components]).apex
+    return _assemble([(S, tuple(T), None) for S, T in components])
 
 
 @dataclass(frozen=True)
@@ -219,29 +238,9 @@ class GroupoidPresentation:
         return GroupoidPresentation(comps)
 
 
-def _z_presentation() -> FpCategory:
-    return build(["*"], [("z", "*", "*")], invertible=["z"])
-
-
 def build_two_complex(gp: GroupoidPresentation) -> FpCategory:
     """Free one-complex per component, then one relation cell per word."""
-    pieces: list[FpCategory] = []
-    for comp in gp.components:
-        oc, bp, gen_for, _ = _one_complex_component(comp.generators, comp.extra_objects)
-        cells: list[tuple[int, Functor]] = []
-        for word in comp.relations:
-            fwd: list[str] = []
-            for token in word:
-                name = token.removesuffix("^-1")
-                if name not in gen_for:
-                    raise CatError(f"relation token {token!r} names no generator")
-                g = gen_for[name]
-                fwd.append(g if name == token else oc.inverses[g])
-            bwd = [oc.inverses[g] for g in reversed(fwd)]
-            gen_map = {"z": Path(bp, tuple(fwd)), "z^-1": Path(bp, tuple(bwd))}
-            cells.append((2, Functor(_z_presentation(), oc, {"*": bp}, gen_map)))
-        pieces.append(attach_cells(oc, cells))
-    return coproduct(pieces).apex
+    return _assemble([(c.generators, c.extra_objects, c.relations) for c in gp.components])
 
 
 def read_off_presentation(G: FiniteCategory) -> GroupoidPresentation:

@@ -266,6 +266,18 @@ def is_cofiber_sequence(
     comparison functor from pushout(i, A -> 1) to C is an isomorphism of
     presentations after completion.
     """
+    return _cofiber_sequence(i, q, basepoint, budget, None)
+
+
+def _cofiber_sequence(
+    i: Functor,
+    q: Functor,
+    basepoint: str | None,
+    budget: int,
+    po: PushoutResult | None,
+) -> Union[CofiberCertificate, CofiberFailure]:
+    """``is_cofiber_sequence``, reading the pushout of i along A -> 1 from
+    ``po`` when the caller has just built it."""
     A, B, C = i.source, i.target, q.target
     if q.source != B:
         return CofiberFailure("not_composable")
@@ -296,7 +308,8 @@ def is_cofiber_sequence(
         if rs_c.reduce_word(_image_word(q_words, i.gen_map[g.name].gens)):
             return CofiberFailure("not_collapsing", (g.name,))
 
-    po = pushout(i, point_collapse(A))
+    if po is None:
+        po = pushout(i, point_collapse(A))
     apex = po.apex
     obj_map: dict[str, str] = {}
     for b in B.objects:
@@ -495,11 +508,11 @@ def k0_vanishing_witness(
     """
     X = as_pointed_fp(X)
     sx, po1, unit1 = _suspension(X)
-    cert1 = is_cofiber_sequence(unit1, po1.inj_left, sx.basepoint, budget)
+    cert1 = _cofiber_sequence(unit1, po1.inj_left, sx.basepoint, budget, po1)
     if not isinstance(cert1, CofiberCertificate):
         raise CatError(f"first cofiber sequence failed: {cert1.reason}")
     s2x, po2, unit2 = _suspension(sx)
-    cert2 = is_cofiber_sequence(unit2, po2.inj_left, s2x.basepoint, budget)
+    cert2 = _cofiber_sequence(unit2, po2.inj_left, s2x.basepoint, budget, po2)
     if not isinstance(cert2, CofiberCertificate):
         raise CatError(f"second cofiber sequence failed: {cert2.reason}")
     px, psx = unit1.target, unit2.target

@@ -1,13 +1,17 @@
 """Exit codes, report formats, and certificate round trips for the CLI."""
 
+import contextlib
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import arrow_cat, c2_cat, c3_cat, discrete2, path2_cat, terminal_cat
 
@@ -325,6 +329,7 @@ MALFORMED_GROUPOID_PRESENTATIONS = {
         "'relations': expected a string, got int",
     ),
     "string-component": ({"components": ["a"]}, "'components': expected an object, got str"),
+    "top-level-string": ("{}", "expected a JSON object, got a string"),
 }
 
 
@@ -614,3 +619,67 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["objects"] == ["0.pt", "1.pt"]
+
+
+_JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 2), st.sampled_from(["", "a", "{}"]), st.just({})
+)
+_NAME = st.sampled_from(["a", "b", "b^-1", "t", "u", "*"])
+
+
+@st.composite
+def _groupoid_component(draw):
+    gens = draw(st.lists(_NAME, max_size=3, unique=draw(st.integers(1, 5)) != 3))
+    tokens = [g + suffix for g in gens for suffix in ("", "^-1")]
+    token = st.sampled_from(tokens) if tokens and draw(st.integers(1, 5)) != 3 else _NAME
+    return {
+        "extra_objects": draw(st.lists(_NAME, max_size=2, unique=draw(st.integers(1, 5)) != 3)),
+        "generators": gens,
+        "relations": draw(st.lists(st.lists(token, max_size=4), max_size=3)),
+    }
+
+
+@st.composite
+def _groupoid_docs(draw):
+    """A groupoid-presentation document; one in three has one part replaced
+    by a JSON leaf or dropped.  Names may repeat or name nothing."""
+    doc = {"components": draw(st.lists(_groupoid_component(), max_size=3))}
+    if draw(st.integers(1, 3)) != 2:
+        return doc
+    places = []  # (container, key) for every part of the document
+
+    def walk(node):
+        for key in range(len(node)) if isinstance(node, list) else list(node):
+            places.append((node, key))
+            if isinstance(node[key], (list, dict)):
+                walk(node[key])
+
+    walk(doc)
+    container, key = draw(st.sampled_from(places))
+    if isinstance(container, dict) and draw(st.booleans()):
+        del container[key]
+    else:
+        container[key] = draw(_JSON_LEAF)
+    return doc
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=_groupoid_docs())
+def test_cw_build_exits_0_or_2_on_any_document(doc):
+    """A built complex exits 0; anything malformed exits 2 with one error
+    line and no traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "gp.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["cw-build", path, "--json"])
+    if code == 0:
+        assert err.getvalue() == ""
+        assert set(json.loads(out.getvalue())) == {"presentation", "complex"}
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("input error: ", "error: "))
+        assert err.getvalue().count("\n") == 1

@@ -4,12 +4,14 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import arrow_cat, c2_cat, groupoid_pool6, pool8, random_pointed
 
-from catcw import cw, model_structure
+from catcw import cw, fpcat, model_structure
 from catcw import (
     CatError,
+    DuplicateName,
     Functor,
     GroupoidComponent,
     GroupoidPresentation,
@@ -22,6 +24,8 @@ from catcw import (
     build,
     build_one_complex,
     build_two_complex,
+    chaotic,
+    coproduct,
     cw_classify,
     find_equivalence,
     find_isomorphism,
@@ -30,6 +34,7 @@ from catcw import (
     is_groupoid,
     is_groupoid_fp,
     point_collapse,
+    pushout,
     read_off_presentation,
     sphere,
     terminal,
@@ -318,3 +323,186 @@ def test_not_cw_iff_not_groupoid_on_finite_pool():
     for cat in pool8():
         fin = to_finite(cat)
         assert (cw_classify(fin).kind == "NotCW") == (not is_groupoid(fin))
+
+
+# ---------------------------------------------------------------------------
+# The one-pass builders against the colimit construction they write out.
+# The oracles are the builders as first written: one-complexes as pushouts of
+# sphere(0) coproducts into chaotic cylinders, cells glued by attach_cells.
+
+
+def _one_complex_component_oracle(S, T):
+    S = list(S)
+    T = list(T)
+    n = len(S) + len(T)
+    base = build(["*"] + T)
+    if n == 0:
+        return base, "*", {}, {t: t for t in T}
+    co_s0 = coproduct([sphere(0)] * n)
+    co_cyl = coproduct([chaotic(["0.pt", "1.pt"])] * n)
+    incl = Functor(co_s0.apex, co_cyl.apex, {x: x for x in co_s0.apex.objects}, {})
+    obj_map = {}
+    for i in range(n):
+        obj_map[f"{i}.0.pt"] = "*"
+        obj_map[f"{i}.1.pt"] = "*" if i < len(S) else T[i - len(S)]
+    p = Functor(co_s0.apex, base, obj_map, {})
+    po = pushout(p, incl)
+    bp = po.inj_left.apply_obj("*")
+    gen_for = {
+        s: po.inj_right.gen_map[f"{i}.0.pt>1.pt"].gens[0] for i, s in enumerate(S)
+    }
+    obj_for = {t: po.inj_left.apply_obj(t) for t in T}
+    return po.apex, bp, gen_for, obj_for
+
+
+def _build_one_complex_oracle(components):
+    return coproduct([_one_complex_component_oracle(S, T)[0] for S, T in components]).apex
+
+
+def _build_two_complex_oracle(gp):
+    z = build(["*"], [("z", "*", "*")], invertible=["z"])
+    pieces = []
+    for comp in gp.components:
+        oc, bp, gen_for, _ = _one_complex_component_oracle(comp.generators, comp.extra_objects)
+        cells = []
+        for word in comp.relations:
+            fwd = []
+            for token in word:
+                name = token.removesuffix("^-1")
+                if name not in gen_for:
+                    raise CatError(f"relation token {token!r} names no generator")
+                g = gen_for[name]
+                fwd.append(g if name == token else oc.inverses[g])
+            bwd = [oc.inverses[g] for g in reversed(fwd)]
+            gen_map = {"z": Path(bp, tuple(fwd)), "z^-1": Path(bp, tuple(bwd))}
+            cells.append((2, Functor(z, oc, {"*": bp}, gen_map)))
+        pieces.append(attach_cells(oc, cells))
+    return coproduct(pieces).apex
+
+
+def _outcome(builder, arg):
+    """The presentation in every detail, or the error's type and text."""
+    try:
+        X = builder(arg)
+    except CatError as exc:
+        return type(exc), str(exc)
+    return X.to_json(), list(X.inverses.items()), X
+
+
+def assert_same_as_oracle(builder, oracle, arg):
+    got, want = _outcome(builder, arg), _outcome(oracle, arg)
+    assert got[:2] == want[:2]
+    if len(got) == 3:
+        assert got[2] == want[2]
+
+
+GEN_NAMES = ["a", "b", "c", "d", "b^-1", "*"]
+OBJ_NAMES = ["t", "u", "v", "L.*", "a"]
+
+
+@st.composite
+def groupoid_components(draw):
+    """Mostly well formed; one draw in ten repeats or adds an object named
+    ``*``, or may use a token that names no generator."""
+    gens = draw(st.lists(st.sampled_from(GEN_NAMES), max_size=4, unique=True))
+    extra = draw(st.lists(st.sampled_from(OBJ_NAMES), max_size=3, unique=True))
+    if draw(st.integers(1, 10)) == 7:
+        extra.insert(draw(st.integers(0, len(extra))), draw(st.sampled_from(["*", *extra])))
+    known = [g + suffix for g in gens for suffix in ("", "^-1")]
+    unknown = st.sampled_from(["q", "q^-1", "a^-1^-1", ""])
+    if draw(st.integers(1, 10)) == 7:
+        word = st.lists(st.one_of(st.sampled_from(known), unknown) if known else unknown)
+    else:
+        word = st.lists(st.sampled_from(known)) if known else st.just([])
+    words = draw(st.lists(word.map(lambda w: w[:5]), max_size=3))
+    if words and draw(st.booleans()):
+        words.append(words[draw(st.integers(0, len(words) - 1))])
+    return GroupoidComponent(tuple(extra), tuple(gens), tuple(map(tuple, words)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(comps=st.lists(groupoid_components(), max_size=3))
+def test_two_complex_matches_cell_attachment(comps):
+    assert_same_as_oracle(build_two_complex, _build_two_complex_oracle, GroupoidPresentation(comps))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    components=st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(GEN_NAMES), max_size=4),
+            st.lists(st.sampled_from(OBJ_NAMES), max_size=3, unique=True)
+            | st.lists(st.sampled_from(OBJ_NAMES), max_size=3),
+        ),
+        max_size=3,
+    )
+)
+def test_one_complex_matches_the_pushout_construction(components):
+    assert_same_as_oracle(build_one_complex, _build_one_complex_oracle, components)
+
+
+def _z4_read_off():
+    z4 = build(["*"], [("a", "*", "*")], [(Path("*", ("a",) * 4), Path("*"))])
+    return read_off_presentation(to_finite(z4))
+
+
+def test_builders_match_the_oracle_on_edge_cases():
+    two = [
+        GroupoidPresentation(()),
+        GroupoidPresentation((GroupoidComponent((), (), ()),)),
+        GroupoidPresentation((GroupoidComponent((), (), ((),)),)),
+        GroupoidPresentation((GroupoidComponent(("t",), (), ((), ())),)),
+        GroupoidPresentation((GroupoidComponent(("t", "u"), ("a",), (("a^-1",), ("a", "a"))),)),
+        GroupoidPresentation((GroupoidComponent((), (), (("a",),)),)),
+        _z4_read_off(),
+        *(read_off_presentation(G) for G in groupoid_pool6()),
+    ]
+    for gp in two:
+        assert_same_as_oracle(build_two_complex, _build_two_complex_oracle, gp)
+    for comps in ([], [([], [])], [(["a", "a"], ["t"])], [([], ["t", "t"])], [([], ["*"])]):
+        assert_same_as_oracle(build_one_complex, _build_one_complex_oracle, comps)
+
+
+def test_two_complex_names_the_first_malformed_part():
+    """Objects, then generator names, then tokens, component by component;
+    the messages name the declared names, not the prefixed ones.  Repeated
+    generators were accepted once: relations bound to the last copy and the
+    first became an extra free loop."""
+    cases = [
+        ([GroupoidComponent(("*",), ("a",), (("q",),))], "object '*' declared twice"),
+        ([GroupoidComponent(("t", "t"), (), ())], "object 't' declared twice"),
+        (
+            [GroupoidComponent((), ("a",), (("q",),)), GroupoidComponent(("*",), (), ())],
+            "relation token 'q' names no generator",
+        ),
+        ([GroupoidComponent((), ("a", "a"), (("a", "a"),))], "generator 'a' declared twice"),
+        ([GroupoidComponent((), ("a", "a"), (("q",),))], "generator 'a' declared twice"),
+        ([GroupoidComponent(("u", "u"), ("a", "a"), ())], "object 'u' declared twice"),
+    ]
+    for comps, message in cases:
+        with pytest.raises(CatError) as exc:
+            build_two_complex(GroupoidPresentation(comps))
+        assert str(exc.value) == message
+        assert isinstance(exc.value, DuplicateName) == message.endswith("declared twice")
+
+
+def test_builders_build_one_presentation(monkeypatch):
+    """The colimit construction builds 28 presentations for the Z/4 read-off
+    and 6 for the one-complex below (once sphere(0) is cached); the builders
+    build their result only."""
+    gp = _z4_read_off()
+    assert len(gp.components[0].generators) == 3
+    assert len(gp.components[0].relations) == 9
+    built = []
+    init = fpcat.FpCategory.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fpcat.FpCategory, "__init__", counting_init)
+    X = build_two_complex(gp)
+    assert len(built) == 1 and built[0] is X
+    built.clear()
+    Y = build_one_complex([(["a", "b"], ["t"])])
+    assert len(built) == 1 and built[0] is Y

@@ -11,11 +11,13 @@ from conftest import (
     arrow_cat,
     c2_cat,
     finite_form,
+    pool8,
     random_cof_span,
     random_pointed,
     terminal_cat,
 )
 
+from catcw import ktheory
 from catcw import (
     K0_SCOPE_NOTE,
     CatError,
@@ -438,3 +440,24 @@ def test_unknown_witness_format_is_rejected():
     doc["format"] = "catcw-k0-witness-999"
     with pytest.raises(CatError):
         K0Witness.from_json(doc)
+
+
+def test_k0_witness_pushes_each_suspension_out_once(monkeypatch):
+    """The recognition reads each suspension's pushout instead of building
+    it again; the certificates are those is_cofiber_sequence gives."""
+    calls = []
+    counted = ktheory.pushout
+
+    def counting_pushout(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(ktheory, "pushout", counting_pushout)
+    for C in pool8():
+        calls.clear()
+        w = k0_vanishing_witness(PointedCategory(C, C.objects[0]))
+        assert len(calls) == 2
+        for cert, stage in ((w.cert1, w.sx), (w.cert2, w.s2x)):
+            fresh = is_cofiber_sequence(cert.i, cert.q, stage.basepoint)
+            assert fresh.to_json() == cert.to_json()
+            assert (fresh.comparison, fresh.inverse) == (cert.comparison, cert.inverse)
