@@ -29,6 +29,7 @@ from .fpcat import (
     NotFinite,
     Path,
     _functor_defect,
+    _json_object,
     from_json as category_from_json,
     functor_from_json,
     to_finite,
@@ -68,6 +69,12 @@ def _read_json(path: str):
     return obj
 
 
+def _category_field(obj, field: str) -> FpCategory:
+    """The category in ``obj[field]``, which must be a JSON object: a nested
+    string is no JSON text to parse again."""
+    return category_from_json(_json_object(obj[field], field))
+
+
 def _load(path: str, parse):
     obj = _read_json(path)
     try:
@@ -84,7 +91,7 @@ def _load_pointed(path: str, basepoint: str | None) -> PointedCategory:
     obj = _read_json(path)
     try:
         if isinstance(obj, dict) and "category" in obj:
-            cat = category_from_json(obj["category"])
+            cat = _category_field(obj, "category")
             bp = basepoint or obj.get("basepoint")
         else:
             cat = category_from_json(obj)
@@ -209,9 +216,7 @@ def _cmd_equiv(args) -> int:
 def _cmd_pushout(args) -> int:
     obj = _read_json(args.file)
     try:
-        A = category_from_json(obj["A"])
-        B = category_from_json(obj["B"])
-        C = category_from_json(obj["C"])
+        A, B, C = (_category_field(obj, field) for field in "ABC")
         f = functor_from_json(A, B, obj["f"])
         g = functor_from_json(A, C, obj["g"])
     except (KeyError, TypeError) as exc:

@@ -12,6 +12,7 @@ terminality of the double suspension.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from typing import Callable, Mapping, Union
@@ -29,6 +30,7 @@ from .fpcat import (
     _hom_words,
     _image_word,
     _image_words,
+    _json_object,
     check_functor,
     finite_to_fp,
     from_json as category_from_json,
@@ -53,7 +55,9 @@ def _write_category(field: str, cat) -> dict:
 
 
 def _read_category(field: str, value) -> FpCategory:
-    return category_from_json(value)
+    """A category from a JSON object; anything else, JSON text included, is
+    a TypeError naming ``field``."""
+    return category_from_json(_json_object(value, field))
 
 
 class CompletionBudgetExceeded(CatError):
@@ -138,9 +142,15 @@ class CofiberCertificate:
     """Witness that A -i-> B -q-> C exhibits C as the cofiber B ⊔_A 1.
 
     ``comparison`` is the induced functor from the recomputed pushout apex to
-    C; ``inverse`` is a two-sided inverse found by bounded normal-form search
-    (strict mode), or None when the isomorphism was certified on finite
-    backends (finite mode, with hom cardinalities recorded).
+    C; ``inverse`` is a two-sided inverse (strict mode), found by bounded
+    normal-form search or, when the comparison is an identity, read off the
+    normal forms of C's generators; or None when the isomorphism was
+    certified on finite backends (finite mode, with hom cardinalities
+    recorded).
+
+    ``pushout`` is the pushout of i along A -> 1 that the certificate was
+    recognized against, kept so that ``verify`` need not build it again; it
+    takes no part in ``==``, ``repr`` or the JSON.
     """
 
     i: Functor
@@ -150,6 +160,7 @@ class CofiberCertificate:
     comparison: Functor
     inverse: Functor | None
     hom_card: dict | None
+    pushout: PushoutResult | None = dataclasses.field(default=None, compare=False, repr=False)
 
     def to_json_obj(self, write_category: Callable = _write_category) -> dict:
         """``write_category(field, category)`` gives the value of ``A``, ``B``
@@ -175,9 +186,13 @@ class CofiberCertificate:
 
         The fresh certificate is recognized from this one's ``i``, ``q`` and
         ``basepoint``, so only the fields the recognition computes can
-        differ; they are compared with ``==``, with no JSON built.
+        differ; they are compared with ``==``, with no JSON built.  The kept
+        pushout is read only while it is still the pushout of this ``i``.
         """
-        fresh = is_cofiber_sequence(self.i, self.q, self.basepoint, budget)
+        po = self.pushout
+        if po is not None and po.from_span[0] is not self.i:
+            po = None
+        fresh = _cofiber_sequence(self.i, self.q, self.basepoint, budget, po)
         return isinstance(fresh, CofiberCertificate) and (
             fresh.mode, fresh.basepoint, fresh.hom_card, fresh.comparison, fresh.inverse
         ) == (self.mode, self.basepoint, self.hom_card, self.comparison, self.inverse)
@@ -194,13 +209,13 @@ class CofiberCertificate:
         C = read_category("C", obj["C"])
         i = functor_from_json(A, B, obj["i"])
         q = functor_from_json(B, C, obj["q"])
-        apex = pushout(i, point_collapse(A)).apex
-        comparison = functor_from_json(apex, C, obj["comparison"])
+        po = pushout(i, point_collapse(A))
+        comparison = functor_from_json(po.apex, C, obj["comparison"])
         inverse = (
-            functor_from_json(C, apex, obj["inverse"]) if obj["inverse"] else None
+            functor_from_json(C, po.apex, obj["inverse"]) if obj["inverse"] else None
         )
         return CofiberCertificate(
-            i, q, obj["basepoint"], obj["mode"], comparison, inverse, obj["hom_card"]
+            i, q, obj["basepoint"], obj["mode"], comparison, inverse, obj["hom_card"], po
         )
 
 
@@ -254,6 +269,17 @@ def _strict_inverse(m: Functor, budget: int) -> Functor | None:
     return n
 
 
+def _is_identity(m: Functor) -> bool:
+    """Whether m is the identity of a presentation: its target is ``==`` its
+    source, and it sends each object to itself and each generator g to (g,)."""
+    S = m.source
+    return (
+        all(m.object_map.get(x) == x for x in S.objects)
+        and all(m.gen_map.get(g.name) == Path(g.src, (g.name,)) for g in S.quiver.generators)
+        and S == m.target
+    )
+
+
 def is_cofiber_sequence(
     i: Functor,
     q: Functor,
@@ -277,7 +303,11 @@ def _cofiber_sequence(
     po: PushoutResult | None,
 ) -> Union[CofiberCertificate, CofiberFailure]:
     """``is_cofiber_sequence``, reading the pushout of i along A -> 1 from
-    ``po`` when the caller has just built it."""
+    ``po`` when the caller holds it.
+
+    When the comparison is the identity of a complete presentation it is
+    inverted by normal forms, with no functor check and no search.
+    """
     A, B, C = i.source, i.target, q.target
     if q.source != B:
         return CofiberFailure("not_composable")
@@ -320,6 +350,18 @@ def _cofiber_sequence(
     for b in B.quiver.generators:
         gen_map[po.inj_left.gen_map[b.name].gens[0]] = q.gen_map[b.name]
     m = Functor(apex, C, obj_map, gen_map)
+    if rs_c.complete and _is_identity(m):
+        # m is an isomorphism whose inverse sends each generator to its
+        # normal form: shortlex normal forms of a generator are irreducible
+        # words of length at most 1, so they are the words _strict_inverse's
+        # search would accept first
+        gens = C.quiver.generators
+        nf_map = {
+            g.name: Path(g.src, tuple(gens[k].name for k in rs_c.reduce_word((j,))))
+            for j, g in enumerate(gens)
+        }
+        n = Functor(C, apex, dict(obj_map), nf_map)
+        return CofiberCertificate(i, q, basepoint, "strict-inverse", m, n, None, po)
     if not check_functor(m, budget):
         return CofiberFailure("comparison_not_functorial")
     vals = sorted(m.object_map.values())
@@ -328,7 +370,7 @@ def _cofiber_sequence(
 
     n = _strict_inverse(m, budget)
     if n is not None:
-        return CofiberCertificate(i, q, basepoint, "strict-inverse", m, n, None)
+        return CofiberCertificate(i, q, basepoint, "strict-inverse", m, n, None, po)
 
     # fall back to the finite backends
     try:
@@ -345,7 +387,7 @@ def _cofiber_sequence(
         for x in apex_fin.objects
         for y in apex_fin.objects
     }
-    return CofiberCertificate(i, q, basepoint, "finite", m, None, hom_card)
+    return CofiberCertificate(i, q, basepoint, "finite", m, None, hom_card, po)
 
 
 @dataclass
@@ -457,19 +499,23 @@ class K0Witness:
 
     @staticmethod
     def from_json(doc: Union[str, Mapping]) -> "K0Witness":
-        """Read format 2 or format 1; each stage is parsed once and shared."""
-        obj = json.loads(doc) if isinstance(doc, str) else doc
+        """Read format 2 or format 1; each stage is parsed once and shared.
+
+        Only ``doc`` itself may be JSON text: a string nested where a
+        category belongs is a stage name, or else an error naming its field.
+        """
+        obj = _json_object(json.loads(doc) if isinstance(doc, str) else doc, "witness")
         if obj.get("format") not in K0_FORMATS_READ:
             raise CatError("unrecognized witness format")
-        doc_stages = obj["stages"]
-        stages = {"X": category_from_json(obj["input"]["category"])}
+        doc_stages = _json_object(obj["stages"], "stages")
+        stages = {"X": _read_category("input.category", obj["input"]["category"])}
         for name in K0_STAGES[1:]:
-            stages[name] = category_from_json(doc_stages[name])
+            stages[name] = _read_category(f"stages.{name}", doc_stages[name])
 
         def read(field: str, value) -> FpCategory:
             """A stage name reads as that stage, an object as a category."""
             if not isinstance(value, str):
-                return category_from_json(value)
+                return _read_category(field, value)
             if value not in stages:
                 raise CatError(f"{field}: unknown stage {value!r}")
             return stages[value]
@@ -483,8 +529,8 @@ class K0Witness:
             PointedCategory(stages["SX"], doc_stages["SX_basepoint"]),
             stages["PSX"],
             PointedCategory(stages["S2X"], doc_stages["S2X_basepoint"]),
-            CofiberCertificate.from_json(obj["cert1"], within("cert1")),
-            CofiberCertificate.from_json(obj["cert2"], within("cert2")),
+            CofiberCertificate.from_json(_json_object(obj["cert1"], "cert1"), within("cert1")),
+            CofiberCertificate.from_json(_json_object(obj["cert2"], "cert2"), within("cert2")),
             ContractibilityCertificate(
                 read("contract_PX.category", obj["contract_PX"]["category"]),
                 obj["contract_PX"]["objects"],

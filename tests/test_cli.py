@@ -5,15 +5,24 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import arrow_cat, c2_cat, c3_cat, discrete2, path2_cat, terminal_cat
+from conftest import (
+    arrow_cat,
+    c2_cat,
+    c3_cat,
+    discrete2,
+    path2_cat,
+    random_cof_span,
+    terminal_cat,
+)
 
 import catcw
 from catcw import Path, build
@@ -639,13 +648,8 @@ def _groupoid_component(draw):
     }
 
 
-@st.composite
-def _groupoid_docs(draw):
-    """A groupoid-presentation document; one in three has one part replaced
-    by a JSON leaf or dropped.  Names may repeat or name nothing."""
-    doc = {"components": draw(st.lists(_groupoid_component(), max_size=3))}
-    if draw(st.integers(1, 3)) != 2:
-        return doc
+def _mutated(draw, doc, leaves=_JSON_LEAF):
+    """``doc`` with one part replaced by a leaf or dropped."""
     places = []  # (container, key) for every part of the document
 
     def walk(node):
@@ -659,8 +663,37 @@ def _groupoid_docs(draw):
     if isinstance(container, dict) and draw(st.booleans()):
         del container[key]
     else:
-        container[key] = draw(_JSON_LEAF)
+        container[key] = draw(leaves)
     return doc
+
+
+@st.composite
+def _groupoid_docs(draw):
+    """A groupoid-presentation document; one in three has one part replaced
+    by a JSON leaf or dropped.  Names may repeat or name nothing."""
+    doc = {"components": draw(st.lists(_groupoid_component(), max_size=3))}
+    if draw(st.integers(1, 3)) != 2:
+        return doc
+    return _mutated(draw, doc)
+
+
+def _run_on(verb: list, doc) -> tuple[int, str, str]:
+    """``main`` on ``doc`` written to a file: exit code, stdout, stderr."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "doc.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*verb, path])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_input_error(out: str, err: str) -> None:
+    """Exit 2 prints one error line and no traceback."""
+    assert out == ""
+    assert err.startswith(("input error: ", "error: "))
+    assert err.count("\n") == 1
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -668,18 +701,89 @@ def _groupoid_docs(draw):
 def test_cw_build_exits_0_or_2_on_any_document(doc):
     """A built complex exits 0; anything malformed exits 2 with one error
     line and no traceback."""
-    with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "gp.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["cw-build", path, "--json"])
+    code, out, err = _run_on(["cw-build", "--json"], doc)
     if code == 0:
-        assert err.getvalue() == ""
-        assert set(json.loads(out.getvalue())) == {"presentation", "complex"}
+        assert err == ""
+        assert set(json.loads(out)) == {"presentation", "complex"}
     else:
         assert code == 2
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith(("input error: ", "error: "))
-        assert err.getvalue().count("\n") == 1
+        _assert_input_error(out, err)
+
+
+def _span_texts() -> list[str]:
+    """Pushout documents: random cofibration spans, and a span whose leg f
+    breaks a relation."""
+    rng = random.Random(11)
+    texts = []
+    for _ in range(4):
+        f, g = random_cof_span(rng)
+        cats = {"A": f.source, "B": f.target, "C": g.target}
+        doc = {k: c.to_json_obj() for k, c in cats.items()}
+        texts.append(json.dumps({**doc, "f": f.to_json_obj(), "g": g.to_json_obj()}))
+    c2 = c2_cat().to_json_obj()
+    z = build(["*"], [("a", "*", "*")], invertible=["a"]).to_json_obj()
+    bad = {"object_map": {"x": "*"}, "gen_map": {"t": {"at": "*", "gens": ["a"]}}}
+    ident = {"object_map": {"x": "x"}, "gen_map": {"t": {"at": "x", "gens": ["t"]}}}
+    texts.append(json.dumps({"A": c2, "B": z, "C": c2, "f": bad, "g": ident}))
+    return texts
+
+
+_SPANS = _span_texts()
+
+
+@st.composite
+def _span_docs(draw):
+    """A pushout document; two in three have one part replaced by a JSON
+    leaf, nested strings included, or dropped."""
+    doc = json.loads(draw(st.sampled_from(_SPANS)))
+    if draw(st.integers(1, 3)) == 2:
+        return doc
+    return _mutated(draw, doc)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=_span_docs())
+@example(doc={"A": "", "B": {}, "C": {}, "f": {}, "g": {}})
+@example(doc={**json.loads(_SPANS[0]), "C": "{}"})
+def test_pushout_exits_0_1_or_2_on_any_document(doc):
+    """A pushout exits 0, a leg that is no functor or a square that does not
+    commute 1, anything malformed 2 with one error line; never a traceback."""
+    code, out, err = _run_on(["pushout", "--verify", "--json"], doc)
+    if code == 2:
+        _assert_input_error(out, err)
+    else:
+        assert code in (0, 1)
+        assert err == ""
+        report = json.loads(out)
+        assert report.get("square_commutes", report.get("functor")) is (code == 0)
+
+
+_WITNESSES = [
+    catcw.k0_vanishing_witness(catcw.PointedCategory(cat, cat.objects[0])).to_json()
+    for cat in (terminal_cat(), discrete2(), arrow_cat(), c2_cat())
+]
+
+
+@st.composite
+def _witness_docs(draw):
+    """A K0 witness document; two in three have one part replaced by a JSON
+    leaf or a stage name, or dropped."""
+    doc = json.loads(draw(st.sampled_from(_WITNESSES)))
+    if draw(st.integers(1, 3)) == 2:
+        return doc
+    return _mutated(draw, doc, st.one_of(_JSON_LEAF, st.sampled_from(["X", "SX", "PSX"])))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=_witness_docs())
+@example(doc={**json.loads(_WITNESSES[0]), "input": {"category": "x", "basepoint": "pt"}})
+def test_k0_witness_verify_exits_0_1_or_2_on_any_document(doc):
+    """A witness that replays exits 0, one that does not 1, anything
+    malformed 2 with one error line; never a traceback."""
+    code, out, err = _run_on(["k0-witness", "--json", "--verify"], doc)
+    if code == 2:
+        _assert_input_error(out, err)
+    else:
+        assert err == ""
+        assert json.loads(out) == {"replay": code == 0}
+        assert code in (0, 1)

@@ -30,9 +30,12 @@ from catcw import (
     PointedCategory,
     build,
     chaotic,
+    check_functor,
+    compose_functors,
     cone,
     cone_map,
     cone_unit,
+    coproduct,
     find_isomorphism,
     identity_functor,
     irreducible_words,
@@ -47,6 +50,7 @@ from catcw import (
     suspend,
     to_finite,
 )
+from catcw.fpcat import DEFAULT_RULE_BUDGET
 
 
 def pointed_sphere_zero():
@@ -442,22 +446,124 @@ def test_unknown_witness_format_is_rejected():
         K0Witness.from_json(doc)
 
 
-def test_k0_witness_pushes_each_suspension_out_once(monkeypatch):
-    """The recognition reads each suspension's pushout instead of building
-    it again; the certificates are those is_cofiber_sequence gives."""
+def _counting(monkeypatch, name: str) -> list:
+    """Record the arguments of every call to ``ktheory.<name>``."""
     calls = []
-    counted = ktheory.pushout
+    counted = getattr(ktheory, name)
 
-    def counting_pushout(*args):
+    def counting(*args):
         calls.append(args)
         return counted(*args)
 
-    monkeypatch.setattr(ktheory, "pushout", counting_pushout)
+    monkeypatch.setattr(ktheory, name, counting)
+    return calls
+
+
+def test_k0_witness_pushes_each_suspension_out_once(monkeypatch):
+    """The recognition reads each suspension's pushout instead of building
+    it again, and so does each replay of a certificate that keeps it; the
+    certificates are those is_cofiber_sequence gives."""
+    pushouts = _counting(monkeypatch, "pushout")
+    searches = _counting(monkeypatch, "_strict_inverse")
     for C in pool8():
-        calls.clear()
+        pushouts.clear()
         w = k0_vanishing_witness(PointedCategory(C, C.objects[0]))
-        assert len(calls) == 2
+        assert len(pushouts) == 2
+        # one K0 round trip: a pushout per suspension as the witness is
+        # assembled and again as its JSON copy is read; no search
+        again = K0Witness.from_json(w.to_json())
+        assert w.replay() and again.replay()
+        assert len(pushouts) == 4
+        assert searches == []
         for cert, stage in ((w.cert1, w.sx), (w.cert2, w.s2x)):
             fresh = is_cofiber_sequence(cert.i, cert.q, stage.basepoint)
             assert fresh.to_json() == cert.to_json()
             assert (fresh.comparison, fresh.inverse) == (cert.comparison, cert.inverse)
+
+
+def test_a_certificate_with_another_first_leg_pushes_out_again(monkeypatch):
+    """``replace(cert, i=...)`` keeps the old pushout, which ``verify`` then
+    leaves alone: an equal leg still verifies, and a leg whose pushout is
+    another category does not."""
+    pushouts = _counting(monkeypatch, "pushout")
+    w = k0_vanishing_witness(PointedCategory(arrow_cat(), "a"))
+    cert = w.cert1
+    pushouts.clear()
+    same = Functor(cert.i.source, cert.i.target, dict(cert.i.object_map), dict(cert.i.gen_map))
+    assert dataclasses.replace(cert, i=same).verify()
+    assert len(pushouts) == 1
+    # the basepoint alone: its pushout keeps both objects of PX apart, so the
+    # kept one-object pushout would give the stored certificate back
+    point = build(["pt"])
+    other = Functor(point, cert.i.target, {"pt": "a"}, {})
+    assert not dataclasses.replace(cert, i=other).verify()
+    assert len(pushouts) == 2
+    assert cert.verify()
+    assert len(pushouts) == 2
+
+
+def _identity_case_inputs() -> list:
+    rng = random.Random(2001)
+    two_arrows = build(["o0", "o1"], [("g0", "o0", "o1"), ("g1", "o0", "o1")])
+    arrow_and_loop = build(
+        ["o0", "o1"],
+        [("g0", "o0", "o1"), ("t", "o1", "o1")],
+        [(Path("o1", ("t",) * 3), Path("o1"))],
+        ["t"],
+    )
+    return (
+        [PointedCategory(C, C.objects[0]) for C in pool8()]
+        + [random_pointed(rng) for _ in range(8)]
+        + [
+            PointedCategory(arrow_cat(), "b"),
+            PointedCategory(two_arrows, "o1"),
+            PointedCategory(arrow_and_loop, "o0"),
+            pointed_loop(),
+        ]
+    )
+
+
+def test_identity_comparisons_are_inverted_as_the_search_inverts_them(monkeypatch):
+    """Each recognition in a witness, in its replay and in the replay of its
+    JSON copy compares the pushout apex with itself, or with an equal parsed
+    stage; its inverse is the one the normal-form search finds."""
+    search = ktheory._strict_inverse
+    searches = _counting(monkeypatch, "_strict_inverse")
+    for X in _identity_case_inputs():
+        w = k0_vanishing_witness(X)
+        again = K0Witness.from_json(w.to_json())
+        # the copy's apex is a pushout of its own, the parsed stage another object
+        assert w.cert1.pushout.apex is w.sx.cat
+        assert again.cert1.pushout.apex is not again.sx.cat
+        for cert in (w.cert1, w.cert2, again.cert1, again.cert2):
+            fresh = ktheory._cofiber_sequence(
+                cert.i, cert.q, cert.basepoint, DEFAULT_RULE_BUDGET, cert.pushout
+            )
+            assert ktheory._is_identity(fresh.comparison)
+            assert fresh.mode == "strict-inverse"
+            assert fresh.inverse == search(fresh.comparison, DEFAULT_RULE_BUDGET)
+            assert check_functor(fresh.inverse)
+            assert fresh.to_json() == cert.to_json()
+    assert searches == []
+
+
+def test_a_comparison_that_is_no_identity_is_inverted_by_search(monkeypatch):
+    search = ktheory._strict_inverse
+    searches = _counting(monkeypatch, "_strict_inverse")
+    # q sends b to c, or to c^3: the apex <L.b | L.b^16> is renamed, not equal
+    for power, mode in ((1, "strict-inverse"), (3, "finite")):
+        cert = is_cofiber_sequence(*_cyclic_quotient(power))
+        assert not ktheory._is_identity(cert.comparison)
+        assert cert.mode == mode
+        assert cert.verify()
+    assert len(searches) == 4
+    # the suspension of two points with its apex renamed by a coproduct
+    sx, po, unit = ktheory._suspension(pointed_sphere_zero())
+    renamed = coproduct([po.apex])
+    q = compose_functors(po.inj_left, renamed.injections[0])
+    cert = is_cofiber_sequence(unit, q, "0." + sx.basepoint)
+    assert not ktheory._is_identity(cert.comparison)
+    assert cert.mode == "strict-inverse"
+    assert len(searches) == 5
+    assert cert.inverse == search(cert.comparison, DEFAULT_RULE_BUDGET)
+    assert cert.verify()
