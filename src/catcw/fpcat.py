@@ -111,8 +111,11 @@ def _json_str(value, field: str) -> str:
 
 
 def _json_object(value, field: str) -> Mapping:
-    """``value`` if it is a JSON object; else a TypeError naming ``field``."""
-    if not isinstance(value, Mapping):
+    """``value`` if it is a JSON object; else a TypeError naming ``field``.
+
+    A ``dict`` passes without the ``Mapping`` ABC check, which costs more.
+    """
+    if type(value) is not dict and not isinstance(value, Mapping):
         raise TypeError(f"{field!r}: expected an object, got {type(value).__name__}")
     return value
 
@@ -286,6 +289,15 @@ class FpCategory:
     def generators(self) -> tuple[Generator, ...]:
         return self.quiver.generators
 
+    def copy(self) -> "FpCategory":
+        """This presentation, not checked again, with its own inverse table and
+        no completions yet; the quiver and relation tuples are shared."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        new.inverses = dict(self.inverses)
+        new._completions = {}
+        return new
+
     def identity(self, obj: str) -> Path:
         if not self.quiver.has_object(obj):
             raise DanglingEndpoint(f"unknown object {obj!r}")
@@ -413,8 +425,58 @@ def build(
     return FpCategory(Quiver(objects, gens), rels, inverses)
 
 
-def from_json(doc: Union[str, Mapping]) -> FpCategory:
-    obj = json.loads(doc) if isinstance(doc, str) else doc
+def _names_key(value) -> tuple[str, ...] | None:
+    """``value`` as a tuple if it is a list of strings, else None."""
+    if type(value) is list and all(map(_is_str, value)):
+        return tuple(value)
+    return None
+
+
+def _presentation_key(obj) -> tuple | None:
+    """Everything ``from_json`` reads from a well-formed document, as plain tuples.
+
+    Well-formed means a dict whose ``objects`` and ``invertible`` (if given)
+    are lists of strings, whose ``generators`` are dicts with string
+    ``name``, ``src`` and ``dst``, and whose ``relations`` are dicts whose
+    ``lhs`` and ``rhs`` are dicts with a string ``at`` and a list of string
+    ``gens``.  The key is ``(objects, ((name, src, dst), ...), ((lhs.at,
+    lhs.gens, rhs.at, rhs.gens), ...), invertible)``; any other document
+    gets None and is read field by field, with that reader's errors.
+    """
+    if type(obj) is not dict:
+        return None
+    objects = _names_key(obj.get("objects"))
+    invertible = _names_key(obj.get("invertible", []))
+    gens, rels = obj.get("generators"), obj.get("relations")
+    if objects is None or invertible is None or type(gens) is not list or type(rels) is not list:
+        return None
+    generators = []
+    for g in gens:
+        if type(g) is not dict:
+            return None
+        name, src, dst = g.get("name"), g.get("src"), g.get("dst")
+        if type(name) is not str or type(src) is not str or type(dst) is not str:
+            return None
+        generators.append((name, src, dst))
+    relations = []
+    for r in rels:
+        if type(r) is not dict:
+            return None
+        lhs, rhs = r.get("lhs"), r.get("rhs")
+        if type(lhs) is not dict or type(rhs) is not dict:
+            return None
+        la, lg = lhs.get("at"), _names_key(lhs.get("gens"))
+        ra, rg = rhs.get("at"), _names_key(rhs.get("gens"))
+        if type(la) is not str or type(ra) is not str or lg is None or rg is None:
+            return None
+        relations.append((la, lg, ra, rg))
+    return objects, tuple(generators), tuple(relations), invertible
+
+
+def _read_fields(obj) -> FpCategory:
+    """Read a parsed document field by field; a list field that is not a
+    JSON array, or a name that is not a JSON string, is a TypeError naming
+    the field, and a missing field a KeyError."""
     return build(
         _json_names(obj["objects"], "objects"),
         [
@@ -427,6 +489,23 @@ def from_json(doc: Union[str, Mapping]) -> FpCategory:
         ],
         _json_names(obj.get("invertible", ()), "invertible"),
     )
+
+
+def from_json(doc: Union[str, Mapping]) -> FpCategory:
+    """Read ``to_json`` output (text or a parsed object) back.
+
+    A well-formed document is looked up by its ``_presentation_key`` among
+    the presentations read before, and its presentation is built and
+    checked only the first time; each call returns a ``copy()``, so equal
+    documents share the quiver and relations but not the inverse table or
+    the completions.  Errors are not kept; they are raised again.  Any
+    other document goes to ``_read_fields``.
+    """
+    obj = json.loads(doc) if isinstance(doc, str) else doc
+    key = _presentation_key(obj)
+    if key is None:
+        return _read_fields(obj)
+    return _shared_presentation(*key).copy()
 
 
 def discrete(names: Iterable[str]) -> FpCategory:
@@ -647,6 +726,21 @@ def _shared_completion(
     return rs.rules, rs.status, rs._table, rs.finite
 
 
+# ``from_json`` keys documents the same way, with the invertible names added:
+# ``build`` reads nothing else, so equal keys build equal presentations.  The
+# cached presentation is never handed out, only its copies.
+@functools.lru_cache(maxsize=COMPLETION_CACHE_SIZE)
+def _shared_presentation(
+    objects: tuple[str, ...],
+    generators: tuple[tuple[str, str, str], ...],
+    relations: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...]], ...],
+    invertible: tuple[str, ...],
+) -> FpCategory:
+    """The presentation ``build`` makes of a ``_presentation_key``."""
+    rels = [(Path(la, lg), Path(ra, rg)) for la, lg, ra, rg in relations]
+    return build(objects, generators, rels, invertible)
+
+
 def completion_cache_info():
     """Hits, misses, bound and size of the cache behind ``FpCategory.completion``.
 
@@ -667,12 +761,14 @@ def completion_cache_info():
 
 
 def clear_completion_cache() -> None:
-    """Forget every shared completion and the finite table built from each.
+    """Forget every shared completion, the finite table built from each, and
+    the presentations ``from_json`` shares between equal documents.
 
     Instances keep the systems and tables they already hold, so a memoised
     presentation such as ``sphere(n)`` still answers from its old entry.
     """
     _shared_completion.cache_clear()
+    _shared_presentation.cache_clear()
 
 
 def normalize(cat: FpCategory, p: Path, budget: int = DEFAULT_RULE_BUDGET) -> Path:

@@ -6,6 +6,8 @@ Everything is deterministic: randomized pools take an explicit
 
 import random
 
+from hypothesis import strategies as st
+
 from catcw import (
     FiniteCategory,
     FiniteFunctor,
@@ -260,3 +262,46 @@ def random_cof_span(rng: random.Random):
         gmap[name] = Path(cs) if cs == cd else Path(cs, (f"{cs}>{cd}",))
     g = Functor(A, C, cmap, gmap)
     return f, g
+
+
+_DOC_OBJECTS = st.sampled_from(["x", "y", "z"])
+# "x" clashes with an object and "a^-1" with the mate synthesized for "a"
+_DOC_GENERATORS = st.sampled_from(["a", "b", "c", "a^-1", "x"])
+
+
+@st.composite
+def _doc_walk(draw, objects, gens):
+    """A path document: a walk along ``gens`` from a drawn object, which is
+    sometimes undeclared; a generator may be drawn from anywhere."""
+    at = cur = draw(objects)
+    word = []
+    for _ in range(draw(st.integers(0, 3))):
+        out = [(n, d) for n, s, d in gens if s == cur or draw(st.integers(0, 9)) == 0]
+        if not out:
+            break
+        name, cur = draw(st.sampled_from(out))
+        word.append(name)
+    return {"at": at, "gens": word}
+
+
+@st.composite
+def presentation_docs(draw):
+    """A presentation document, well-formed as JSON.  Names come from small
+    pools, so they may repeat, dangle or clash with a synthesized ``^-1``
+    mate, and relations may be non-parallel."""
+    objects = draw(st.lists(_DOC_OBJECTS, min_size=1, max_size=3, unique=draw(st.booleans())))
+    declared = st.sampled_from(objects) if draw(st.integers(0, 4)) else _DOC_OBJECTS
+    gens = draw(st.lists(st.tuples(_DOC_GENERATORS, declared, declared), max_size=4))
+    relations = []
+    for _ in range(draw(st.integers(0, 3))):
+        lhs = draw(_doc_walk(declared, gens))
+        # a side equal to an identity may make a unit relation, tying mates
+        rhs = {"at": lhs["at"], "gens": []} if draw(st.booleans()) else draw(_doc_walk(declared, gens))
+        relations.append({"lhs": lhs, "rhs": rhs})
+    names = [n for n, _, _ in gens] + (["q"] if draw(st.integers(0, 4)) == 0 else [])
+    return {
+        "objects": objects,
+        "generators": [{"name": n, "src": s, "dst": d} for n, s, d in gens],
+        "relations": relations,
+        "invertible": draw(st.lists(st.sampled_from(names), max_size=3)) if names else [],
+    }

@@ -20,6 +20,7 @@ from conftest import (
     c3_cat,
     discrete2,
     path2_cat,
+    presentation_docs,
     random_cof_span,
     terminal_cat,
 )
@@ -787,3 +788,44 @@ def test_k0_witness_verify_exits_0_1_or_2_on_any_document(doc):
         assert err == ""
         assert json.loads(out) == {"replay": code == 0}
         assert code in (0, 1)
+
+
+@st.composite
+def _presentation_files(draw):
+    """A presentation document (names may repeat, dangle or clash); half
+    have one part replaced by a JSON leaf or dropped."""
+    doc = draw(presentation_docs())
+    if draw(st.booleans()):
+        return doc
+    return _mutated(draw, doc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(doc=_presentation_files(), to_finite=st.booleans())
+def test_check_exits_0_1_or_2_on_any_document(doc, to_finite):
+    """A report exits 0, a hom-set past the bound 1, anything malformed 2
+    with one error line; never a traceback."""
+    verb = ["check", "--json", "--bound", "8", "--budget", "40"]
+    code, out, err = _run_on(verb + ["--to-finite"] * to_finite, doc)
+    if code == 2:
+        _assert_input_error(out, err)
+    else:
+        assert err == ""
+        report = json.loads(out)
+        assert code == (1 if report.get("finite") is False else 0)
+        assert ("finite" in report) == (to_finite and report["complete"])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(doc=_presentation_files())
+def test_cw_classify_exits_0_1_or_2_on_any_document(doc):
+    """A CW dimension exits 0, ``NotCW`` or ``NotDecided`` 1, anything
+    malformed 2 with one error line; never a traceback."""
+    code, out, err = _run_on(["cw-classify", "--json", "--bound", "8", "--budget", "40"], doc)
+    if code == 2:
+        _assert_input_error(out, err)
+    else:
+        assert err == ""
+        verdict = json.loads(out)["verdict"]
+        assert code == (0 if verdict in ("Dim0", "Dim1", "Dim2") else 1)
+        assert verdict in ("Dim0", "Dim1", "Dim2", "NotCW", "NotDecided")

@@ -1,5 +1,6 @@
 """Presentations, completion, normal forms, finite backends, functors."""
 
+import copy
 import dataclasses
 import json
 import random
@@ -51,6 +52,7 @@ from conftest import (
     interval_cat,
     path2_cat,
     pool8,
+    presentation_docs,
     random_pointed,
 )
 
@@ -585,6 +587,163 @@ def test_cached_completion_equals_a_cold_one():
             pass
     assert completion_cache_info().hits >= len(cases)
     assert finite >= 30  # pool8 and 26 of the 60 draws
+
+
+# ---------------------------------------------------------------------------
+# Intake shared between equal documents
+
+
+def _intake_cache_info():
+    return fpcat._shared_presentation.cache_info()
+
+
+@st.composite
+def _type_broken(draw, doc):
+    """``doc`` with one part dropped, made an int or a string, an array made
+    a tuple, or an object made an array of its values: missing keys, int
+    names, ``gens`` as a string, tuple arrays and non-dict generators."""
+    places = []
+
+    def walk(node):
+        for key in range(len(node)) if isinstance(node, list) else list(node):
+            places.append((node, key))
+            if isinstance(node[key], (list, dict)):
+                walk(node[key])
+
+    walk(doc)
+    container, key = draw(st.sampled_from(places))
+    part = container[key]
+    breaks = ["int", "str"]
+    if isinstance(container, dict):
+        breaks.append("drop")
+    if isinstance(part, list):
+        breaks.append("tuple")
+    if isinstance(part, dict):
+        breaks.append("values")
+    how = draw(st.sampled_from(breaks))
+    if how == "drop":
+        del container[key]
+    elif how == "tuple":
+        container[key] = tuple(part)
+    elif how == "values":
+        container[key] = list(part.values())
+    else:
+        container[key] = 1 if how == "int" else "a"
+    return doc
+
+
+@st.composite
+def _intake_docs(draw):
+    """A presentation document, half of them with one part dropped or
+    retyped, and a well-formed twin that differs from the document as drawn
+    only in ``invertible`` or in one relation's ``at``."""
+    doc = draw(presentation_docs())
+    twin = copy.deepcopy(doc)
+    if twin["relations"] and draw(st.booleans()):
+        side = twin["relations"][0][draw(st.sampled_from(["lhs", "rhs"]))]
+        side["at"] = draw(st.sampled_from(["x", "y", "z"]))
+    else:
+        twin["invertible"] = draw(st.sampled_from([[], twin["invertible"][::-1], ["a"]]))
+    if draw(st.booleans()):
+        doc = draw(_type_broken(doc))
+    return doc, twin
+
+
+def _reading(read, doc):
+    """What ``read`` makes of ``doc``: its JSON and inverse table, or the
+    type and text of its error."""
+    try:
+        cat = read(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return cat.to_json(), cat.inverses
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(docs=_intake_docs())
+@example(docs=({"objects": ["x"], "generators": [], "relations": []}, {"objects": ["x"]}))
+@example(docs=(
+    {"objects": ("x",), "generators": ({"name": "t", "src": "x", "dst": "x"},),
+     "relations": ({"lhs": {"at": "x", "gens": ("t", "t")}, "rhs": {"at": "x", "gens": []}},),
+     "invertible": ("t",)},
+    {"objects": ["x"], "generators": [{"name": "t", "src": "x", "dst": "x"}],
+     "relations": [{"lhs": {"at": "x", "gens": "tt"}, "rhs": {"at": "x", "gens": []}}]},
+))
+def test_shared_intake_reads_as_the_field_reader(docs):
+    """A miss, a hit and a twin read right after them all read as the
+    uncached field-by-field reader does, errors included."""
+    doc, twin = docs
+    clear_completion_cache()
+    expected = _reading(fpcat._read_fields, doc)
+    assert _reading(from_json, doc) == expected  # a miss
+    assert _reading(from_json, doc) == expected  # a hit, or a miss again after an error
+    assert _reading(from_json, twin) == _reading(fpcat._read_fields, twin)
+
+
+def test_equal_documents_read_to_distinct_instances():
+    clear_completion_cache()
+    doc = c3_cat().to_json_obj()
+    a, b = from_json(doc), from_json(doc)
+    assert _intake_cache_info()[:2] == (1, 1)  # hits, misses
+    assert a is not b and a == b
+    assert a.quiver is b.quiver and a.relations is b.relations
+    assert a.inverses == b.inverses and a.inverses is not b.inverses
+    assert a._completions is not b._completions
+    b.inverses.clear()
+    assert a.inverses == {"t": "t^-1", "t^-1": "t"}
+    assert a.completion().cat is a and b.completion().cat is b
+    assert from_json(doc).inverses == a.inverses  # the shared presentation is untouched
+
+
+def test_a_hit_builds_and_checks_nothing(monkeypatch):
+    doc = chaotic(["p", "q", "r"]).to_json_obj()
+    clear_completion_cache()
+    from_json(doc)
+    calls = {"init": 0, "check_path": 0}
+    init, check_path = fpcat.FpCategory.__init__, Quiver.check_path
+
+    def counting_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_check_path(self, p):
+        calls["check_path"] += 1
+        return check_path(self, p)
+
+    monkeypatch.setattr(fpcat.FpCategory, "__init__", counting_init)
+    monkeypatch.setattr(Quiver, "check_path", counting_check_path)
+    cat = from_json(doc)
+    assert calls == {"init": 0, "check_path": 0}
+    assert cat.to_json() == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    doc["relations"] = doc["relations"][::-1]
+    from_json(doc)  # a miss checks everything again
+    assert calls == {"init": 1, "check_path": 2 * len(doc["relations"])}
+
+
+def test_documents_differing_in_order_miss():
+    clear_completion_cache()
+    doc = build(["x"], [("a", "x", "x"), ("b", "x", "x")], [
+        (Path("x", ("a", "a")), Path("x")),
+        (Path("x", ("b", "a")), Path("x", ("a", "b"))),
+    ], ["a", "b"]).to_json_obj()
+    from_json(doc)
+    from_json({**doc, "relations": doc["relations"][::-1]})
+    from_json({**doc, "invertible": doc["invertible"][::-1]})
+    assert _intake_cache_info()[:2] == (0, 3)
+    from_json(json.dumps(doc))
+    assert _intake_cache_info()[:2] == (1, 3)
+
+
+def test_intake_cache_holds_at_most_its_bound_and_clears():
+    clear_completion_cache()
+    bound = fpcat.COMPLETION_CACHE_SIZE
+    assert _intake_cache_info().maxsize == bound
+    for i in range(bound + 5):
+        from_json({"objects": [f"o{i}"], "generators": [], "relations": [], "invertible": []})
+        assert _intake_cache_info().currsize <= bound
+    assert _intake_cache_info().currsize == bound
+    clear_completion_cache()
+    assert _intake_cache_info() == (0, 0, bound, 0)
 
 
 # ---------------------------------------------------------------------------
