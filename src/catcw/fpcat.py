@@ -19,10 +19,10 @@ checking, and everything downstream.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -280,6 +280,7 @@ class FpCategory:
                 raise NonParallelRelation(f"marked pair ({g!r}, {m!r}) lacks its unit relations")
         self.inverses: dict[str, str] = inv
         self._completions: dict[int, "RewritingSystem"] = {}
+        self._key_slot: list[tuple] = []  # the completion key, once built
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -291,7 +292,8 @@ class FpCategory:
 
     def copy(self) -> "FpCategory":
         """This presentation, not checked again, with its own inverse table and
-        no completions yet; the quiver and relation tuples are shared."""
+        no completions yet; the quiver and relation tuples are shared, and so
+        is the completion key, built by whichever copy completes first."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.inverses = dict(self.inverses)
@@ -312,15 +314,21 @@ class FpCategory:
         """
         rs = self._completions.get(budget)
         if rs is None:
-            rules, status, table, finite = _shared_completion(
-                self.quiver.objects,
-                tuple((g.name, g.src, g.dst) for g in self.quiver.generators),
-                tuple((l.at, l.gens, r.at, r.gens) for l, r in self.relations),
-                budget,
-            )
+            rules, status, table, finite = _shared_completion(*self._completion_key(), budget)
             rs = RewritingSystem(self, rules, status, table, finite)
             self._completions[budget] = rs
         return rs
+
+    def _completion_key(self) -> tuple:
+        """``(objects, generators, relations)`` as plain tuples of names, built
+        on the first call and shared with every copy of this presentation."""
+        if not self._key_slot:
+            self._key_slot.append((
+                self.quiver.objects,
+                tuple((g.name, g.src, g.dst) for g in self.quiver.generators),
+                tuple((l.at, l.gens, r.at, r.gens) for l, r in self.relations),
+            ))
+        return self._key_slot[0]
 
     def __eq__(self, other):
         return (
@@ -576,57 +584,112 @@ def _rule_key(rule: tuple) -> tuple:
     return (_shortlex_key(rule[0]), _shortlex_key(rule[1]))
 
 
-def _has_other_lhs(
-    word: tuple[int, ...], own: tuple[int, ...], lhs_count: Counter, lengths: Sequence[int]
-) -> bool:
-    """True iff a factor of ``word`` is the lhs of a rule other than one with lhs ``own``."""
-    n = len(word)
-    for k in lengths:
-        if k > n:
-            break
-        for s in range(n - k + 1):
-            f = word[s : s + k]
-            c = lhs_count.get(f)
-            if c and (c > 1 or f != own):
-                return True
-    return False
+def _lhs_length(rule: tuple) -> int:
+    return len(rule[0])
+
+
+def _has_factor(words: Sequence[tuple], factors: Sequence[tuple]) -> bool:
+    """True iff one of ``factors`` occurs in one of ``words``."""
+    return any(
+        w[s : s + len(f)] == f for f in factors for w in words for s in range(len(w) - len(f) + 1)
+    )
 
 
 def _interreduce(rules: list[tuple]) -> list[tuple]:
     """Reduce every rule by the others until none changes.
 
-    The rules are kept sorted by (lhs, rhs) in shortlex order.  Each pass
-    walks them in that order and stops at the first rule that the other
-    rules rewrite: that rule is reduced on both sides by a ``RuleTable`` of
-    the others, dropped, and put back re-oriented unless its sides met.
-    The next pass starts again from the first rule.  (A rule's own lhs can
-    never match inside its rhs, shortlex, so this is a full interreduction.)
+    The rules are kept in table order: sorted by (lhs, rhs) in shortlex
+    order.  The scan walks them in that order and stops at the first rule
+    that the other rules rewrite: that rule is reduced on both sides by the
+    others, dropped, and put back re-oriented unless its sides met.  (A
+    rule's own lhs can never match inside its rhs, shortlex, so this is a
+    full interreduction.)  The rules come out as if every rule of every
+    pass were reduced by a ``RuleTable`` of the others and each pass began
+    again at the first rule, in the same order, but no table is built.
 
-    A word is reducible by R minus r exactly when one of its factors is the
-    lhs of a rule in R minus r, and ``RuleTable.reduce`` stops only at an
-    irreducible word.  So a pass counts the left-hand sides once and looks
-    the factors of each rule's sides up in that count; only the rule it
-    finds gets a table.  Passes, restarts and rewrites are those of reducing
-    every rule by a table of the others, and the rules come out the same,
-    in the same order.
+    Whether the others rewrite a rule, and to what, is asked of one index
+    that lives for the whole call: each lhs with the rhs of its rules in
+    table order, and the lhs lengths in use.
+    A word is reducible by the others exactly when a factor of it is an lhs
+    there, once the rule's own entry is set aside.  Its reduct follows
+    ``RuleTable.reduce``: at the leftmost position where any lhs matches,
+    the first matching rule in table order.  Table order is shortlex
+    (lhs, rhs), so that rule has the shortest matching lhs, then the least
+    rhs, and trying the lengths in use from the shortest finds it.
+
+    After a rewrite the scan resumes instead of starting over.  A rule
+    already found irreducible stays so until a new lhs is added, and only
+    that lhs can make it reducible, so each rule keeps how many lhs had
+    been added when it was last checked and is checked again for the later
+    ones only; a rule whose lhs is shorter than the new one cannot contain
+    it.  Only the rules of the input get the full check: a re-oriented
+    rule's sides are reducts by the others, so it starts out irreducible.
     """
     rules = sorted(set(rules), key=_rule_key)
-    while True:
-        lhs_count = Counter(lhs for lhs, _ in rules)
-        lengths = sorted({len(lhs) for lhs in lhs_count})
-        for i, (lhs, rhs) in enumerate(rules):
-            if _has_other_lhs(lhs, lhs, lhs_count, lengths) or _has_other_lhs(
-                rhs, lhs, lhs_count, lengths
-            ):
+    index: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for lhs, rhs in rules:
+        index.setdefault(lhs, []).append(rhs)
+    lengths = sorted(set(map(len, index)))
+    added: list[tuple[int, ...]] = []  # lhs of the re-oriented rules, in order
+    checked = [-1] * len(rules)  # len(added) when each rule was last irreducible, -1: unchecked
+
+    def reduct(word: tuple[int, ...], lhs: tuple[int, ...], rhs: tuple[int, ...]):
+        """``word`` reduced by every indexed rule but one copy of lhs -> rhs."""
+        back = lengths[-1] - 1
+        p = 0
+        while p < len(word):
+            for k in lengths:
+                f = word[p : p + k]
+                if len(f) < k:  # no longer lhs fits here either
+                    p += 1
+                    break
+                rhss = index.get(f)
+                if rhss is None:
+                    continue
+                r = rhss[0]
+                if f == lhs and r == rhs:
+                    if len(rhss) == 1:
+                        continue
+                    r = rhss[1]
+                word = word[:p] + r + word[p + k :]
+                p = max(0, p - back)
                 break
+            else:
+                p += 1
+        return word
+
+    pos = 0
+    while pos < len(rules):
+        lhs, rhs = rules[pos]
+        since = checked[pos]
+        if since < 0 or _has_factor((lhs, rhs), added[since:]):
+            l2, r2 = reduct(lhs, lhs, rhs), reduct(rhs, lhs, rhs)
         else:
-            return rules
-        others = RuleTable(rules[:i] + rules[i + 1 :])
-        rules.pop(i)
-        oriented = _orient(others.reduce(lhs), others.reduce(rhs))
-        if oriented is not None:
-            rules.append(oriented)
-            rules.sort(key=_rule_key)
+            l2, r2 = lhs, rhs
+        if (l2, r2) == (lhs, rhs):
+            checked[pos] = len(added)
+            pos += 1
+            continue
+        del rules[pos], checked[pos]
+        rhss = index[lhs]
+        rhss.remove(rhs)
+        if not rhss:
+            del index[lhs]
+            lengths = sorted(set(map(len, index)))
+        oriented = _orient(l2, r2)
+        if oriented is None:
+            continue
+        q = bisect.bisect_right(rules, _rule_key(oriented), key=_rule_key)
+        lhs, rhs = oriented
+        added.append(lhs)
+        rules.insert(q, oriented)
+        checked.insert(q, len(added))  # both sides are reducts by the others
+        index[lhs] = [rhs]  # an lhs irreducible by the others is no lhs of theirs
+        if len(lhs) not in lengths:
+            bisect.insort(lengths, len(lhs))
+        # a rule whose lhs is shorter than the new one cannot contain it
+        pos = min(pos, bisect.bisect_left(rules, len(lhs), key=_lhs_length))
+    return rules
 
 
 def _critical_pairs(rules: Sequence[tuple]) -> Iterator[tuple[tuple, tuple]]:
@@ -703,7 +766,7 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 # the relations), so presentations that differ only there share a system and
 # its finite table.  The key spells generators and relations as tuples of
 # names, which hash and compare in C; ``FpCategory.completion`` builds it once
-# per instance.
+# per presentation, and the copies ``from_json`` hands out share it.
 COMPLETION_CACHE_SIZE = 128
 
 

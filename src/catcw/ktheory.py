@@ -61,7 +61,12 @@ def _read_category(field: str, value) -> FpCategory:
 
 
 class CompletionBudgetExceeded(CatError):
-    pass
+    """Kept for callers that catch it; catcw itself no longer raises it.
+
+    Its one raiser, the double-suspension check, was deleted.  The
+    benchmark's query runner still counts this class among the outcomes it
+    treats as undecided, so the name stays exported.
+    """
 
 
 @dataclass(frozen=True)

@@ -790,6 +790,38 @@ def test_k0_witness_verify_exits_0_1_or_2_on_any_document(doc):
         assert code in (0, 1)
 
 
+_POINTED = [
+    json.dumps({"category": cat.to_json_obj(), "basepoint": cat.objects[-1]})
+    for cat in (terminal_cat(), discrete2(), arrow_cat(), c2_cat(), path2_cat())
+]
+
+
+@st.composite
+def _pointed_docs(draw):
+    """A pointed-category document; two in three have one part replaced by a
+    JSON leaf or an object name, or dropped."""
+    doc = json.loads(draw(st.sampled_from(_POINTED)))
+    if draw(st.integers(1, 3)) == 2:
+        return doc
+    names = st.sampled_from(["x", "y", "z", "pt", "*"])
+    return _mutated(draw, doc, st.one_of(_JSON_LEAF, names))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(doc=_pointed_docs(), verb=st.sampled_from(["cone", "suspend"]))
+def test_cone_and_suspend_exit_0_or_2_on_any_document(doc, verb):
+    """A cone or suspension exits 0, anything malformed 2 with one error
+    line; never a traceback."""
+    code, out, err = _run_on([verb, "--json"], doc)
+    if code == 2:
+        _assert_input_error(out, err)
+    else:
+        assert code == 0
+        assert err == ""
+        report = json.loads(out)
+        assert report["basepoint"] in report["category"]["objects"]
+
+
 @st.composite
 def _presentation_files(draw):
     """A presentation document (names may repeat, dangle or clash); half

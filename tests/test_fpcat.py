@@ -42,7 +42,7 @@ from catcw import (
     to_finite,
 )
 from catcw import fpcat
-from catcw.fpcat import _critical_pairs, _interreduce, _normal_forms, _orient
+from catcw.fpcat import _critical_pairs, _encode, _interreduce, _normal_forms, _orient
 from catcw.kernel import RuleTable
 from conftest import (
     arrow_cat,
@@ -519,6 +519,27 @@ def test_equal_presentations_share_one_completion():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
+def test_copies_of_one_presentation_build_its_completion_key_once(monkeypatch):
+    clear_completion_cache()
+    doc = chaotic(["p", "q", "r"]).to_json()
+    shared, keys = fpcat._shared_completion, []
+
+    def spy(*key):
+        keys.append(key)
+        return shared(*key)
+
+    monkeypatch.setattr(fpcat, "_shared_completion", spy)
+    a, b = from_json(doc), from_json(doc)
+    a.completion()
+    b.completion()
+    b.completion(100)
+    # one generator tuple and one relation tuple serve every copy and budget
+    assert len(keys) == 3
+    assert all(k[1] is keys[0][1] and k[2] is keys[0][2] for k in keys)
+    info = shared.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
 def test_completion_cache_key_is_budget_and_relation_order():
     clear_completion_cache()
     gens = [("a", "x", "x"), ("b", "x", "x")]
@@ -781,10 +802,10 @@ def _interreduce_oracle(rules):
 
 
 @st.composite
-def _oriented_rules(draw):
+def _oriented_rules(draw, max_rules=14, max_len=5):
     letters = draw(st.integers(min_value=2, max_value=4))
-    word = st.lists(st.integers(min_value=0, max_value=letters - 1), max_size=5).map(tuple)
-    pairs = draw(st.lists(st.tuples(word, word), max_size=14))
+    word = st.lists(st.integers(min_value=0, max_value=letters - 1), max_size=max_len).map(tuple)
+    pairs = draw(st.lists(st.tuples(word, word), max_size=max_rules))
     return [r for r in (_orient(u, v) for u, v in pairs) if r is not None]
 
 
@@ -792,6 +813,68 @@ def _oriented_rules(draw):
 @given(_oriented_rules())
 def test_interreduce_matches_the_per_rule_table_oracle(rules):
     assert _interreduce(list(rules)) == _interreduce_oracle(list(rules))[0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_oriented_rules(max_rules=40, max_len=7))
+def test_interreduce_matches_the_oracle_on_longer_rule_lists(rules):
+    assert _interreduce(list(rules)) == _interreduce_oracle(list(rules))[0]
+
+
+# letters of the hand-built cases
+_A, _B, _C, _D = range(4)
+
+
+@pytest.mark.parametrize(
+    "rules, expected",
+    [
+        # cbb -> dd becomes ca -> c, which sorts between bb -> a and dd -> c
+        (
+            [((_B, _B), (_A,)), ((_D, _D), (_C,)), ((_C, _B, _B), (_D, _D))],
+            [((_B, _B), (_A,)), ((_C, _A), (_C,)), ((_D, _D), (_C,))],
+        ),
+        # ba -> a and ba -> b share their lhs: the first becomes b -> a,
+        # which rewrites the second to aa -> a
+        (
+            [((_B, _A), (_A,)), ((_B, _A), (_B,))],
+            [((_B,), (_A,)), ((_A, _A), (_A,))],
+        ),
+        # cbb -> d becomes ca -> d, whose lhs rewrites cad -> d, a rule the
+        # scan had passed two rules earlier, to dd -> d
+        (
+            [
+                ((_B, _B), (_A,)),
+                ((_C, _A, _D), (_D,)),
+                ((_C, _B, _A), (_D,)),
+                ((_C, _B, _B), (_D,)),
+            ],
+            [((_B, _B), (_A,)), ((_C, _A), (_D,)), ((_D, _D), (_D,)), ((_C, _B, _A), (_D,))],
+        ),
+    ],
+    ids=["reoriented-sorts-earlier", "shared-lhs", "new-lhs-reaches-back"],
+)
+def test_interreduce_hand_built_cases(rules, expected):
+    assert _interreduce(list(rules)) == expected
+    assert _interreduce_oracle(list(rules))[0] == expected
+
+
+def test_interreduce_builds_no_rule_table(monkeypatch):
+    cat = _apex_of_cones()
+    sides = [(_encode(cat.quiver, l.gens), _encode(cat.quiver, r.gens)) for l, r in cat.relations]
+    rules = [r for r in (_orient(u, v) for u, v in sides) if r is not None]
+    built = 0
+
+    class CountingTable(RuleTable):
+        def __init__(self, rules):
+            nonlocal built
+            built += 1
+            super().__init__(rules)
+
+    monkeypatch.setattr(fpcat, "RuleTable", CountingTable)
+    assert len(_interreduce(rules)) == 46
+    assert built == 0
+    # completion then builds one table per round, and the apex takes one round
+    assert complete(cat).complete and built == 1
 
 
 def _apex_of_cones():
