@@ -23,6 +23,7 @@ import bisect
 import functools
 import json
 import warnings
+from collections import Counter, OrderedDict, namedtuple
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -766,11 +767,38 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 # the relations), so presentations that differ only there share a system and
 # its finite table.  The key spells generators and relations as tuples of
 # names, which hash and compare in C; ``FpCategory.completion`` builds it once
-# per presentation, and the copies ``from_json`` hands out share it.
-COMPLETION_CACHE_SIZE = 128
+# per presentation (a presentation ``from_json`` keeps may take it from its
+# intake key), and the copies ``from_json`` hands out share it.
+#
+# The cache is bounded by cost, not by entries.  An entry costs
+# ``COMPLETION_ENTRY_CHARGE`` for its Python objects, plus one per rule, plus
+# one per cell of the table ``to_finite`` later puts in its slot (charged when
+# the slot fills).  Least recently used entries are dropped until the total is
+# within ``COMPLETION_CACHE_BOUND``; an entry that alone exceeds the bound is
+# returned but not kept.  Many small systems stay cached while one large table
+# (S6 has 518,400 cells) is not pinned.
+COMPLETION_ENTRY_CHARGE = 128
+COMPLETION_CACHE_BOUND = 65_536
 
 
-@functools.lru_cache(maxsize=COMPLETION_CACHE_SIZE)
+@dataclass(eq=False, slots=True)
+class _Entry:
+    """One shared completion: its key, ``(rules, status, rule table, finite
+    slot)`` and its cost.  It hashes by identity, so moving it to the recent
+    end of the LRU order hashes none of the name tuples in its key."""
+
+    key: tuple
+    value: tuple
+    cost: int = 0
+
+
+_completion_entries: dict[tuple, _Entry] = {}
+_completion_order: OrderedDict[_Entry, None] = OrderedDict()  # least recently used first
+_completion_stats: Counter = Counter()  # hits, misses, cost
+
+CompletionCacheInfo = namedtuple("CompletionCacheInfo", "hits misses entries cost bound")
+
+
 def _shared_completion(
     objects: tuple[str, ...],
     generators: tuple[tuple[str, str, str], ...],
@@ -784,30 +812,81 @@ def _shared_completion(
     list of ``RewritingSystem``: empty until ``to_finite`` first builds the
     table, then kept with the entry.
     """
+    key = (objects, generators, relations, budget)
+    entry = _completion_entries.get(key)
+    if entry is not None:
+        _completion_order.move_to_end(entry)
+        _completion_stats["hits"] += 1
+        return entry.value
+    _completion_stats["misses"] += 1
     rels = [(Path(la, lg), Path(ra, rg)) for la, lg, ra, rg in relations]
     rs = complete(FpCategory(Quiver(objects, generators), rels), budget)
-    return rs.rules, rs.status, rs._table, rs.finite
+    entry = _completion_entries[key] = _Entry(key, (rs.rules, rs.status, rs._table, rs.finite))
+    _completion_order[entry] = None
+    _charge(entry, COMPLETION_ENTRY_CHARGE + len(rs.rules))
+    return entry.value
+
+
+def _charge(entry: _Entry, cost: int) -> None:
+    """Add ``cost`` to a cached entry, which becomes the most recently used;
+    drop it if it alone exceeds the bound, then the least recently used
+    entries until the total is within it."""
+    entry.cost += cost
+    _completion_stats["cost"] += cost
+    _completion_order.move_to_end(entry)
+    if entry.cost > COMPLETION_CACHE_BOUND:
+        _drop(entry)
+    while _completion_stats["cost"] > COMPLETION_CACHE_BOUND:
+        _drop(next(iter(_completion_order)))
+
+
+def _drop(entry: _Entry) -> None:
+    del _completion_order[entry], _completion_entries[entry.key]
+    _completion_stats["cost"] -= entry.cost
+
+
+def _charge_table(cat: FpCategory, budget: int, slot: list, cells: int) -> None:
+    """Charge ``cells`` to the cached entry whose table slot ``slot`` is, if
+    it is still cached; a dropped entry's slot costs the cache nothing."""
+    entry = _completion_entries.get((*cat._completion_key(), budget))
+    if entry is not None and entry.value[3] is slot:
+        _charge(entry, cells)
 
 
 # ``from_json`` keys documents the same way, with the invertible names added:
 # ``build`` reads nothing else, so equal keys build equal presentations.  The
-# cached presentation is never handed out, only its copies.
-@functools.lru_cache(maxsize=COMPLETION_CACHE_SIZE)
+# cached presentation is never handed out, only its copies.  These entries are
+# small and uniform, so a count bounds them.
+INTAKE_CACHE_SIZE = 128
+
+
+@functools.lru_cache(maxsize=INTAKE_CACHE_SIZE)
 def _shared_presentation(
     objects: tuple[str, ...],
     generators: tuple[tuple[str, str, str], ...],
     relations: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...]], ...],
     invertible: tuple[str, ...],
 ) -> FpCategory:
-    """The presentation ``build`` makes of a ``_presentation_key``."""
+    """The presentation ``build`` makes of a ``_presentation_key``.
+
+    When ``build`` synthesized no mate, the key's first three parts are the
+    completion key, so the presentation and its completion entry share one
+    set of name tuples and the first ``completion()`` walks no ``Path``.
+    """
     rels = [(Path(la, lg), Path(ra, rg)) for la, lg, ra, rg in relations]
-    return build(objects, generators, rels, invertible)
+    cat = build(objects, generators, rels, invertible)
+    if len(cat.quiver.generators) == len(generators):
+        cat._key_slot.append((objects, generators, relations))
+    return cat
 
 
-def completion_cache_info():
-    """Hits, misses, bound and size of the cache behind ``FpCategory.completion``.
+def completion_cache_info() -> CompletionCacheInfo:
+    """Hits, misses, entries, cost in use and cost bound of the cache behind
+    ``FpCategory.completion``.
 
-    Direct calls to ``complete`` bypass the cache and are not counted.
+    Direct calls to ``complete`` bypass the cache and are not counted.  An
+    entry costs ``COMPLETION_ENTRY_CHARGE``, plus its rules, plus the cells
+    of its finite table once ``to_finite`` has built it.
 
     >>> clear_completion_cache()
     >>> doc = build(["x"], [("t", "x", "x")], [(Path("x", ("t", "t")), Path("x"))]).to_json()
@@ -815,12 +894,19 @@ def completion_cache_info():
     >>> a.completion().rules == b.completion().rules, b.completion().cat is b
     (True, True)
     >>> completion_cache_info()
-    CacheInfo(hits=1, misses=1, maxsize=128, currsize=1)
+    CompletionCacheInfo(hits=1, misses=1, entries=1, cost=129, bound=65536)
+    >>> to_finite(a).n  # a 2 x 2 table
+    2
+    >>> completion_cache_info()
+    CompletionCacheInfo(hits=1, misses=1, entries=1, cost=133, bound=65536)
     >>> clear_completion_cache()
     >>> completion_cache_info()
-    CacheInfo(hits=0, misses=0, maxsize=128, currsize=0)
+    CompletionCacheInfo(hits=0, misses=0, entries=0, cost=0, bound=65536)
     """
-    return _shared_completion.cache_info()
+    s = _completion_stats
+    return CompletionCacheInfo(
+        s["hits"], s["misses"], len(_completion_entries), s["cost"], COMPLETION_CACHE_BOUND
+    )
 
 
 def clear_completion_cache() -> None:
@@ -830,7 +916,9 @@ def clear_completion_cache() -> None:
     Instances keep the systems and tables they already hold, so a memoised
     presentation such as ``sphere(n)`` still answers from its old entry.
     """
-    _shared_completion.cache_clear()
+    _completion_entries.clear()
+    _completion_order.clear()
+    _completion_stats.clear()
     _shared_presentation.cache_clear()
 
 
@@ -1105,7 +1193,8 @@ def to_finite(
     ``f;g = right[f;g'][a]`` costs one lookup per cell.
 
     The table is built once per completion and kept in its ``finite`` slot
-    with its largest hom-set size.  The bound only decides whether
+    with its largest hom-set size; its cells are charged to the shared
+    completion entry, which may drop it.  The bound only decides whether
     ``NotFinite`` is raised, so any bound at least that size answers from the
     slot; a smaller one builds again and raises.  Each call returns a
     ``copy()``, so equal presentations share the work but not the dicts.
@@ -1178,6 +1267,7 @@ def to_finite(
         gen_image=gen_image,
     )
     rs.finite[:] = [max(map(len, hom_forms.values()), default=0), fin]
+    _charge_table(cat, budget, rs.finite, len(compose))
     return fin.copy()
 
 

@@ -19,6 +19,7 @@ from conftest import (
     c2_cat,
     c3_cat,
     discrete2,
+    interval_cat,
     path2_cat,
     presentation_docs,
     random_cof_span,
@@ -678,15 +679,16 @@ def _groupoid_docs(draw):
     return _mutated(draw, doc)
 
 
-def _run_on(verb: list, doc) -> tuple[int, str, str]:
-    """``main`` on ``doc`` written to a file: exit code, stdout, stderr."""
+def _run_on(verb: list, *docs) -> tuple[int, str, str]:
+    """``main`` on ``docs``, each written to a file: exit code, stdout, stderr."""
     with tempfile.TemporaryDirectory() as d:
-        path = os.path.join(d, "doc.json")
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
+        paths = [os.path.join(d, f"doc{i}.json") for i in range(len(docs))]
+        for path, doc in zip(paths, docs):
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*verb, path])
+            code = main([*verb, *paths])
     return code, out.getvalue(), err.getvalue()
 
 
@@ -861,3 +863,71 @@ def test_cw_classify_exits_0_1_or_2_on_any_document(doc):
         verdict = json.loads(out)["verdict"]
         assert code == (0 if verdict in ("Dim0", "Dim1", "Dim2") else 1)
         assert verdict in ("Dim0", "Dim1", "Dim2", "NotCW", "NotDecided")
+
+
+_CATEGORIES = [
+    cat.to_json()
+    for cat in (
+        terminal_cat(), discrete2(), arrow_cat(), interval_cat(), c2_cat(), c3_cat(),
+        path2_cat(), build(["x"], [("t", "x", "x")]),  # the last is infinite
+    )
+]
+_SPACES = [
+    space.to_json() for space in (sierpinski(), discrete_two_point(), pseudocircle_base())
+] + [json.dumps({"points": ["p"], "opens": [[], ["p"]]})]
+
+
+@st.composite
+def _two_docs(draw, firsts, seconds):
+    """A pair of documents; one in two has one part of one of them replaced
+    by a JSON leaf or a name, or dropped."""
+    docs = [json.loads(draw(st.sampled_from(firsts))), json.loads(draw(st.sampled_from(seconds)))]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, 1))
+        names = st.sampled_from(["x", "t", "u", "a", "p"])
+        docs[i] = _mutated(draw, docs[i], st.one_of(_JSON_LEAF, names))
+    return docs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(docs=_two_docs(_CATEGORIES, _CATEGORIES))
+def test_equiv_exits_0_1_or_2_on_any_documents(docs):
+    """An equivalence exits 0, none 1, anything malformed or past a bound 2
+    with one error line; never a traceback."""
+    verb = ["equiv", "--json", "--bound", "8", "--budget", "40", "--product-bound", "2000"]
+    code, out, err = _run_on(verb, *docs)
+    if code == 2:
+        _assert_input_error(out, err)
+    else:
+        assert code in (0, 1)
+        assert err == ""
+        assert json.loads(out)["equivalent"] is (code == 0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(docs=_two_docs(_CATEGORIES, _SPACES))
+def test_sheaf_unit_exits_0_1_or_2_on_any_documents(docs):
+    """A unit isomorphism exits 0, a failed one 1, anything malformed 2 with
+    one error line; never a traceback."""
+    code, out, err = _run_on(["sheaf-unit", "--json", "--bound", "8", "--budget", "40"], *docs)
+    if code == 2:
+        _assert_input_error(out, err)
+    else:
+        assert code in (0, 1)
+        assert err == ""
+        assert json.loads(out)["unit_iso"] is (code == 0)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(docs=_two_docs(_CATEGORIES, _SPACES))
+def test_sheaf_classify_exits_0_1_or_2_on_any_documents(docs):
+    """A CW sheaf exits 0, ``NotCW`` 1, anything malformed or a disconnected
+    space 2 with one error line; never a traceback."""
+    code, out, err = _run_on(["sheaf-classify", "--json", "--bound", "8", "--budget", "40"], *docs)
+    if code == 2:
+        _assert_input_error(out, err)
+    else:
+        assert err == ""
+        verdict = json.loads(out)["verdict"]
+        assert verdict in ("CW", "NotCW")
+        assert code == (0 if verdict == "CW" else 1)

@@ -2,8 +2,10 @@
 
 import copy
 import dataclasses
+import itertools
 import json
 import random
+from collections import OrderedDict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -516,7 +518,7 @@ def test_equal_presentations_share_one_completion():
     assert rb.status == ra.status == "complete"
     assert b.completion() is rb  # the instance's own dict answers first
     info = completion_cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert (info.hits, info.misses, info.entries) == (1, 1, 1)
 
 
 def test_copies_of_one_presentation_build_its_completion_key_once(monkeypatch):
@@ -536,8 +538,11 @@ def test_copies_of_one_presentation_build_its_completion_key_once(monkeypatch):
     # one generator tuple and one relation tuple serve every copy and budget
     assert len(keys) == 3
     assert all(k[1] is keys[0][1] and k[2] is keys[0][2] for k in keys)
-    info = shared.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    info = completion_cache_info()
+    assert (info.hits, info.misses, info.entries) == (1, 2, 2)
+    rules = len(a.completion().rules)
+    assert rules == len(a.completion(100).rules)
+    assert info.cost == 2 * (fpcat.COMPLETION_ENTRY_CHARGE + rules)
 
 
 def test_completion_cache_key_is_budget_and_relation_order():
@@ -553,7 +558,7 @@ def test_completion_cache_key_is_budget_and_relation_order():
     build(["x"], gens, rels).completion(200)
     build(["x"], gens, rels[::-1]).completion(100)
     info = completion_cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+    assert (info.hits, info.misses, info.entries) == (0, 3, 3)
     # the inverse table is not part of the key: completion never reads it
     marked = build(["x"], gens, rels, ["a", "b"])
     assert marked.inverses and marked.relations == cat.relations
@@ -565,7 +570,7 @@ def test_completion_cache_key_is_budget_and_relation_order():
     obj["relations"] = obj["relations"][::-1]
     from_json(obj).completion()
     info = completion_cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 5, 5)
+    assert (info.hits, info.misses, info.entries) == (1, 5, 5)
 
 
 def test_incomplete_completion_is_shared_as_incomplete():
@@ -579,14 +584,19 @@ def test_incomplete_completion_is_shared_as_incomplete():
 
 def test_completion_cache_holds_at_most_its_bound():
     clear_completion_cache()
-    bound = completion_cache_info().maxsize
-    assert bound == 128
-    for i in range(bound + 5):
+    bound = completion_cache_info().bound
+    assert bound == fpcat.COMPLETION_CACHE_BOUND == 65_536
+    assert fpcat.COMPLETION_ENTRY_CHARGE == 128
+    fits = bound // 128  # a one-object presentation has no rules
+    for i in range(fits + 5):
         build([f"o{i}"]).completion()
-        assert completion_cache_info().currsize <= bound
-    assert completion_cache_info().currsize == bound
+        info = completion_cache_info()
+        assert info.cost <= bound and info.cost == 128 * info.entries
+    assert completion_cache_info()[2:] == (fits, bound, bound)  # entries, cost, bound
+    build([f"o{fits + 4}"]).completion()  # the most recently used entry is kept
+    assert completion_cache_info().hits == 1
     build(["o0"]).completion()  # the least recently used entry was dropped
-    assert completion_cache_info().misses == bound + 6
+    assert completion_cache_info().misses == fits + 6
 
 
 def test_cached_completion_equals_a_cold_one():
@@ -608,6 +618,185 @@ def test_cached_completion_equals_a_cold_one():
             pass
     assert completion_cache_info().hits >= len(cases)
     assert finite >= 30  # pool8 and 26 of the 60 draws
+
+
+def _cache_cases():
+    """``(doc, budget, key, cold system, cold table or None)`` for pool8 at
+    the default budget and 12 seeded ``random_pointed`` draws at budget 20;
+    the table is None where ``to_finite`` raises at bound 32."""
+    rng = random.Random(47)
+    cats = [(cat, 500) for cat in pool8()]
+    cats += [(random_pointed(rng).cat, 20) for _ in range(12)]
+    cases = []
+    for cat, budget in cats:
+        clear_completion_cache()
+        try:
+            fin = to_finite(cat, 32, budget)
+        except (IncompleteSystem, NotFinite):
+            fin = None
+        key = (*cat._completion_key(), budget)
+        cases.append((cat.to_json(), budget, key, complete(cat, budget), fin))
+    clear_completion_cache()
+    return cases
+
+
+_CACHE_CASES = _cache_cases()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    charge=st.integers(0, 8),
+    bound=st.integers(4, 60),
+    calls=st.lists(
+        st.tuples(st.integers(0, len(_CACHE_CASES) - 1), st.booleans(), st.integers(0, 2)),
+        max_size=40,
+    ),
+)
+def test_cost_bounded_cache_agrees_with_cold_runs_and_an_lru_model(charge, bound, calls):
+    """Random ``completion`` and ``to_finite`` calls, on a fresh copy or on
+    one of the last two copies of the same document, under a small bound:
+    every answer equals the cold one, the cost in use stays within the
+    bound, and entries, costs, order and hits follow a reference LRU in
+    which an entry costs the charge, its rules and its table's cells.  A
+    copy holds the slot of the entry it was given, so a table built in the
+    slot of a dropped entry is charged to nothing."""
+    model = OrderedDict()  # key -> [cost, generation]
+    filled = set()  # (key, generation) of the slots holding a table
+    copies = {}  # case -> [(copy, generation), ...]
+    generations = itertools.count()
+    hits = 0
+
+    def charge_model(key, cost):
+        model[key][0] += cost
+        model.move_to_end(key)
+        if model[key][0] > bound:
+            del model[key]
+        while sum(c for c, _ in model.values()) > bound:
+            model.popitem(last=False)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpcat, "COMPLETION_ENTRY_CHARGE", charge)
+        mp.setattr(fpcat, "COMPLETION_CACHE_BOUND", bound)
+        clear_completion_cache()
+        for i, table, reuse in calls:
+            doc, budget, key, cold, cold_fin = _CACHE_CASES[i]
+            if 0 < reuse <= len(copies.get(i, ())):
+                cat, gen = copies[i][-reuse]  # its own system answers; the cache is not asked
+            else:
+                cat = from_json(doc)
+                if key in model:
+                    model.move_to_end(key)
+                    gen = model[key][1]
+                    hits += 1
+                else:
+                    gen = next(generations)
+                    model[key] = [0, gen]
+                    charge_model(key, charge + len(cold.rules))
+                copies.setdefault(i, []).append((cat, gen))
+            if not table:
+                assert _same_system(cat.completion(budget), cold)
+            elif cold_fin is None:
+                with pytest.raises((IncompleteSystem, NotFinite)):
+                    to_finite(cat, 32, budget)
+            else:
+                fin = to_finite(cat, 32, budget)
+                assert list(fin.compose_table.items()) == list(cold_fin.compose_table.items())
+                assert fin.paths == cold_fin.paths
+                if (key, gen) not in filled:
+                    filled.add((key, gen))
+                    if key in model and model[key][1] == gen:
+                        charge_model(key, len(cold_fin.compose_table))
+            info = completion_cache_info()
+            assert info.cost <= bound
+            assert [e.key for e in fpcat._completion_order] == list(model)
+            assert [e.cost for e in fpcat._completion_order] == [c for c, _ in model.values()]
+            assert info.cost == sum(c for c, _ in model.values())
+            assert (info.hits, info.entries, info.bound) == (hits, len(model), bound)
+    clear_completion_cache()
+
+
+def _cyclic(n):
+    return build(["x"], [("t", "x", "x")], [(Path("x", ("t",) * n), Path("x"))])
+
+
+def test_a_table_costlier_than_the_bound_is_returned_but_not_kept():
+    """C257's table has 257 * 257 = 66,049 cells, past the bound of 65,536:
+    it is returned, its entry is dropped, and the other entries stay."""
+    clear_completion_cache()
+    small = [_cyclic(n) for n in (2, 3, 4)]
+    for cat in small:
+        to_finite(cat)
+    before = completion_cache_info()
+    assert before.entries == 3
+    big = _cyclic(257)
+    fin = to_finite(big, 257)
+    assert fin.n == 257 and len(fin.compose_table) == 66_049
+    assert fin.compose(1, 256) == 0  # t;t^256 is the identity
+    assert completion_cache_info()[1:] == (before.misses + 1, *before[2:])
+    # the instance keeps its system and table; an equal presentation completes again
+    assert to_finite(big, 257) == fin
+    assert _cyclic(257).completion().rules == big.completion().rules
+    info = completion_cache_info()
+    assert info.misses == before.misses + 2 and info.entries == 4
+    for cat in small:
+        assert from_json(cat.to_json()).completion().finite  # still cached, table and all
+    clear_completion_cache()
+
+
+def test_a_system_costlier_than_the_bound_is_returned_but_not_kept(monkeypatch):
+    clear_completion_cache()
+    cat = chaotic(["p", "q", "r"])
+    cold = complete(cat)
+    monkeypatch.setattr(fpcat, "COMPLETION_CACHE_BOUND", 128 + len(cold.rules) - 1)
+    build(["x"]).completion()
+    assert _same_system(chaotic(["p", "q", "r"]).completion(), cold)
+    assert completion_cache_info()[1:4] == (2, 1, 128)  # misses, entries, cost
+    clear_completion_cache()
+
+
+def test_the_intake_key_seeds_the_completion_key(monkeypatch):
+    """A document whose presentation needs no synthesized mate completes
+    under the name tuples of its intake key."""
+    clear_completion_cache()
+    doc = c2_cat().to_json_obj()  # t is its own mate: t;t = id is declared
+    key_of, shared = fpcat._presentation_key, fpcat._shared_completion
+    intake, completion = [], []
+
+    def intake_spy(obj):
+        intake.append(key_of(obj))
+        return intake[-1]
+
+    def completion_spy(*key):
+        completion.append(key)
+        return shared(*key)
+
+    monkeypatch.setattr(fpcat, "_presentation_key", intake_spy)
+    monkeypatch.setattr(fpcat, "_shared_completion", completion_spy)
+    cat = from_json(doc)
+    assert cat._completion_key() == intake[0][:3] and cat._completion_key()[2] is intake[0][2]
+    cat.completion()
+    from_json(doc).completion()
+    assert len(completion) == 2 and all(k[2] is intake[0][2] for k in completion)
+    clear_completion_cache()
+
+
+def test_a_synthesized_mate_builds_the_completion_key_from_its_relations():
+    clear_completion_cache()
+    obj = c3_cat().to_json_obj()
+    obj["generators"] = obj["generators"][:1]  # t^-1 and its units are synthesized again
+    obj["relations"] = obj["relations"][:1]
+    obj["invertible"] = ["t"]
+    intake = fpcat._presentation_key(obj)
+    cat = from_json(obj)
+    assert len(cat.relations) == len(intake[2]) + 2
+    key = cat._completion_key()
+    assert key == (
+        cat.quiver.objects,
+        tuple((g.name, g.src, g.dst) for g in cat.quiver.generators),
+        tuple((l.at, l.gens, r.at, r.gens) for l, r in cat.relations),
+    )
+    assert cat.completion().rules == complete(c3_cat()).rules
+    clear_completion_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -757,7 +946,8 @@ def test_documents_differing_in_order_miss():
 
 def test_intake_cache_holds_at_most_its_bound_and_clears():
     clear_completion_cache()
-    bound = fpcat.COMPLETION_CACHE_SIZE
+    bound = fpcat.INTAKE_CACHE_SIZE
+    assert bound == 128
     assert _intake_cache_info().maxsize == bound
     for i in range(bound + 5):
         from_json({"objects": [f"o{i}"], "generators": [], "relations": [], "invertible": []})
