@@ -129,6 +129,17 @@ def _json_names(value, field: str) -> list[str]:
     return [_json_str(v, field) for v in _json_list(value, field)]
 
 
+def _names(value, field: str) -> tuple[str, ...]:
+    """A JSON array of strings as a tuple; else a TypeError naming ``field``.
+
+    A list of strings passes in one scan in C; anything else gets the checks
+    of ``_json_names``, which name the field at fault.
+    """
+    if type(value) is list and all(map(_is_str, value)):
+        return tuple(value)
+    return tuple(_json_names(value, field))
+
+
 @dataclass(frozen=True, slots=True)
 class Generator:
     name: str
@@ -160,12 +171,8 @@ class Path:
 
     @staticmethod
     def from_json_obj(obj: Mapping) -> "Path":
-        at, gens = _json_str(obj["at"], "at"), obj["gens"]
-        # well-formed names pass in one scan in C; malformed ones get the
-        # checks of _json_names, which name the field at fault
-        if isinstance(gens, (list, tuple)) and all(map(_is_str, gens)):
-            return Path(at, tuple(gens))
-        return Path(at, tuple(_json_names(gens, "gens")))
+        at = _json_str(obj["at"], "at")
+        return Path(at, _names(obj["gens"], "gens"))
 
 Relation = tuple[Path, Path]
 
@@ -259,14 +266,21 @@ class FpCategory:
         inverses: Mapping[str, str] | None = None,
     ):
         self.quiver = quiver
-        rels = []
+        rels, names = [], []
         for lhs, rhs in relations:
             lhs_dst = quiver.check_path(lhs)
             rhs_dst = quiver.check_path(rhs)
             if lhs.at != rhs.at or lhs_dst != rhs_dst:
                 raise NonParallelRelation(f"relation sides are not parallel: {lhs} vs {rhs}")
             rels.append((lhs, rhs))
+            names.append((lhs.at, lhs.gens, rhs.at, rhs.gens))
         self.relations: tuple[Relation, ...] = tuple(rels)
+        # the completion cache key: objects, generators and relations as names
+        self._key = (
+            quiver.objects,
+            tuple((g.name, g.src, g.dst) for g in quiver.generators),
+            tuple(names),
+        )
         inv = dict(inverses or {})
         units = _unit_index(rels) if inv else set()
         for g, m in inv.items():
@@ -281,7 +295,6 @@ class FpCategory:
                 raise NonParallelRelation(f"marked pair ({g!r}, {m!r}) lacks its unit relations")
         self.inverses: dict[str, str] = inv
         self._completions: dict[int, "RewritingSystem"] = {}
-        self._key_slot: list[tuple] = []  # the completion key, once built
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -293,8 +306,7 @@ class FpCategory:
 
     def copy(self) -> "FpCategory":
         """This presentation, not checked again, with its own inverse table and
-        no completions yet; the quiver and relation tuples are shared, and so
-        is the completion key, built by whichever copy completes first."""
+        no completions yet; the quiver, relations and completion key are shared."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
         new.inverses = dict(self.inverses)
@@ -315,21 +327,11 @@ class FpCategory:
         """
         rs = self._completions.get(budget)
         if rs is None:
-            rules, status, table, finite = _shared_completion(*self._completion_key(), budget)
-            rs = RewritingSystem(self, rules, status, table, finite)
+            entry = _shared_completion(*self._key, budget)
+            rs = RewritingSystem(self, *entry.value)
+            rs._entry = entry
             self._completions[budget] = rs
         return rs
-
-    def _completion_key(self) -> tuple:
-        """``(objects, generators, relations)`` as plain tuples of names, built
-        on the first call and shared with every copy of this presentation."""
-        if not self._key_slot:
-            self._key_slot.append((
-                self.quiver.objects,
-                tuple((g.name, g.src, g.dst) for g in self.quiver.generators),
-                tuple((l.at, l.gens, r.at, r.gens) for l, r in self.relations),
-            ))
-        return self._key_slot[0]
 
     def __eq__(self, other):
         return (
@@ -434,87 +436,59 @@ def build(
     return FpCategory(Quiver(objects, gens), rels, inverses)
 
 
-def _names_key(value) -> tuple[str, ...] | None:
-    """``value`` as a tuple if it is a list of strings, else None."""
-    if type(value) is list and all(map(_is_str, value)):
-        return tuple(value)
-    return None
+def _read_fields(obj) -> tuple:
+    """Everything ``build`` reads from a parsed document, as plain tuples:
+    ``(objects, ((name, src, dst), ...), ((lhs.at, lhs.gens, rhs.at,
+    rhs.gens), ...), invertible)``.
 
-
-def _presentation_key(obj) -> tuple | None:
-    """Everything ``from_json`` reads from a well-formed document, as plain tuples.
-
-    Well-formed means a dict whose ``objects`` and ``invertible`` (if given)
-    are lists of strings, whose ``generators`` are dicts with string
-    ``name``, ``src`` and ``dst``, and whose ``relations`` are dicts whose
-    ``lhs`` and ``rhs`` are dicts with a string ``at`` and a list of string
-    ``gens``.  The key is ``(objects, ((name, src, dst), ...), ((lhs.at,
-    lhs.gens, rhs.at, rhs.gens), ...), invertible)``; any other document
-    gets None and is read field by field, with that reader's errors.
+    Fields are read and checked in that order.  A missing field is a
+    KeyError; a list field that is not a JSON array, or a name that is not
+    a JSON string, is a TypeError naming the field.  Well-formed parts pass
+    the inline type checks; only the others reach the ``_json_*`` helpers,
+    which raise or take a tuple for an array.
     """
-    if type(obj) is not dict:
-        return None
-    objects = _names_key(obj.get("objects"))
-    invertible = _names_key(obj.get("invertible", []))
-    gens, rels = obj.get("generators"), obj.get("relations")
-    if objects is None or invertible is None or type(gens) is not list or type(rels) is not list:
-        return None
+    objects = _names(obj["objects"], "objects")
     generators = []
-    for g in gens:
-        if type(g) is not dict:
-            return None
-        name, src, dst = g.get("name"), g.get("src"), g.get("dst")
-        if type(name) is not str or type(src) is not str or type(dst) is not str:
-            return None
+    gens = obj["generators"]
+    for g in gens if type(gens) is list else _json_list(gens, "generators"):
+        name = g["name"]
+        if type(name) is not str:
+            _json_str(name, "name")
+        src = g["src"]
+        if type(src) is not str:
+            _json_str(src, "src")
+        dst = g["dst"]
+        if type(dst) is not str:
+            _json_str(dst, "dst")
         generators.append((name, src, dst))
     relations = []
-    for r in rels:
-        if type(r) is not dict:
-            return None
-        lhs, rhs = r.get("lhs"), r.get("rhs")
-        if type(lhs) is not dict or type(rhs) is not dict:
-            return None
-        la, lg = lhs.get("at"), _names_key(lhs.get("gens"))
-        ra, rg = rhs.get("at"), _names_key(rhs.get("gens"))
-        if type(la) is not str or type(ra) is not str or lg is None or rg is None:
-            return None
-        relations.append((la, lg, ra, rg))
+    rels = obj["relations"]
+    for r in rels if type(rels) is list else _json_list(rels, "relations"):
+        side = r["lhs"]
+        lhs_at = side["at"]
+        if type(lhs_at) is not str:
+            _json_str(lhs_at, "at")
+        lhs_gens = _names(side["gens"], "gens")
+        side = r["rhs"]
+        rhs_at = side["at"]
+        if type(rhs_at) is not str:
+            _json_str(rhs_at, "at")
+        relations.append((lhs_at, lhs_gens, rhs_at, _names(side["gens"], "gens")))
+    invertible = _names(obj.get("invertible", []), "invertible")
     return objects, tuple(generators), tuple(relations), invertible
-
-
-def _read_fields(obj) -> FpCategory:
-    """Read a parsed document field by field; a list field that is not a
-    JSON array, or a name that is not a JSON string, is a TypeError naming
-    the field, and a missing field a KeyError."""
-    return build(
-        _json_names(obj["objects"], "objects"),
-        [
-            (_json_str(g["name"], "name"), _json_str(g["src"], "src"), _json_str(g["dst"], "dst"))
-            for g in _json_list(obj["generators"], "generators")
-        ],
-        [
-            (Path.from_json_obj(r["lhs"]), Path.from_json_obj(r["rhs"]))
-            for r in _json_list(obj["relations"], "relations")
-        ],
-        _json_names(obj.get("invertible", ()), "invertible"),
-    )
 
 
 def from_json(doc: Union[str, Mapping]) -> FpCategory:
     """Read ``to_json`` output (text or a parsed object) back.
 
-    A well-formed document is looked up by its ``_presentation_key`` among
-    the presentations read before, and its presentation is built and
-    checked only the first time; each call returns a ``copy()``, so equal
+    ``_read_fields`` reads the document to plain tuples, which key the
+    presentations read before: a presentation is built and checked only the
+    first time its key is read.  Each call returns a ``copy()``, so equal
     documents share the quiver and relations but not the inverse table or
-    the completions.  Errors are not kept; they are raised again.  Any
-    other document goes to ``_read_fields``.
+    the completions.  Errors are not kept; they are raised again.
     """
     obj = json.loads(doc) if isinstance(doc, str) else doc
-    key = _presentation_key(obj)
-    if key is None:
-        return _read_fields(obj)
-    return _shared_presentation(*key).copy()
+    return _shared_presentation(*_read_fields(obj)).copy()
 
 
 def discrete(names: Iterable[str]) -> FpCategory:
@@ -548,6 +522,7 @@ class RewritingSystem:
         self.status = status  # "complete" | "incomplete"
         self._table = table
         self.finite = [] if finite is None else finite
+        self._entry: _Entry | None = None  # the cache entry ``completion()`` took it from
         self._names = tuple(g.name for g in cat.quiver.generators)
 
     @property
@@ -766,9 +741,8 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 # the key on purpose: neither reads it (its unit relations are already among
 # the relations), so presentations that differ only there share a system and
 # its finite table.  The key spells generators and relations as tuples of
-# names, which hash and compare in C; ``FpCategory.completion`` builds it once
-# per presentation (a presentation ``from_json`` keeps may take it from its
-# intake key), and the copies ``from_json`` hands out share it.
+# names, which hash and compare in C; ``FpCategory.__init__`` builds it while
+# it checks the relations, and copies share it.
 #
 # The cache is bounded by cost, not by entries.  An entry costs
 # ``COMPLETION_ENTRY_CHARGE`` for its Python objects, plus one per rule, plus
@@ -804,27 +778,28 @@ def _shared_completion(
     generators: tuple[tuple[str, str, str], ...],
     relations: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...]], ...],
     budget: int,
-) -> tuple[tuple[Relation, ...], str, RuleTable, list]:
-    """The rules, status and rule table of a completion, and its table slot.
+) -> _Entry:
+    """The cache entry of a completion, made on a miss; it is returned even
+    when it alone exceeds the bound and so is not kept.
 
     ``generators`` holds ``(name, src, dst)`` and ``relations`` holds
-    ``(lhs.at, lhs.gens, rhs.at, rhs.gens)``.  The slot is the ``finite``
-    list of ``RewritingSystem``: empty until ``to_finite`` first builds the
-    table, then kept with the entry.
+    ``(lhs.at, lhs.gens, rhs.at, rhs.gens)``.  The value's table slot is the
+    ``finite`` list of ``RewritingSystem``: empty until ``to_finite`` first
+    builds the table, then kept with the entry.
     """
     key = (objects, generators, relations, budget)
     entry = _completion_entries.get(key)
     if entry is not None:
         _completion_order.move_to_end(entry)
         _completion_stats["hits"] += 1
-        return entry.value
+        return entry
     _completion_stats["misses"] += 1
     rels = [(Path(la, lg), Path(ra, rg)) for la, lg, ra, rg in relations]
     rs = complete(FpCategory(Quiver(objects, generators), rels), budget)
     entry = _completion_entries[key] = _Entry(key, (rs.rules, rs.status, rs._table, rs.finite))
     _completion_order[entry] = None
     _charge(entry, COMPLETION_ENTRY_CHARGE + len(rs.rules))
-    return entry.value
+    return entry
 
 
 def _charge(entry: _Entry, cost: int) -> None:
@@ -845,18 +820,11 @@ def _drop(entry: _Entry) -> None:
     _completion_stats["cost"] -= entry.cost
 
 
-def _charge_table(cat: FpCategory, budget: int, slot: list, cells: int) -> None:
-    """Charge ``cells`` to the cached entry whose table slot ``slot`` is, if
-    it is still cached; a dropped entry's slot costs the cache nothing."""
-    entry = _completion_entries.get((*cat._completion_key(), budget))
-    if entry is not None and entry.value[3] is slot:
-        _charge(entry, cells)
-
-
-# ``from_json`` keys documents the same way, with the invertible names added:
-# ``build`` reads nothing else, so equal keys build equal presentations.  The
-# cached presentation is never handed out, only its copies.  These entries are
-# small and uniform, so a count bounds them.
+# ``from_json`` keys documents by what ``_read_fields`` reads, the same tuples
+# with the invertible names added: ``build`` reads nothing else, so equal keys
+# build equal presentations.  The cached presentation is never handed out,
+# only its copies.  These entries are small and uniform, so a count bounds
+# them.
 INTAKE_CACHE_SIZE = 128
 
 
@@ -867,17 +835,9 @@ def _shared_presentation(
     relations: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...]], ...],
     invertible: tuple[str, ...],
 ) -> FpCategory:
-    """The presentation ``build`` makes of a ``_presentation_key``.
-
-    When ``build`` synthesized no mate, the key's first three parts are the
-    completion key, so the presentation and its completion entry share one
-    set of name tuples and the first ``completion()`` walks no ``Path``.
-    """
+    """The presentation ``build`` makes of what ``_read_fields`` read."""
     rels = [(Path(la, lg), Path(ra, rg)) for la, lg, ra, rg in relations]
-    cat = build(objects, generators, rels, invertible)
-    if len(cat.quiver.generators) == len(generators):
-        cat._key_slot.append((objects, generators, relations))
-    return cat
+    return build(objects, generators, rels, invertible)
 
 
 def completion_cache_info() -> CompletionCacheInfo:
@@ -1267,7 +1227,8 @@ def to_finite(
         gen_image=gen_image,
     )
     rs.finite[:] = [max(map(len, hom_forms.values()), default=0), fin]
-    _charge_table(cat, budget, rs.finite, len(compose))
+    if rs._entry in _completion_order:  # a dropped entry's table costs the cache nothing
+        _charge(rs._entry, len(compose))
     return fin.copy()
 
 

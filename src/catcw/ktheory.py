@@ -37,9 +37,7 @@ from .fpcat import (
     functor_from_json,
     to_finite,
 )
-from .model_structure import is_cofibration, is_contractible
-
-INVERSE_SEARCH_LEN = 6
+from .model_structure import INVERSE_WORD_LEN, is_cofibration, is_contractible
 
 K0_SCOPE_NOTE = (
     "closure conditions are checked for the objects occurring in this witness only"
@@ -251,7 +249,7 @@ def _strict_inverse(m: Functor, budget: int) -> Functor | None:
     c_forms = [rs_c.reduce_word((j,)) for j in range(len(C.quiver.generators))]
     n_img: list[tuple[int, ...]] = []  # by C generator index
     for c, want in zip(C.quiver.generators, c_forms):
-        for w in _hom_words(apex, rs_apex, inv_obj[c.src], inv_obj[c.dst], INVERSE_SEARCH_LEN):
+        for w in _hom_words(apex, rs_apex, inv_obj[c.src], inv_obj[c.dst], INVERSE_WORD_LEN):
             if rs_c.reduce_word(_image_word(m_img, w)) == want:
                 n_img.append(w)
                 break
@@ -479,11 +477,23 @@ class K0Witness:
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
 
+    def _stages_hold(self, budget: int) -> bool:
+        """The checks that building a witness does not already make: both
+        cones are contractible, and Σ²X has one object, no generators and a
+        stated count of one morphism."""
+        return (
+            self.contract_px.verify(budget)
+            and self.contract_psx.verify(budget)
+            and len(self.s2x.cat.objects) == 1
+            and not self.s2x.cat.generators
+            and self.s2x_morphisms == 1
+        )
+
     def replay(self, budget: int = DEFAULT_RULE_BUDGET) -> bool:
         """Re-run all five checks on the stored data."""
         if not self.cert1.verify(budget) or not self.cert2.verify(budget):
             return False
-        if not self.contract_px.verify(budget) or not self.contract_psx.verify(budget):
+        if not self._stages_hold(budget):
             return False
         # the chain must connect: stage categories appear in the certificates
         if self.cert1.i.source != self.x.cat or self.cert1.i.target != self.px:
@@ -496,11 +506,7 @@ class K0Witness:
             return False
         if self.contract_px.category != self.px or self.contract_psx.category != self.psx:
             return False
-        if len(self.s2x.cat.objects) != 1 or self.s2x.cat.generators:
-            return False
-        if to_finite(self.s2x.cat, bound=4, budget=budget).n != self.s2x_morphisms:
-            return False
-        return self.s2x_morphisms == 1
+        return to_finite(self.s2x.cat, bound=4, budget=budget).n == self.s2x_morphisms
 
     @staticmethod
     def from_json(doc: Union[str, Mapping]) -> "K0Witness":
@@ -554,8 +560,9 @@ def k0_vanishing_witness(
     """Assemble and check the five-certificate vanishing witness for X.
 
     The two cofiber certificates were checked as they were made, and the
-    stages chain by construction, so what ``replay`` would add is the two
-    contractibility checks and that Σ²X is the terminal category.
+    stages chain by construction, so what ``replay`` would add is
+    ``_stages_hold``: the two contractibility checks and that Σ²X is the
+    terminal category.
     """
     X = as_pointed_fp(X)
     sx, po1, unit1 = _suspension(X)
@@ -579,12 +586,6 @@ def k0_vanishing_witness(
         ContractibilityCertificate(psx, len(psx.objects)),
         to_finite(s2x.cat, bound=4, budget=budget).n,
     )
-    if not (
-        witness.contract_px.verify(budget)
-        and witness.contract_psx.verify(budget)
-        and len(s2x.cat.objects) == 1
-        and not s2x.cat.generators
-        and witness.s2x_morphisms == 1
-    ):
+    if not witness._stages_hold(budget):
         raise CatError("freshly assembled witness failed to replay")
     return witness

@@ -31,6 +31,7 @@ from .fpcat import (
 DEFAULT_PRODUCT_BOUND = 10**6
 # The inverse-word search of ``_inverses_found``: candidate words of length at
 # most INVERSE_WORD_LEN, at most INVERSE_CANDIDATES of them per generator.
+# ``ktheory._strict_inverse`` draws its candidates under the same length bound.
 INVERSE_WORD_LEN = 6
 INVERSE_CANDIDATES = 10_000
 

@@ -25,6 +25,7 @@ from .fpcat import (
     _json_list,
     _json_names,
 )
+from .colimits import _UnionFind
 from .model_structure import all_functors, groupoid_witness, is_groupoid
 
 Open = frozenset
@@ -129,24 +130,15 @@ def connected_components(space: FiniteSpace, u: Iterable[str]) -> tuple[tuple[st
     uset = frozenset(u)
     if not space.is_open(uset):
         raise NotAnOpen(f"{sorted(uset)} is not an open")
-    pts = sorted(uset)
-    parent = {x: x for x in pts}
-
-    def root(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for x in pts:
+    uf = _UnionFind(uset)
+    for x in uset:
         for y in space.min_open(x):
-            rx, ry = root(x), root(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-    buckets: dict[str, list[str]] = {}
-    for x in pts:
-        buckets.setdefault(root(x), []).append(x)
-    return tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
+            uf.union(x, y)
+    classes: dict[str, list[str]] = {}
+    for x in uset:
+        classes.setdefault(uf.find(x), []).append(x)
+    # by least point, so the output does not depend on the union order
+    return tuple(sorted(tuple(sorted(c)) for c in classes.values()))
 
 
 def is_connected(space: FiniteSpace) -> bool:

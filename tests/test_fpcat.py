@@ -8,7 +8,7 @@ import random
 from collections import OrderedDict
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from catcw import (
     BudgetTooSmall,
@@ -634,7 +634,7 @@ def _cache_cases():
             fin = to_finite(cat, 32, budget)
         except (IncompleteSystem, NotFinite):
             fin = None
-        key = (*cat._completion_key(), budget)
+        key = (*cat._key, budget)
         cases.append((cat.to_json(), budget, key, complete(cat, budget), fin))
     clear_completion_cache()
     return cases
@@ -754,29 +754,33 @@ def test_a_system_costlier_than_the_bound_is_returned_but_not_kept(monkeypatch):
     clear_completion_cache()
 
 
-def test_the_intake_key_seeds_the_completion_key(monkeypatch):
+def test_a_document_completes_under_the_names_it_was_read_to(monkeypatch):
     """A document whose presentation needs no synthesized mate completes
-    under the name tuples of its intake key."""
+    under a key equal to what ``_read_fields`` read of it, less
+    ``invertible``; every copy completes under its presentation's one key."""
     clear_completion_cache()
     doc = c2_cat().to_json_obj()  # t is its own mate: t;t = id is declared
-    key_of, shared = fpcat._presentation_key, fpcat._shared_completion
+    read, shared = fpcat._read_fields, fpcat._shared_completion
     intake, completion = [], []
 
     def intake_spy(obj):
-        intake.append(key_of(obj))
+        intake.append(read(obj))
         return intake[-1]
 
     def completion_spy(*key):
         completion.append(key)
         return shared(*key)
 
-    monkeypatch.setattr(fpcat, "_presentation_key", intake_spy)
+    monkeypatch.setattr(fpcat, "_read_fields", intake_spy)
     monkeypatch.setattr(fpcat, "_shared_completion", completion_spy)
     cat = from_json(doc)
-    assert cat._completion_key() == intake[0][:3] and cat._completion_key()[2] is intake[0][2]
+    assert cat._key == intake[0][:3]
     cat.completion()
     from_json(doc).completion()
-    assert len(completion) == 2 and all(k[2] is intake[0][2] for k in completion)
+    assert len(intake) == 2 and intake[1] == intake[0]
+    assert len(completion) == 2
+    assert all(k[1] is cat._key[1] and k[2] is cat._key[2] for k in completion)
+    assert completion_cache_info()[:3] == (1, 1, 1)  # hits, misses, entries
     clear_completion_cache()
 
 
@@ -786,10 +790,10 @@ def test_a_synthesized_mate_builds_the_completion_key_from_its_relations():
     obj["generators"] = obj["generators"][:1]  # t^-1 and its units are synthesized again
     obj["relations"] = obj["relations"][:1]
     obj["invertible"] = ["t"]
-    intake = fpcat._presentation_key(obj)
+    intake = fpcat._read_fields(obj)
     cat = from_json(obj)
     assert len(cat.relations) == len(intake[2]) + 2
-    key = cat._completion_key()
+    key = cat._key
     assert key == (
         cat.quiver.objects,
         tuple((g.name, g.src, g.dst) for g in cat.quiver.generators),
@@ -859,6 +863,31 @@ def _intake_docs(draw):
     return doc, twin
 
 
+def _reference_side(obj):
+    return Path(fpcat._json_str(obj["at"], "at"), fpcat._json_names(obj["gens"], "gens"))
+
+
+def _reference_reader(obj):
+    """A parsed document read field by field straight into ``build``, with
+    no cache: the reader ``from_json`` must agree with, errors included."""
+    return build(
+        fpcat._json_names(obj["objects"], "objects"),
+        [
+            (
+                fpcat._json_str(g["name"], "name"),
+                fpcat._json_str(g["src"], "src"),
+                fpcat._json_str(g["dst"], "dst"),
+            )
+            for g in fpcat._json_list(obj["generators"], "generators")
+        ],
+        [
+            (_reference_side(r["lhs"]), _reference_side(r["rhs"]))
+            for r in fpcat._json_list(obj["relations"], "relations")
+        ],
+        fpcat._json_names(obj.get("invertible", ()), "invertible"),
+    )
+
+
 def _reading(read, doc):
     """What ``read`` makes of ``doc``: its JSON and inverse table, or the
     type and text of its error."""
@@ -884,10 +913,10 @@ def test_shared_intake_reads_as_the_field_reader(docs):
     uncached field-by-field reader does, errors included."""
     doc, twin = docs
     clear_completion_cache()
-    expected = _reading(fpcat._read_fields, doc)
+    expected = _reading(_reference_reader, doc)
     assert _reading(from_json, doc) == expected  # a miss
     assert _reading(from_json, doc) == expected  # a hit, or a miss again after an error
-    assert _reading(from_json, twin) == _reading(fpcat._read_fields, twin)
+    assert _reading(from_json, twin) == _reading(_reference_reader, twin)
 
 
 def test_equal_documents_read_to_distinct_instances():
@@ -1245,6 +1274,26 @@ def test_normalize_agrees_with_brute_closure(maker):
                 n2 = normalize(cat, Path(key[0], w2))
                 same_class = root((key, w1)) == root((key, w2))
                 assert same_class == (n1 == n2), (key, w1, w2)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_normal_forms_agree_with_brute_closure(seed):
+    """On seeded ``random_pointed`` draws with at most 4 generators that
+    complete within budget 20, the words of length at most 3 in one
+    brute-force class share one normal form."""
+    cat = random_pointed(random.Random(seed)).cat
+    assume(len(cat.generators) <= 4)
+    rs = cat.completion(20)
+    assume(rs.complete)
+    longest_side = max((max(len(l.gens), len(r.gens)) for l, r in cat.relations), default=0)
+    words, parent, root = _brute_classes(cat, 3, 3 + longest_side)
+    forms = {}
+    for key, ws in words.items():
+        for w in ws:
+            if len(w) <= 3:
+                nf = rs.normalize(Path(key[0], w))
+                assert forms.setdefault(root((key, w)), nf) == nf, (key, w)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ from catcw import (
     pushout,
 )
 from catcw.fpcat import DEFAULT_RULE_BUDGET, RewritingSystem, functors_equal
-from catcw.ktheory import INVERSE_SEARCH_LEN, _strict_inverse
+from catcw.ktheory import _strict_inverse
+from catcw.model_structure import INVERSE_WORD_LEN
 from conftest import _walks, c2_cat, pool8, random_pointed
 
 
@@ -89,7 +90,7 @@ def _strict_inverse_oracle(m, budget=DEFAULT_RULE_BUDGET):
         inv_obj[y] = x
     if set(inv_obj) != set(C.objects):
         return None
-    words = irreducible_words(apex, INVERSE_SEARCH_LEN, budget)
+    words = irreducible_words(apex, INVERSE_WORD_LEN, budget)
     gen_map = {}
     for c in C.quiver.generators:
         want = rs_c.normalize(Path(c.src, (c.name,)))
