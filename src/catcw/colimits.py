@@ -18,9 +18,10 @@ from .fpcat import (
     CatError,
     FpCategory,
     Functor,
-    Generator,
     Path,
-    Quiver,
+    _from_tuples,
+    _paths,
+    _shared,
     build,
     check_functor,
     compose_functors,
@@ -55,35 +56,39 @@ class PushoutResult:
         return functors_equal(left, right, budget)
 
 
-def _renamed(
-    cat: FpCategory, prefix: str
-) -> tuple[list[str], list[Generator], list, dict[str, str]]:
-    """``cat``'s objects, generators, relations and mate table, every name prefixed."""
+def _renamed(cat: FpCategory, prefix: str) -> tuple[list, list, list, list]:
+    """``cat``'s objects, generators, relations and mate pairs, every name
+    prefixed, as the plain tuples ``_from_tuples`` reads."""
 
-    def pp(p: Path) -> Path:
-        return Path(prefix + p.at, tuple(prefix + g for g in p.gens))
+    def names(gens: tuple[str, ...]) -> tuple[str, ...]:
+        return tuple(prefix + g for g in gens)
 
     return (
         [prefix + x for x in cat.objects],
-        [Generator(prefix + g.name, prefix + g.src, prefix + g.dst) for g in cat.quiver.generators],
-        [(pp(l), pp(r)) for l, r in cat.relations],
-        {prefix + a: prefix + b for a, b in cat.inverses.items()},
+        [(prefix + g.name, prefix + g.src, prefix + g.dst) for g in cat.quiver.generators],
+        [
+            (prefix + l.at, names(l.gens), prefix + r.at, names(r.gens))
+            for l, r in cat.relations
+        ],
+        [(prefix + a, prefix + b) for a, b in cat.inverses.items()],
     )
 
 
 def coproduct(cats: Sequence[FpCategory]) -> CoproductResult:
-    """Disjoint union with numeric prefixes; injections are cofibrations."""
+    """Disjoint union with numeric prefixes; injections are cofibrations.
+
+    The apex is shared between equal inputs (``fpcat._shared``)."""
     objects: list[str] = []
-    gens: list[Generator] = []
+    gens: list = []
     rels: list = []
-    inverses: dict[str, str] = {}
+    mates: list = []
     for i, cat in enumerate(cats):
-        o, g, r, inv = _renamed(cat, f"{i}.")
+        o, g, r, m = _renamed(cat, f"{i}.")
         objects += o
         gens += g
         rels += r
-        inverses.update(inv)
-    apex = FpCategory(Quiver(objects, gens), rels, inverses)
+        mates += m
+    apex = _shared(_from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates))
     injections = tuple(
         Functor(
             cat,
@@ -115,7 +120,9 @@ class _UnionFind:
 def pushout(f: Functor, g: Functor) -> PushoutResult:
     """Pushout of the span B <-f- A -g-> C in presentations.
 
-    ``inj_left`` embeds f's target, ``inj_right`` embeds g's target.
+    ``inj_left`` embeds f's target, ``inj_right`` embeds g's target.  The
+    apex is shared between equal spans (``fpcat._shared``): it is keyed by
+    its objects, generators, relations and mate pairs as plain tuples.
     """
     if f.source != g.source:
         raise CatError("span legs must share their source")
@@ -133,30 +140,30 @@ def pushout(f: Functor, g: Functor) -> PushoutResult:
     rep = {name: first.setdefault(uf.find(name), name) for name in b_objs + c_objs}
     objects = [name for name, r in rep.items() if r == name]
 
-    gens: list[Generator] = []
+    gens: list[tuple[str, str, str]] = []
     for G in B.quiver.generators:
-        gens.append(Generator("L." + G.name, rep["L." + G.src], rep["L." + G.dst]))
+        gens.append(("L." + G.name, rep["L." + G.src], rep["L." + G.dst]))
     for G in C.quiver.generators:
-        gens.append(Generator("R." + G.name, rep["R." + G.src], rep["R." + G.dst]))
+        gens.append(("R." + G.name, rep["R." + G.src], rep["R." + G.dst]))
 
-    def map_path(p: Path, side: str) -> Path:
-        return Path(rep[side + p.at], tuple(side + n for n in p.gens))
+    def map_path(p: Path, side: str) -> tuple[str, tuple[str, ...]]:
+        return rep[side + p.at], tuple(side + n for n in p.gens)
 
     rels: list = []
     for l, r in B.relations:
-        rels.append((map_path(l, "L."), map_path(r, "L.")))
+        rels.append((*map_path(l, "L."), *map_path(r, "L.")))
     for l, r in C.relations:
-        rels.append((map_path(l, "R."), map_path(r, "R.")))
+        rels.append((*map_path(l, "R."), *map_path(r, "R.")))
     for a in A.quiver.generators:
         li = map_path(f.gen_map[a.name], "L.")
         ri = map_path(g.gen_map[a.name], "R.")
         if li != ri:
-            rels.append((li, ri))
+            rels.append((*li, *ri))
 
-    inverses = {("L." + k): ("L." + v) for k, v in B.inverses.items()}
-    inverses.update({("R." + k): ("R." + v) for k, v in C.inverses.items()})
+    mates = [("L." + k, "L." + v) for k, v in B.inverses.items()]
+    mates += [("R." + k, "R." + v) for k, v in C.inverses.items()]
 
-    apex = FpCategory(Quiver(objects, gens), rels, inverses)
+    apex = _shared(_from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates))
     inj_left = Functor(
         B,
         apex,
@@ -197,9 +204,14 @@ def chaotic(names: Sequence[str]) -> FpCategory:
 
     Generators ``x>y`` for distinct objects; every composable pair collapses
     to the direct generator (or the identity), and every generator is
-    invertible with mate the reversed generator.
+    invertible with mate the reversed generator.  Equal name lists share
+    one presentation (``fpcat._shared``); each call gets a copy.
     """
     names = list(names)
+    return _shared(_chaotic, *names)
+
+
+def _chaotic(*names: str) -> FpCategory:
     if not names:
         raise EmptySet("chaotic category needs at least one object")
     gens, rels = _chaotic_parts(names)
@@ -254,17 +266,17 @@ def cofibrant_replacement(g: Functor) -> tuple[Functor, Functor]:
         )
         return incl, proj
 
-    y_objs, y_gens, y_rels, y_inv = _renamed(Y, "L.")
-    x_objs, x_gens, x_rels, x_inv = _renamed(X, "R.")
+    y_objs, y_gens, y_rels, y_mates = _renamed(Y, "L.")
+    x_objs, x_gens, x_rels, x_mates = _renamed(X, "R.")
     objects = y_objs + x_objs
     gens = y_gens + x_gens
-    rels = y_rels + x_rels
-    invertible = [*y_inv, *x_inv]
+    rels = _paths(y_rels + x_rels)
+    invertible = [a for a, _ in y_mates + x_mates]
     conn: dict[str, str] = {}
     for x in X.objects:
         name = f"e.{x}"
         conn[x] = name
-        gens.append(Generator(name, "R." + x, "L." + g.apply_obj(x)))
+        gens.append((name, "R." + x, "L." + g.apply_obj(x)))
         invertible.append(name)
     for G in X.quiver.generators:
         img = g.gen_map[G.name]

@@ -28,16 +28,16 @@ from .fpcat import (
     FiniteCategory,
     FpCategory,
     Functor,
-    Generator,
     IncompleteSystem,
     NotFinite,
     Path,
-    Quiver,
     terminal,
     to_finite,
+    _from_tuples,
     _json_list,
     _json_names,
     _json_object,
+    _shared,
 )
 from .model_structure import (
     INVERSE_CANDIDATES,
@@ -148,12 +148,13 @@ def _assemble(parts: Sequence[tuple]) -> FpCategory:
     names are the colimits': ``k.`` from the coproduct, ``L.`` from
     ``attach_cells`` when there are words, and the one-complex's own, a
     pushout of ``["*", *T]`` (``L.``) and a chaotic cylinder on ``e.0.pt``,
-    ``e.1.pt`` per edge e (``R.``).
+    ``e.1.pt`` per edge e (``R.``).  The result is shared between equal
+    inputs (``fpcat._shared``), keyed by the plain tuples assembled here.
     """
     objects: list[str] = []
-    gens: list[Generator] = []
-    rels: list[tuple[Path, Path]] = []
-    inverses: dict[str, str] = {}
+    gens: list[tuple[str, str, str]] = []
+    rels: list[tuple] = []
+    mates: list[tuple[str, str]] = []
     for k, (S, T, words) in enumerate(parts):
         _check_distinct(("*", *T), "object")
         if words is not None:
@@ -165,9 +166,9 @@ def _assemble(parts: Sequence[tuple]) -> FpCategory:
         names: list[str] = []  # edge e is names[2e], its mate names[2e + 1]
         for e, dst in enumerate([bp] * len(S) + ends):
             g, m = f"{p}R.{e}.0.pt>1.pt", f"{p}R.{e}.1.pt>0.pt"
-            gens += (Generator(g, bp, dst), Generator(m, dst, bp))
-            rels += ((Path(bp, (g, m)), Path(bp)), (Path(dst, (m, g)), Path(dst)))
-            inverses.update({g: m, m: g})
+            gens += ((g, bp, dst), (m, dst, bp))
+            rels += ((bp, (g, m), bp, ()), (dst, (m, g), dst, ()))
+            mates += ((g, m), (m, g))
             names += (g, m)
         letter = {s: 2 * e for e, s in enumerate(S)}
         for word in words or ():
@@ -178,9 +179,9 @@ def _assemble(parts: Sequence[tuple]) -> FpCategory:
                     raise CatError(f"relation token {token!r} names no generator")
                 w.append(letter[name] + (name != token))
             if w:
-                rels.append((Path(bp, tuple(names[a] for a in w)), Path(bp)))
-                rels.append((Path(bp, tuple(names[a ^ 1] for a in reversed(w))), Path(bp)))
-    return FpCategory(Quiver(objects, gens), rels, inverses)
+                rels.append((bp, tuple(names[a] for a in w), bp, ()))
+                rels.append((bp, tuple(names[a ^ 1] for a in reversed(w)), bp, ()))
+    return _shared(_from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates))
 
 
 def build_one_complex(components: Sequence[tuple[Sequence[str], Sequence[str]]]) -> FpCategory:

@@ -327,7 +327,7 @@ class FpCategory:
         """
         rs = self._completions.get(budget)
         if rs is None:
-            entry = _shared_completion(*self._key, budget)
+            entry = _shared_completion(self, budget)
             rs = RewritingSystem(self, *entry.value)
             rs._entry = entry
             self._completions[budget] = rs
@@ -478,6 +478,16 @@ def _read_fields(obj) -> tuple:
     return objects, tuple(generators), tuple(relations), invertible
 
 
+def _built(
+    objects: tuple[str, ...],
+    generators: tuple[tuple[str, str, str], ...],
+    relations: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...]], ...],
+    invertible: tuple[str, ...],
+) -> FpCategory:
+    """The presentation ``build`` makes of what ``_read_fields`` read."""
+    return build(objects, generators, _paths(relations), invertible)
+
+
 def from_json(doc: Union[str, Mapping]) -> FpCategory:
     """Read ``to_json`` output (text or a parsed object) back.
 
@@ -488,7 +498,25 @@ def from_json(doc: Union[str, Mapping]) -> FpCategory:
     the completions.  Errors are not kept; they are raised again.
     """
     obj = json.loads(doc) if isinstance(doc, str) else doc
-    return _shared_presentation(*_read_fields(obj)).copy()
+    return _shared(_built, *_read_fields(obj))
+
+
+def _from_tuples(
+    objects: tuple[str, ...],
+    generators: tuple[tuple[str, str, str], ...],
+    relations: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...]], ...],
+    mates: tuple[tuple[str, str], ...],
+) -> FpCategory:
+    """The presentation of plain tuples: ``(name, src, dst)`` generators,
+    ``(lhs.at, lhs.gens, rhs.at, rhs.gens)`` relations and the inverse
+    table's items in order.  The constructions key their apexes by these
+    tuples, so ``Generator`` and ``Path`` objects are made only on a miss."""
+    return FpCategory(Quiver(objects, generators), _paths(relations), dict(mates))
+
+
+def _paths(relations) -> list[Relation]:
+    """``(lhs.at, lhs.gens, rhs.at, rhs.gens)`` tuples as pairs of paths."""
+    return [(Path(la, lg), Path(ra, rg)) for la, lg, ra, rg in relations]
 
 
 def discrete(names: Iterable[str]) -> FpCategory:
@@ -496,6 +524,10 @@ def discrete(names: Iterable[str]) -> FpCategory:
 
 
 def terminal(name: str = "pt") -> FpCategory:
+    return _shared(_point, name)
+
+
+def _point(name) -> FpCategory:
     return build((name,))
 
 
@@ -773,29 +805,25 @@ _completion_stats: Counter = Counter()  # hits, misses, cost
 CompletionCacheInfo = namedtuple("CompletionCacheInfo", "hits misses entries cost bound")
 
 
-def _shared_completion(
-    objects: tuple[str, ...],
-    generators: tuple[tuple[str, str, str], ...],
-    relations: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...]], ...],
-    budget: int,
-) -> _Entry:
-    """The cache entry of a completion, made on a miss; it is returned even
-    when it alone exceeds the bound and so is not kept.
+def _shared_completion(cat: FpCategory, budget: int) -> _Entry:
+    """The cache entry of ``cat``'s completion, made on a miss by completing
+    ``cat`` itself; it is returned even when it alone exceeds the bound and
+    so is not kept.
 
-    ``generators`` holds ``(name, src, dst)`` and ``relations`` holds
-    ``(lhs.at, lhs.gens, rhs.at, rhs.gens)``.  The value's table slot is the
-    ``finite`` list of ``RewritingSystem``: empty until ``to_finite`` first
-    builds the table, then kept with the entry.
+    The key is ``cat._key`` and the budget.  The entry keeps no reference to
+    ``cat``: its rules are paths and its table is over generator indices.
+    The value's table slot is the ``finite`` list of ``RewritingSystem``:
+    empty until ``to_finite`` first builds the table, then kept with the
+    entry.
     """
-    key = (objects, generators, relations, budget)
+    key = (*cat._key, budget)
     entry = _completion_entries.get(key)
     if entry is not None:
         _completion_order.move_to_end(entry)
         _completion_stats["hits"] += 1
         return entry
     _completion_stats["misses"] += 1
-    rels = [(Path(la, lg), Path(ra, rg)) for la, lg, ra, rg in relations]
-    rs = complete(FpCategory(Quiver(objects, generators), rels), budget)
+    rs = complete(cat, budget)
     entry = _completion_entries[key] = _Entry(key, (rs.rules, rs.status, rs._table, rs.finite))
     _completion_order[entry] = None
     _charge(entry, COMPLETION_ENTRY_CHARGE + len(rs.rules))
@@ -820,24 +848,30 @@ def _drop(entry: _Entry) -> None:
     _completion_stats["cost"] -= entry.cost
 
 
-# ``from_json`` keys documents by what ``_read_fields`` reads, the same tuples
-# with the invertible names added: ``build`` reads nothing else, so equal keys
-# build equal presentations.  The cached presentation is never handed out,
-# only its copies.  These entries are small and uniform, so a count bounds
-# them.
+# One cache holds every presentation catcw would otherwise build again for
+# equal input: the documents ``from_json`` reads, keyed by what ``_read_fields``
+# reads (``build`` reads nothing else), and the constructions' presentations,
+# keyed by the arguments of ``terminal`` and ``chaotic`` or by the plain tuples
+# ``_from_tuples`` reads.  The maker leads the key, so equal tuples from two
+# makers do not meet.  The cached presentation is never handed out, only its
+# copies.  These entries are small and uniform, so a count bounds them.  Keys
+# are typed: names equal in value but not in type (``1`` and ``True``) do not
+# meet.  Nested names are ``str`` already: the reader checks them, and the
+# constructions make them by concatenation.
 INTAKE_CACHE_SIZE = 128
 
 
-@functools.lru_cache(maxsize=INTAKE_CACHE_SIZE)
-def _shared_presentation(
-    objects: tuple[str, ...],
-    generators: tuple[tuple[str, str, str], ...],
-    relations: tuple[tuple[str, tuple[str, ...], str, tuple[str, ...]], ...],
-    invertible: tuple[str, ...],
-) -> FpCategory:
-    """The presentation ``build`` makes of what ``_read_fields`` read."""
-    rels = [(Path(la, lg), Path(ra, rg)) for la, lg, ra, rg in relations]
-    return build(objects, generators, rels, invertible)
+@functools.lru_cache(maxsize=INTAKE_CACHE_SIZE, typed=True)
+def _shared_presentation(make, *key) -> FpCategory:
+    """The presentation ``make(*key)`` builds and checks, made once per key."""
+    return make(*key)
+
+
+def _shared(make, *key) -> FpCategory:
+    """A ``copy()`` of the shared presentation ``make(*key)``: its own
+    inverse table and no completions, the quiver, relations and completion
+    key shared.  Errors are not kept; they are raised again."""
+    return _shared_presentation(make, *key).copy()
 
 
 def completion_cache_info() -> CompletionCacheInfo:
@@ -871,7 +905,7 @@ def completion_cache_info() -> CompletionCacheInfo:
 
 def clear_completion_cache() -> None:
     """Forget every shared completion, the finite table built from each, and
-    the presentations ``from_json`` shares between equal documents.
+    the presentations shared between equal documents and equal constructions.
 
     Instances keep the systems and tables they already hold, so a memoised
     presentation such as ``sphere(n)`` still answers from its old entry.

@@ -3,17 +3,27 @@ chaotic categories, and cofibrant replacement."""
 
 import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from catcw import fpcat
 from catcw import (
+    CoproductResult,
     EmptySet,
     FpCategory,
     Functor,
+    GroupoidComponent,
+    GroupoidPresentation,
     Path,
     PointedCategory,
+    PushoutResult,
+    build_two_complex,
     chaotic,
     check_functor,
+    clear_completion_cache,
+    cone_unit,
     cofibrant_replacement,
     compose_functors,
     coproduct,
@@ -25,8 +35,10 @@ from catcw import (
     is_equivalence,
     k0_vanishing_witness,
     one_sided_homotopy_pushout,
+    point_collapse,
     pushout,
     sphere,
+    terminal,
     to_finite,
 )
 from conftest import (
@@ -38,10 +50,12 @@ from conftest import (
     interval_cat,
     path2_cat,
     pool8,
+    random_cof_span,
+    random_pointed,
     span_pool,
     terminal_cat,
 )
-from catcw.cli import main
+from catcw.cli import _random_presentation, main
 
 
 def test_coproduct_prefixes_and_injections():
@@ -67,6 +81,18 @@ def test_coproduct_keeps_inverses():
 def test_chaotic_needs_an_object():
     with pytest.raises(EmptySet):
         chaotic([])
+
+
+def test_names_equal_in_value_but_not_in_type_share_nothing():
+    """``1 == True``, but a point or cone named ``True`` is spelled as a cold
+    run spells it, after one named ``1``."""
+    for make in (terminal, lambda name: chaotic(["a", name])):
+        clear_completion_cache()
+        cold = make(True).to_json()
+        assert "true" in cold
+        clear_completion_cache()
+        make(1)
+        assert make(True).to_json() == cold
 
 
 def test_chaotic_is_contractible():
@@ -177,7 +203,9 @@ def test_one_sided_homotopy_pushout_circle():
 
 @pytest.fixture()
 def presentations_built(monkeypatch):
-    """A list that records every ``FpCategory`` built while the test runs."""
+    """A list that records every ``FpCategory`` built while the test runs,
+    which starts with no shared presentation."""
+    clear_completion_cache()
     built = []
     init = FpCategory.__init__
 
@@ -194,6 +222,15 @@ def test_coproduct_builds_only_its_apex(presentations_built):
     presentations_built.clear()
     res = coproduct(cats)
     assert presentations_built == [res.apex]
+
+
+def test_a_repeated_pushout_builds_its_apex_once(presentations_built):
+    for f, g in span_pool():
+        presentations_built.clear()
+        first, again = pushout(f, g), pushout(f, g)
+        assert presentations_built == [first.apex]
+        assert again.apex == first.apex and again.apex is not first.apex
+        assert again.apex.to_json() == first.apex.to_json()
 
 
 def test_discrete_cylinder_builds_only_its_apex(presentations_built):
@@ -262,3 +299,135 @@ PINNED_DIGESTS = {
     "cylinders": "57336bd7fe4e54c4f50e61c379b8102b26c1e153aa4d8ec8faae119e682ebffc",
     "k0_witness": "212437c294f1c4a28efb0769be3ee43b669358917b4862937fb7ad46d6f46ba0",
 }
+
+
+# ---------------------------------------------------------------------------
+# Shared presentations answer as cold ones
+
+
+def _answer(make):
+    """What ``make()`` gives, for comparison with a cold run: the
+    presentation's JSON, the presentation itself (compared by ``==``), its
+    inverse table in order and the injections' JSON; or the error's type
+    and text."""
+    try:
+        out = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, PushoutResult):
+        cat, legs = out.apex, [out.inj_left, out.inj_right]
+    elif isinstance(out, CoproductResult):
+        cat, legs = out.apex, list(out.injections)
+    else:
+        cat, legs = out, []
+    return cat.to_json(), cat, list(cat.inverses.items()), [F.to_json_obj() for F in legs]
+
+
+def _varied(cat: FpCategory, change: str) -> FpCategory:
+    """``cat``, or an equal quiver with its relations reversed or its mate
+    table emptied: a presentation that must not share ``cat``'s entry."""
+    if change == "relations":
+        return FpCategory(cat.quiver, cat.relations[::-1], cat.inverses)
+    out = cat.copy()
+    if change == "mates":
+        out.inverses.clear()
+    return out
+
+
+def _varied_span(f: Functor, g: Functor, change: str) -> tuple[Functor, Functor]:
+    return tuple(
+        Functor(F.source, _varied(F.target, change), F.object_map, F.gen_map) for F in (f, g)
+    )
+
+
+def _broken_leg(g: Functor, how: str, rng: random.Random) -> Functor:
+    """``g`` with one generator sent to no arrow of its target (``"unknown"``),
+    to no path at all (``"number"``), or to an identity at a random object
+    (``"endpoints"``): a leg that is not a functor."""
+    gens = g.source.quiver.generators
+    if not gens:
+        return g
+    gen_map = dict(g.gen_map)
+    at = rng.choice(g.target.objects)
+    gen_map[gens[0].name] = {
+        "unknown": Path(at, ("nope",)), "number": 5, "endpoints": Path(at)
+    }[how]
+    return Functor(g.source, g.target, g.object_map, gen_map)
+
+
+def _random_two_complex(rng: random.Random, broken: str | None) -> GroupoidPresentation:
+    gp = _random_presentation(rng.randrange(10**6))
+    extra = {
+        None: [],
+        "token": [GroupoidComponent((), ("a",), (("b",),))],
+        "object": [GroupoidComponent(("u", "u"), ("a",), ())],
+    }[broken]
+    return GroupoidPresentation(gp.components + tuple(extra))
+
+
+def _constructions(kind, names, seed, change, broken):
+    """``(make, variant)``: a construction and the same construction on an
+    input that differs in relation order or mate table (or not at all)."""
+    rng = random.Random(seed)
+    if kind == "chaotic":
+        return (lambda: chaotic(names)), (lambda: chaotic(names[::-1]))
+    if kind == "terminal":
+        name = names[0] if names else "pt"
+        return (lambda: terminal(name)), (lambda: terminal(name + "'"))
+    if kind == "coproduct":
+        cats = [random_pointed(rng, max_obj=3, max_gens=4).cat for _ in range(rng.randint(0, 3))]
+        cats += [chaotic(names)] if names and len(set(names)) == len(names) else []
+        varied = [_varied(c, change) for c in cats]
+        return (lambda: coproduct(cats)), (lambda: coproduct(varied))
+    if kind == "two_complex":
+        gp = _random_two_complex(rng, broken and ("token", "object")[seed % 2])
+        rev = GroupoidPresentation(
+            [GroupoidComponent(c.extra_objects, c.generators, c.relations[::-1]) for c in gp.components]
+        )
+        return (lambda: build_two_complex(gp)), (lambda: build_two_complex(rev))
+    if kind == "pushout":
+        f, g = random_cof_span(rng)
+    else:  # the suspension span of a pointed category
+        X = random_pointed(rng, max_obj=3, max_gens=4)
+        f, g = cone_unit(X), point_collapse(X.cat)
+    if broken:
+        g = _broken_leg(g, broken, rng)
+    f2, g2 = _varied_span(f, g, change)
+    return (lambda: pushout(f, g)), (lambda: pushout(f2, g2))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(["chaotic", "terminal", "coproduct", "two_complex", "pushout", "suspension"]),
+    names=st.lists(st.sampled_from(["p", "q", "r", "*", "L.x"]), max_size=4),
+    seed=st.integers(0, 10**6),
+    change=st.sampled_from(["none", "relations", "mates"]),
+    broken=st.sampled_from([None, None, "unknown", "number", "endpoints"]),
+)
+@example(kind="chaotic", names=[], seed=0, change="none", broken=None)
+@example(kind="chaotic", names=["p", "q", "p"], seed=0, change="none", broken=None)
+@example(kind="pushout", names=[], seed=3, change="mates", broken="unknown")
+def test_shared_constructions_answer_as_cold_runs(kind, names, seed, change, broken):
+    """After an equal or a varied input has filled the presentation cache,
+    a construction answers as it does after ``clear_completion_cache()``:
+    JSON, ``==``, inverse-table order, injections, or error type and text.
+    Each call gets its own instance and inverse table; editing one does not
+    show in the next call."""
+    make, variant = _constructions(kind, names, seed, change, broken)
+    clear_completion_cache()
+    _answer(variant)
+    first = _answer(make)
+    hits = fpcat._shared_presentation.cache_info().hits
+    warm = _answer(make)
+    hit = fpcat._shared_presentation.cache_info().hits > hits
+    clear_completion_cache()
+    cold = _answer(make)
+    assert first == cold and warm == cold
+    if isinstance(cold[0], type):  # an error: raised again, never kept
+        return
+    assert hit
+    a, b = _answer(make)[1], _answer(make)[1]
+    assert a is not b and a.inverses is not b.inverses
+    a.inverses.clear()
+    a.inverses["junk"] = "junk"
+    assert _answer(make) == cold

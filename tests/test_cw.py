@@ -489,10 +489,11 @@ def test_two_complex_names_the_first_malformed_part():
 def test_builders_build_one_presentation(monkeypatch):
     """The colimit construction builds 28 presentations for the Z/4 read-off
     and 6 for the one-complex below (once sphere(0) is cached); the builders
-    build their result only."""
+    build their result only, and a second call builds nothing."""
     gp = _z4_read_off()
     assert len(gp.components[0].generators) == 3
     assert len(gp.components[0].relations) == 9
+    fpcat.clear_completion_cache()
     built = []
     init = fpcat.FpCategory.__init__
 
@@ -502,7 +503,10 @@ def test_builders_build_one_presentation(monkeypatch):
 
     monkeypatch.setattr(fpcat.FpCategory, "__init__", counting_init)
     X = build_two_complex(gp)
-    assert len(built) == 1 and built[0] is X
+    assert len(built) == 1 and built[0] == X and built[0] is not X
     built.clear()
     Y = build_one_complex([(["a", "b"], ["t"])])
-    assert len(built) == 1 and built[0] is Y
+    assert len(built) == 1 and built[0] == Y and built[0] is not Y
+    built.clear()
+    assert build_two_complex(gp) == X and build_one_complex([(["a", "b"], ["t"])]) == Y
+    assert built == []

@@ -526,9 +526,9 @@ def test_copies_of_one_presentation_build_its_completion_key_once(monkeypatch):
     doc = chaotic(["p", "q", "r"]).to_json()
     shared, keys = fpcat._shared_completion, []
 
-    def spy(*key):
-        keys.append(key)
-        return shared(*key)
+    def spy(cat, budget):
+        keys.append((*cat._key, budget))
+        return shared(cat, budget)
 
     monkeypatch.setattr(fpcat, "_shared_completion", spy)
     a, b = from_json(doc), from_json(doc)
@@ -767,9 +767,9 @@ def test_a_document_completes_under_the_names_it_was_read_to(monkeypatch):
         intake.append(read(obj))
         return intake[-1]
 
-    def completion_spy(*key):
-        completion.append(key)
-        return shared(*key)
+    def completion_spy(cat, budget):
+        completion.append((*cat._key, budget))
+        return shared(cat, budget)
 
     monkeypatch.setattr(fpcat, "_read_fields", intake_spy)
     monkeypatch.setattr(fpcat, "_shared_completion", completion_spy)

@@ -24,6 +24,7 @@ from catcw import (
     CofiberCertificate,
     CofiberFailure,
     ContractibilityCertificate,
+    FpCategory,
     Functor,
     K0Witness,
     Path,
@@ -31,6 +32,7 @@ from catcw import (
     build,
     chaotic,
     check_functor,
+    clear_completion_cache,
     compose_functors,
     cone,
     cone_map,
@@ -479,6 +481,35 @@ def test_k0_witness_pushes_each_suspension_out_once(monkeypatch):
             fresh = is_cofiber_sequence(cert.i, cert.q, stage.basepoint)
             assert fresh.to_json() == cert.to_json()
             assert (fresh.comparison, fresh.inverse) == (cert.comparison, cert.inverse)
+
+
+def test_a_second_k0_round_trip_builds_no_presentation(monkeypatch):
+    """Cones, points, pushout apexes and parsed stages are shared by
+    content, so a second K0 round trip of the same input (witness, JSON,
+    parsed copy, both replays) builds and checks no presentation."""
+    built = []
+    init = FpCategory.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    X = PointedCategory(arrow_cat(), "a")
+
+    def round_trip():
+        w = k0_vanishing_witness(X)
+        again = K0Witness.from_json(w.to_json())
+        assert w.replay() and again.replay()
+        return again.to_json()
+
+    clear_completion_cache()
+    monkeypatch.setattr(FpCategory, "__init__", counting_init)
+    first = round_trip()
+    assert built  # a cold round trip builds its stages
+    built.clear()
+    assert round_trip() == first
+    assert built == []
+    clear_completion_cache()
 
 
 def test_a_certificate_with_another_first_leg_pushes_out_again(monkeypatch):
