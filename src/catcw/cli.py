@@ -28,6 +28,7 @@ from .fpcat import (
     FpCategory,
     NotFinite,
     Path,
+    _canonical_json,
     _functor_defect,
     _json_object,
     from_json as category_from_json,
@@ -107,7 +108,7 @@ def _load_pointed(path: str, basepoint: str | None) -> PointedCategory:
 
 def _emit(report: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        print(_canonical_json(report))
     else:
         for line in lines:
             print(line)

@@ -33,6 +33,7 @@ from .fpcat import (
     Path,
     terminal,
     to_finite,
+    _canonical_json,
     _from_tuples,
     _json_list,
     _json_names,
@@ -221,7 +222,7 @@ class GroupoidPresentation:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_json_obj())
 
     @staticmethod
     def from_json(doc: Union[str, Mapping]) -> "GroupoidPresentation":

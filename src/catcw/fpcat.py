@@ -24,7 +24,7 @@ import functools
 import json
 import warnings
 from collections import Counter, OrderedDict, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -92,6 +92,12 @@ class NotFinite(CatError):
         self.forms = tuple(forms)
         self.bound = bound
         super().__init__(f"hom({src}, {dst}) has more than {bound} normal forms")
+
+
+def _canonical_json(obj) -> str:
+    """``obj`` as JSON with sorted keys and no spaces: the one spelling of
+    every document and report catcw writes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _json_list(value, field: str) -> list | tuple:
@@ -322,15 +328,12 @@ class FpCategory:
         """The completed system, shared with every equal presentation.
 
         The first call per budget looks the presentation up by content in a
-        process-wide cache of finished completions; the system returned is
-        bound to this instance but holds the cached rules and rule table.
+        process-wide cache of finished completions, and this instance keeps
+        the system it gets.
         """
         rs = self._completions.get(budget)
         if rs is None:
-            entry = _shared_completion(self, budget)
-            rs = RewritingSystem(self, *entry.value)
-            rs._entry = entry
-            self._completions[budget] = rs
+            rs = self._completions[budget] = _shared_completion(self, budget)
         return rs
 
     def __eq__(self, other):
@@ -362,7 +365,7 @@ class FpCategory:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_json_obj())
 
 
 def build(
@@ -539,23 +542,17 @@ class RewritingSystem:
     """Oriented, interreduced rules over a presentation's generator words.
 
     ``finite`` is empty until ``to_finite`` has built this system's table,
-    then ``[largest hom-set size, table]``; systems from one shared
-    completion hold one list.
+    then ``[largest hom-set size, table]``.
     """
 
-    def __init__(
-        self, cat: FpCategory, rules: Sequence[Relation], status: str,
-        table: RuleTable,
-        finite: list | None = None,
-    ):
-        """``table`` is ``rules`` encoded over ``cat``'s generators, in order."""
-        self.cat = cat
+    def __init__(self, quiver: Quiver, rules: Sequence[Relation], status: str, table: RuleTable):
+        """``table`` is ``rules`` encoded over ``quiver``'s generators, in order."""
+        self.quiver = quiver
         self.rules = tuple(rules)
         self.status = status  # "complete" | "incomplete"
         self._table = table
-        self.finite = [] if finite is None else finite
-        self._entry: _Entry | None = None  # the cache entry ``completion()`` took it from
-        self._names = tuple(g.name for g in cat.quiver.generators)
+        self.finite: list = []
+        self._names = tuple(g.name for g in quiver.generators)
 
     @property
     def complete(self) -> bool:
@@ -565,14 +562,14 @@ class RewritingSystem:
         return self._table.reduce(word)
 
     def normalize(self, p: Path) -> Path:
-        self.cat.quiver.check_path(p)
+        self.quiver.check_path(p)
         if not self.complete:
             warnings.warn(
                 "rewriting system is not confluent; returning a best-effort reduct",
                 IncompleteSystemWarning,
                 stacklevel=2,
             )
-        idx = self.cat.quiver.gen_index
+        idx = self.quiver.gen_index
         out = self._table.reduce(tuple(idx[n] for n in p.gens))
         return Path(p.at, tuple(self._names[i] for i in out))
 
@@ -764,7 +761,7 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
     for lhs, rhs in rules:
         at = gens[names[lhs[0]]].src
         out.append((decode(lhs, at), decode(rhs, at)))
-    return RewritingSystem(cat, out, status, table)
+    return RewritingSystem(cat.quiver, out, status, table)
 
 
 # Presentations with equal objects, generators (in order) and relations (in
@@ -776,76 +773,66 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 # names, which hash and compare in C; ``FpCategory.__init__`` builds it while
 # it checks the relations, and copies share it.
 #
-# The cache is bounded by cost, not by entries.  An entry costs
+# The cache is bounded by cost, not by entries.  A system costs
 # ``COMPLETION_ENTRY_CHARGE`` for its Python objects, plus one per rule, plus
-# one per cell of the table ``to_finite`` later puts in its slot (charged when
-# the slot fills).  Least recently used entries are dropped until the total is
-# within ``COMPLETION_CACHE_BOUND``; an entry that alone exceeds the bound is
-# returned but not kept.  Many small systems stay cached while one large table
-# (S6 has 518,400 cells) is not pinned.
+# one per cell of the table ``to_finite`` later puts in its ``finite`` slot
+# (charged when the slot fills).  Least recently used systems are dropped until
+# the total is within ``COMPLETION_CACHE_BOUND``; a system that alone exceeds
+# the bound is returned but not kept.  Many small systems stay cached while one
+# large table (S6 has 518,400 cells) is not pinned.
 COMPLETION_ENTRY_CHARGE = 128
 COMPLETION_CACHE_BOUND = 65_536
 
-
-@dataclass(eq=False, slots=True)
-class _Entry:
-    """One shared completion: its key, ``(rules, status, rule table, finite
-    slot)`` and its cost.  It hashes by identity, so moving it to the recent
-    end of the LRU order hashes none of the name tuples in its key."""
-
-    key: tuple
-    value: tuple
-    cost: int = 0
-
-
-_completion_entries: dict[tuple, _Entry] = {}
-_completion_order: OrderedDict[_Entry, None] = OrderedDict()  # least recently used first
+_completion_systems: dict[tuple, RewritingSystem] = {}
+# least recently used first, each system with ``[key, cost]``; systems hash by
+# identity, so moving one to the recent end hashes none of the name tuples in
+# its key
+_completion_order: OrderedDict[RewritingSystem, list] = OrderedDict()
 _completion_stats: Counter = Counter()  # hits, misses, cost
 
 CompletionCacheInfo = namedtuple("CompletionCacheInfo", "hits misses entries cost bound")
 
 
-def _shared_completion(cat: FpCategory, budget: int) -> _Entry:
-    """The cache entry of ``cat``'s completion, made on a miss by completing
+def _shared_completion(cat: FpCategory, budget: int) -> RewritingSystem:
+    """The one system of ``cat``'s completion, made on a miss by completing
     ``cat`` itself; it is returned even when it alone exceeds the bound and
     so is not kept.
 
-    The key is ``cat._key`` and the budget.  The entry keeps no reference to
-    ``cat``: its rules are paths and its table is over generator indices.
-    The value's table slot is the ``finite`` list of ``RewritingSystem``:
-    empty until ``to_finite`` first builds the table, then kept with the
-    entry.
+    The key is ``cat._key`` and the budget.  The system keeps ``cat``'s
+    quiver, which every presentation with that key has equal, and no
+    reference to ``cat``.
     """
     key = (*cat._key, budget)
-    entry = _completion_entries.get(key)
-    if entry is not None:
-        _completion_order.move_to_end(entry)
+    rs = _completion_systems.get(key)
+    if rs is not None:
+        _completion_order.move_to_end(rs)
         _completion_stats["hits"] += 1
-        return entry
+        return rs
     _completion_stats["misses"] += 1
-    rs = complete(cat, budget)
-    entry = _completion_entries[key] = _Entry(key, (rs.rules, rs.status, rs._table, rs.finite))
-    _completion_order[entry] = None
-    _charge(entry, COMPLETION_ENTRY_CHARGE + len(rs.rules))
-    return entry
+    rs = _completion_systems[key] = complete(cat, budget)
+    _completion_order[rs] = [key, 0]
+    _charge(rs, COMPLETION_ENTRY_CHARGE + len(rs.rules))
+    return rs
 
 
-def _charge(entry: _Entry, cost: int) -> None:
-    """Add ``cost`` to a cached entry, which becomes the most recently used;
+def _charge(rs: RewritingSystem, cost: int) -> None:
+    """Add ``cost`` to a cached system, which becomes the most recently used;
     drop it if it alone exceeds the bound, then the least recently used
-    entries until the total is within it."""
-    entry.cost += cost
+    systems until the total is within it."""
+    slot = _completion_order[rs]
+    slot[1] += cost
     _completion_stats["cost"] += cost
-    _completion_order.move_to_end(entry)
-    if entry.cost > COMPLETION_CACHE_BOUND:
-        _drop(entry)
+    _completion_order.move_to_end(rs)
+    if slot[1] > COMPLETION_CACHE_BOUND:
+        _drop(rs)
     while _completion_stats["cost"] > COMPLETION_CACHE_BOUND:
         _drop(next(iter(_completion_order)))
 
 
-def _drop(entry: _Entry) -> None:
-    del _completion_order[entry], _completion_entries[entry.key]
-    _completion_stats["cost"] -= entry.cost
+def _drop(rs: RewritingSystem) -> None:
+    key, cost = _completion_order.pop(rs)
+    del _completion_systems[key]
+    _completion_stats["cost"] -= cost
 
 
 # One cache holds every presentation catcw would otherwise build again for
@@ -878,15 +865,15 @@ def completion_cache_info() -> CompletionCacheInfo:
     """Hits, misses, entries, cost in use and cost bound of the cache behind
     ``FpCategory.completion``.
 
-    Direct calls to ``complete`` bypass the cache and are not counted.  An
-    entry costs ``COMPLETION_ENTRY_CHARGE``, plus its rules, plus the cells
+    Direct calls to ``complete`` bypass the cache and are not counted.  A
+    system costs ``COMPLETION_ENTRY_CHARGE``, plus its rules, plus the cells
     of its finite table once ``to_finite`` has built it.
 
     >>> clear_completion_cache()
     >>> doc = build(["x"], [("t", "x", "x")], [(Path("x", ("t", "t")), Path("x"))]).to_json()
     >>> a, b = from_json(doc), from_json(doc)
-    >>> a.completion().rules == b.completion().rules, b.completion().cat is b
-    (True, True)
+    >>> a is not b and a.completion() is b.completion()
+    True
     >>> completion_cache_info()
     CompletionCacheInfo(hits=1, misses=1, entries=1, cost=129, bound=65536)
     >>> to_finite(a).n  # a 2 x 2 table
@@ -899,7 +886,7 @@ def completion_cache_info() -> CompletionCacheInfo:
     """
     s = _completion_stats
     return CompletionCacheInfo(
-        s["hits"], s["misses"], len(_completion_entries), s["cost"], COMPLETION_CACHE_BOUND
+        s["hits"], s["misses"], len(_completion_systems), s["cost"], COMPLETION_CACHE_BOUND
     )
 
 
@@ -908,9 +895,9 @@ def clear_completion_cache() -> None:
     the presentations shared between equal documents and equal constructions.
 
     Instances keep the systems and tables they already hold, so a memoised
-    presentation such as ``sphere(n)`` still answers from its old entry.
+    presentation such as ``sphere(n)`` still answers from its old system.
     """
-    _completion_entries.clear()
+    _completion_systems.clear()
     _completion_order.clear()
     _completion_stats.clear()
     _shared_presentation.cache_clear()
@@ -1188,9 +1175,9 @@ def to_finite(
 
     The table is built once per completion and kept in its ``finite`` slot
     with its largest hom-set size; its cells are charged to the shared
-    completion entry, which may drop it.  The bound only decides whether
-    ``NotFinite`` is raised, so any bound at least that size answers from the
-    slot; a smaller one builds again and raises.  Each call returns a
+    system in the completion cache, which may drop it.  The bound only
+    decides whether ``NotFinite`` is raised, so any bound at least that size
+    answers from the slot; a smaller one builds again and raises.  Each call returns a
     ``copy()``, so equal presentations share the work but not the dicts.
     Errors are not kept; they are raised again.
 
@@ -1261,8 +1248,8 @@ def to_finite(
         gen_image=gen_image,
     )
     rs.finite[:] = [max(map(len, hom_forms.values()), default=0), fin]
-    if rs._entry in _completion_order:  # a dropped entry's table costs the cache nothing
-        _charge(rs._entry, len(compose))
+    if rs in _completion_order:  # a dropped or uncached system's table costs the cache nothing
+        _charge(rs, len(compose))
     return fin.copy()
 
 

@@ -27,6 +27,7 @@ from .fpcat import (
     FpCategory,
     Functor,
     Path,
+    _canonical_json,
     _hom_words,
     _image_word,
     _image_words,
@@ -37,7 +38,7 @@ from .fpcat import (
     functor_from_json,
     to_finite,
 )
-from .model_structure import INVERSE_WORD_LEN, is_cofibration, is_contractible
+from .model_structure import INVERSE_WORD_LEN, is_contractible
 
 K0_SCOPE_NOTE = (
     "closure conditions are checked for the objects occurring in this witness only"
@@ -182,7 +183,7 @@ class CofiberCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_json_obj())
 
     def verify(self, budget: int = DEFAULT_RULE_BUDGET) -> bool:
         """Re-run the full recognition and demand the identical certificate.
@@ -316,12 +317,11 @@ def _cofiber_sequence(
         return CofiberFailure("not_composable")
     if not check_functor(i, budget) or not check_functor(q, budget):
         return CofiberFailure("invalid_functor")
-    if not is_cofibration(i):
-        images: dict[str, str] = {}
-        for x, y in i.object_map.items():
-            if y in images:
-                return CofiberFailure("not_cofibration", (images[y], x))
-            images[y] = x
+    images: dict[str, str] = {}
+    for x, y in i.object_map.items():
+        if y in images:
+            return CofiberFailure("not_cofibration", (images[y], x))
+        images[y] = x
     if basepoint is None:
         if A.objects:
             basepoint = q.apply_obj(i.apply_obj(A.objects[0]))
@@ -475,7 +475,7 @@ class K0Witness:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_json_obj())
 
     def _stages_hold(self, budget: int) -> bool:
         """The checks that building a witness does not already make: both

@@ -10,7 +10,6 @@ independently, or a named counterexample.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
@@ -24,6 +23,7 @@ from .fpcat import (
     Functor,
     IncompleteSystem,
     NotFinite,
+    _canonical_json,
     _hom_words,
     to_finite,
 )
@@ -139,7 +139,7 @@ class EquivalenceCertificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_json_obj())
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .fpcat import (
     FiniteFunctor,
     check_functor,
     identity_functor,
+    _canonical_json,
     _json_list,
     _json_names,
 )
@@ -91,7 +92,7 @@ class FiniteSpace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self.to_json_obj())
 
     def __repr__(self):
         return f"FiniteSpace({len(self.points)} points, {len(self.opens)} opens)"

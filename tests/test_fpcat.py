@@ -513,12 +513,57 @@ def test_equal_presentations_share_one_completion():
     doc = c3_cat().to_json()
     a, b = from_json(doc), from_json(doc)
     ra, rb = a.completion(), b.completion()
-    assert ra.cat is a and rb.cat is b
-    assert rb.rules is ra.rules and rb._table is ra._table
-    assert rb.status == ra.status == "complete"
+    assert ra is rb and ra.quiver is a.quiver
+    assert rb.status == "complete"
     assert b.completion() is rb  # the instance's own dict answers first
     info = completion_cache_info()
     assert (info.hits, info.misses, info.entries) == (1, 1, 1)
+
+
+def test_copies_of_equal_documents_get_one_system(monkeypatch):
+    """One ``RewritingSystem`` per miss, handed to every copy, so a table
+    ``to_finite`` builds through one copy is the other copies' too."""
+    clear_completion_cache()
+    init, built = fpcat.RewritingSystem.__init__, []
+
+    def spy(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(fpcat.RewritingSystem, "__init__", spy)
+    doc = c3_cat().to_json()
+    a, b = from_json(doc), from_json(doc)
+    assert a is not b and a.completion() is b.completion()
+    assert from_json(doc).completion() is from_json(doc).completion()
+    assert built == [a.completion()]
+    assert completion_cache_info()[:2] == (3, 1)  # hits, misses
+    assert b.completion().finite == []
+    fin = to_finite(a)
+    assert b.completion().finite == [3, fin] and to_finite(b) == fin
+    c = from_json(doc)
+    c.completion(100)
+    assert len(built) == completion_cache_info().misses == 2
+
+
+def test_presentations_differing_only_in_inverses_share_one_system():
+    """The inverse table is not in the key, so the marked presentation and
+    the plain one with its relations get one system: equal normal forms and
+    the same error for a path with an unknown generator."""
+    clear_completion_cache()
+    marked = build(["x"], [("t", "x", "x")], [(Path("x", ("t",) * 3), Path("x"))], ["t"])
+    plain = build(marked.objects, marked.generators, marked.relations)
+    assert marked.inverses and not plain.inverses
+    rs = plain.completion()
+    assert marked.completion() is rs and completion_cache_info().hits == 1
+    for gens in [(), ("t", "t"), ("t", "t^-1", "t^-1"), ("t^-1",) * 5]:
+        p = Path("x", gens)
+        assert normalize(marked, p) == normalize(plain, p)
+    errors = []
+    for cat in (marked, plain):
+        with pytest.raises(DanglingEndpoint) as exc:
+            normalize(cat, Path("x", ("t", "u")))
+        errors.append(str(exc.value))
+    assert errors == ["path uses unknown generator 'u'"] * 2
 
 
 def test_copies_of_one_presentation_build_its_completion_key_once(monkeypatch):
@@ -656,10 +701,10 @@ def test_cost_bounded_cache_agrees_with_cold_runs_and_an_lru_model(charge, bound
     """Random ``completion`` and ``to_finite`` calls, on a fresh copy or on
     one of the last two copies of the same document, under a small bound:
     every answer equals the cold one, the cost in use stays within the
-    bound, and entries, costs, order and hits follow a reference LRU in
-    which an entry costs the charge, its rules and its table's cells.  A
-    copy holds the slot of the entry it was given, so a table built in the
-    slot of a dropped entry is charged to nothing."""
+    bound, and systems, costs, order and hits follow a reference LRU in
+    which a system costs the charge, its rules and its table's cells.  A
+    copy holds the system it was given, so a table built in a dropped
+    system is charged to nothing."""
     model = OrderedDict()  # key -> [cost, generation]
     filled = set()  # (key, generation) of the slots holding a table
     copies = {}  # case -> [(copy, generation), ...]
@@ -708,8 +753,8 @@ def test_cost_bounded_cache_agrees_with_cold_runs_and_an_lru_model(charge, bound
                         charge_model(key, len(cold_fin.compose_table))
             info = completion_cache_info()
             assert info.cost <= bound
-            assert [e.key for e in fpcat._completion_order] == list(model)
-            assert [e.cost for e in fpcat._completion_order] == [c for c, _ in model.values()]
+            assert [k for k, _ in fpcat._completion_order.values()] == list(model)
+            assert [c for _, c in fpcat._completion_order.values()] == [c for c, _ in model.values()]
             assert info.cost == sum(c for c, _ in model.values())
             assert (info.hits, info.entries, info.bound) == (hits, len(model), bound)
     clear_completion_cache()
@@ -930,7 +975,7 @@ def test_equal_documents_read_to_distinct_instances():
     assert a._completions is not b._completions
     b.inverses.clear()
     assert a.inverses == {"t": "t^-1", "t^-1": "t"}
-    assert a.completion().cat is a and b.completion().cat is b
+    assert a.completion() is b.completion()  # the inverse table is not in the key
     assert from_json(doc).inverses == a.inverses  # the shared presentation is untouched
 
 
