@@ -20,8 +20,10 @@ from .fpcat import (
     Functor,
     Path,
     _from_tuples,
+    _is_str,
     _paths,
     _shared,
+    _shared_presentation,
     build,
     check_functor,
     compose_functors,
@@ -120,63 +122,99 @@ class _UnionFind:
 def pushout(f: Functor, g: Functor) -> PushoutResult:
     """Pushout of the span B <-f- A -g-> C in presentations.
 
-    ``inj_left`` embeds f's target, ``inj_right`` embeds g's target.  The
-    apex is shared between equal spans (``fpcat._shared``): it is keyed by
-    its objects, generators, relations and mate pairs as plain tuples.
+    ``inj_left`` embeds f's target, ``inj_right`` embeds g's target.  Equal
+    spans share one result (``fpcat._shared_presentation``), keyed by what
+    the construction reads, as plain tuples: each target's presentation key
+    and mate table, and the legs' images of A's objects and generators in
+    A's order.  Each call gets its own ``copy()`` of the apex, two new
+    injections over it, and the caller's legs as ``from_span``.
     """
     if f.source != g.source:
         raise CatError("span legs must share their source")
     if not all(isinstance(c, FpCategory) for c in (f.source, f.target, g.target)):
         raise CatError("pushout works on presentations; convert finite inputs first")
     A, B, C = f.source, f.target, g.target
-    b_objs = ["L." + x for x in B.objects]
-    c_objs = ["R." + x for x in C.objects]
+    objects = tuple((f.apply_obj(a), g.apply_obj(a)) for a in A.objects)
+    images = []
+    for G in A.quiver.generators:
+        at, gens = _image(f.gen_map[G.name], "L.", B)  # f's before g's, as the construction reads them
+        images.append((at, gens, *_image(g.gen_map[G.name], "R.", C)))
+    apex, left, right = _shared_presentation(
+        _pushout_parts,
+        B._key,
+        tuple(B.inverses.items()),
+        C._key,
+        tuple(C.inverses.items()),
+        objects,
+        tuple(images),
+    )
+    apex = apex.copy()
+    return PushoutResult(apex, Functor(B, apex, *left), Functor(C, apex, *right), (f, g))
+
+
+def _image(p: Path, side: str, target: FpCategory) -> tuple[str, tuple[str, ...]]:
+    """``(p.at, p.gens)`` for the key, or the error the construction raises
+    on reading ``p`` with ``side`` prefixed: no ``at`` or ``gens``, an
+    ``at`` that is no object of ``target``, or a name that is no string.
+    Unknown generators and wrong endpoints are found when the apex is
+    checked, after every image has been read."""
+    at, gens = p.at, p.gens
+    if not (_is_str(at) and target.quiver.has_object(at)):
+        raise KeyError(side + at)
+    if not all(map(_is_str, gens)):
+        tuple(side + n for n in gens)  # the TypeError of the first name that is no string
+    return at, gens
+
+
+def _pushout_parts(b_key, b_mates, c_key, c_mates, objects, images):
+    """The apex of a span given as ``pushout`` keys it, with each
+    injection's object and generator maps.
+
+    Objects are merged by a union-find over the ``(f(a), g(a))`` pairs, and
+    each ``(f(a).at, f(a).gens, g(a).at, g(a).gens)`` image pair of a
+    generator of A adds one relation unless its sides are equal.
+    """
+    (b_objects, b_gens, b_rels), (c_objects, c_gens, c_rels) = b_key, c_key
+    b_objs = ["L." + x for x in b_objects]
+    c_objs = ["R." + x for x in c_objects]
     uf = _UnionFind(b_objs + c_objs)
-    for a in A.objects:
-        uf.union("L." + f.apply_obj(a), "R." + g.apply_obj(a))
+    for x, y in objects:
+        uf.union("L." + x, "R." + y)
 
     # representative = earliest member in B-then-C declaration order
     first: dict[str, str] = {}
     rep = {name: first.setdefault(uf.find(name), name) for name in b_objs + c_objs}
-    objects = [name for name, r in rep.items() if r == name]
 
-    gens: list[tuple[str, str, str]] = []
-    for G in B.quiver.generators:
-        gens.append(("L." + G.name, rep["L." + G.src], rep["L." + G.dst]))
-    for G in C.quiver.generators:
-        gens.append(("R." + G.name, rep["R." + G.src], rep["R." + G.dst]))
+    def map_path(at: str, gens: tuple[str, ...], side: str) -> tuple[str, tuple[str, ...]]:
+        return rep[side + at], tuple(side + n for n in gens)
 
-    def map_path(p: Path, side: str) -> tuple[str, tuple[str, ...]]:
-        return rep[side + p.at], tuple(side + n for n in p.gens)
-
-    rels: list = []
-    for l, r in B.relations:
-        rels.append((*map_path(l, "L."), *map_path(r, "L.")))
-    for l, r in C.relations:
-        rels.append((*map_path(l, "R."), *map_path(r, "R.")))
-    for a in A.quiver.generators:
-        li = map_path(f.gen_map[a.name], "L.")
-        ri = map_path(g.gen_map[a.name], "R.")
+    gens = [("L." + n, rep["L." + s], rep["L." + d]) for n, s, d in b_gens]
+    gens += [("R." + n, rep["R." + s], rep["R." + d]) for n, s, d in c_gens]
+    rels = [(*map_path(la, lg, "L."), *map_path(ra, rg, "L.")) for la, lg, ra, rg in b_rels]
+    rels += [(*map_path(la, lg, "R."), *map_path(ra, rg, "R.")) for la, lg, ra, rg in c_rels]
+    for fa, fg, ga, gg in images:
+        li = map_path(fa, fg, "L.")
+        ri = map_path(ga, gg, "R.")
         if li != ri:
             rels.append((*li, *ri))
+    mates = [("L." + k, "L." + v) for k, v in b_mates]
+    mates += [("R." + k, "R." + v) for k, v in c_mates]
 
-    mates = [("L." + k, "L." + v) for k, v in B.inverses.items()]
-    mates += [("R." + k, "R." + v) for k, v in C.inverses.items()]
-
-    apex = _shared(_from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates))
-    inj_left = Functor(
-        B,
-        apex,
-        {x: rep["L." + x] for x in B.objects},
-        {G.name: Path(rep["L." + G.src], ("L." + G.name,)) for G in B.quiver.generators},
+    apex = _from_tuples(
+        tuple(name for name, r in rep.items() if r == name),
+        tuple(gens),
+        tuple(rels),
+        tuple(mates),
     )
-    inj_right = Functor(
-        C,
-        apex,
-        {x: rep["R." + x] for x in C.objects},
-        {G.name: Path(rep["R." + G.src], ("R." + G.name,)) for G in C.quiver.generators},
+    left = (
+        {x: rep["L." + x] for x in b_objects},
+        {n: Path(rep["L." + s], ("L." + n,)) for n, s, _ in b_gens},
     )
-    return PushoutResult(apex, inj_left, inj_right, (f, g))
+    right = (
+        {x: rep["R." + x] for x in c_objects},
+        {n: Path(rep["R." + s], ("R." + n,)) for n, s, _ in c_gens},
+    )
+    return apex, left, right
 
 
 def _chaotic_parts(names: Sequence[str]) -> tuple[list[tuple[str, str, str]], list]:

@@ -32,8 +32,8 @@ from .fpcat import (
     NotFinite,
     Path,
     terminal,
-    to_finite,
     _canonical_json,
+    _finite,
     _from_tuples,
     _json_list,
     _json_names,
@@ -368,10 +368,10 @@ def cw_classify(
     if isinstance(C, FiniteCategory):
         return _classify_finite(C)
     try:
-        return _classify_finite(to_finite(C, bound, budget))
+        return _classify_finite(_finite(C, bound, budget))
     except (NotFinite, IncompleteSystem):
         pass
-    # to_finite has failed, so only the inverse-word search can decide
+    # no finite table was built, so only the inverse-word search can decide
     if not _inverses_found(C, budget):
         raise NotDecided(
             f"groupoid status undecided within bounds: rule budget {budget}, "

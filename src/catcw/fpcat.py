@@ -96,8 +96,11 @@ class NotFinite(CatError):
 
 def _canonical_json(obj) -> str:
     """``obj`` as JSON with sorted keys and no spaces: the one spelling of
-    every document and report catcw writes."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    every document and report catcw writes.
+
+    Every such document is a tree just built, so the encoder is not asked to
+    look for cycles, which it would do at every container."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _json_list(value, field: str) -> list | tuple:
@@ -233,7 +236,7 @@ class Quiver:
         return cur
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Quiver)
             and self.objects == other.objects
             and self.generators == other.generators
@@ -262,6 +265,19 @@ def _unit_index(relations: Iterable[Relation]) -> set[tuple[str, str, str]]:
     return units
 
 
+class _PresentationKey(tuple):
+    """A presentation's objects, ``(name, src, dst)`` generators and
+    ``(lhs.at, lhs.gens, rhs.at, rhs.gens)`` relations: a tuple that hashes
+    once.  Copies of a presentation share it, so the caches that key on it
+    hash no name tuple again; it equals the plain tuple of its parts."""
+
+    def __init__(self, parts):
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
+
+
 class FpCategory:
     """A presentation: quiver, path relations, and mate pairs of inverses."""
 
@@ -281,12 +297,13 @@ class FpCategory:
             rels.append((lhs, rhs))
             names.append((lhs.at, lhs.gens, rhs.at, rhs.gens))
         self.relations: tuple[Relation, ...] = tuple(rels)
-        # the completion cache key: objects, generators and relations as names
-        self._key = (
+        # the key of the completion and pushout caches: objects, generators
+        # and relations as names
+        self._key = _PresentationKey((
             quiver.objects,
             tuple((g.name, g.src, g.dst) for g in quiver.generators),
             tuple(names),
-        )
+        ))
         inv = dict(inverses or {})
         units = _unit_index(rels) if inv else set()
         for g, m in inv.items():
@@ -337,7 +354,7 @@ class FpCategory:
         return rs
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FpCategory)
             and self.quiver == other.quiver
             and self.relations == other.relations
@@ -770,8 +787,8 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 # the key on purpose: neither reads it (its unit relations are already among
 # the relations), so presentations that differ only there share a system and
 # its finite table.  The key spells generators and relations as tuples of
-# names, which hash and compare in C; ``FpCategory.__init__`` builds it while
-# it checks the relations, and copies share it.
+# names, which compare in C; ``FpCategory.__init__`` builds it while it checks
+# the relations and hashes it once, and copies share it.
 #
 # The cache is bounded by cost, not by entries.  A system costs
 # ``COMPLETION_ENTRY_CHARGE`` for its Python objects, plus one per rule, plus
@@ -802,7 +819,7 @@ def _shared_completion(cat: FpCategory, budget: int) -> RewritingSystem:
     quiver, which every presentation with that key has equal, and no
     reference to ``cat``.
     """
-    key = (*cat._key, budget)
+    key = (cat._key, budget)
     rs = _completion_systems.get(key)
     if rs is not None:
         _completion_order.move_to_end(rs)
@@ -838,19 +855,21 @@ def _drop(rs: RewritingSystem) -> None:
 # One cache holds every presentation catcw would otherwise build again for
 # equal input: the documents ``from_json`` reads, keyed by what ``_read_fields``
 # reads (``build`` reads nothing else), and the constructions' presentations,
-# keyed by the arguments of ``terminal`` and ``chaotic`` or by the plain tuples
-# ``_from_tuples`` reads.  The maker leads the key, so equal tuples from two
-# makers do not meet.  The cached presentation is never handed out, only its
-# copies.  These entries are small and uniform, so a count bounds them.  Keys
-# are typed: names equal in value but not in type (``1`` and ``True``) do not
-# meet.  Nested names are ``str`` already: the reader checks them, and the
-# constructions make them by concatenation.
+# keyed by the arguments of ``terminal`` and ``chaotic``, by the plain tuples
+# ``_from_tuples`` reads, or, for ``colimits.pushout``, by its span's plain
+# tuples, where the entry is the apex with its injections' maps.  The maker
+# leads the key, so equal tuples from two makers do not meet.  The cached
+# presentation is never handed out, only its copies.  These entries are small
+# and uniform, so a count bounds them.  Keys are typed: names equal in value
+# but not in type (``1`` and ``True``) do not meet.  Nested names are ``str``
+# already: the reader checks them, and the constructions make them by
+# concatenation.
 INTAKE_CACHE_SIZE = 128
 
 
 @functools.lru_cache(maxsize=INTAKE_CACHE_SIZE, typed=True)
-def _shared_presentation(make, *key) -> FpCategory:
-    """The presentation ``make(*key)`` builds and checks, made once per key."""
+def _shared_presentation(make, *key):
+    """What ``make(*key)`` builds and checks, made once per key."""
     return make(*key)
 
 
@@ -1191,9 +1210,16 @@ def to_finite(
     >>> again == fin, again is fin, again.paths is fin.paths
     (True, False, True)
     """
+    return _finite(cat, bound, budget).copy()
+
+
+def _finite(cat: FpCategory, bound: int, budget: int) -> FiniteCategory:
+    """The table ``to_finite`` copies: the one kept in the system's
+    ``finite`` slot, built there on first use.  catcw's own readers take it
+    as it is and must not edit it."""
     rs = _require_complete(cat, budget)
     if rs.finite and bound >= rs.finite[0]:
-        return rs.finite[1].copy()
+        return rs.finite[1]
     idx = cat.quiver.gen_index
     names = tuple(g.name for g in cat.quiver.generators)
     words: list[tuple[str, tuple[int, ...]]] = []  # (src, word) in discovery order
@@ -1250,7 +1276,7 @@ def to_finite(
     rs.finite[:] = [max(map(len, hom_forms.values()), default=0), fin]
     if rs in _completion_order:  # a dropped or uncached system's table costs the cache nothing
         _charge(rs, len(compose))
-    return fin.copy()
+    return fin
 
 
 def finite_to_fp(C: FiniteCategory) -> FpCategory:

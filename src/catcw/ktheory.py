@@ -28,6 +28,7 @@ from .fpcat import (
     Functor,
     Path,
     _canonical_json,
+    _finite,
     _hom_words,
     _image_word,
     _image_words,
@@ -36,7 +37,6 @@ from .fpcat import (
     finite_to_fp,
     from_json as category_from_json,
     functor_from_json,
-    to_finite,
 )
 from .model_structure import INVERSE_WORD_LEN, is_contractible
 
@@ -377,8 +377,8 @@ def _cofiber_sequence(
 
     # fall back to the finite backends
     try:
-        apex_fin = to_finite(apex, DEFAULT_HOM_BOUND, budget)
-        c_fin = to_finite(C, DEFAULT_HOM_BOUND, budget)
+        apex_fin = _finite(apex, DEFAULT_HOM_BOUND, budget)
+        c_fin = _finite(C, DEFAULT_HOM_BOUND, budget)
     except CatError:
         return CofiberFailure("iso_not_certified")
     c_form = {p: j for j, p in enumerate(c_fin.paths)}
@@ -506,7 +506,7 @@ class K0Witness:
             return False
         if self.contract_px.category != self.px or self.contract_psx.category != self.psx:
             return False
-        return to_finite(self.s2x.cat, bound=4, budget=budget).n == self.s2x_morphisms
+        return _finite(self.s2x.cat, 4, budget).n == self.s2x_morphisms
 
     @staticmethod
     def from_json(doc: Union[str, Mapping]) -> "K0Witness":
@@ -584,7 +584,7 @@ def k0_vanishing_witness(
         cert2,
         ContractibilityCertificate(px, len(px.objects)),
         ContractibilityCertificate(psx, len(psx.objects)),
-        to_finite(s2x.cat, bound=4, budget=budget).n,
+        _finite(s2x.cat, 4, budget).n,
     )
     if not witness._stages_hold(budget):
         raise CatError("freshly assembled witness failed to replay")

@@ -24,8 +24,8 @@ from .fpcat import (
     IncompleteSystem,
     NotFinite,
     _canonical_json,
+    _finite,
     _hom_words,
-    to_finite,
 )
 
 DEFAULT_PRODUCT_BOUND = 10**6
@@ -213,7 +213,7 @@ def is_groupoid_fp(
     if all(g.name in cat.inverses for g in cat.quiver.generators):
         return True
     try:
-        return is_groupoid(to_finite(cat, bound, budget))
+        return is_groupoid(_finite(cat, bound, budget))
     except NotFinite:
         # infinite (or too large): decide generator by generator
         return _inverses_found(cat, budget)
@@ -260,7 +260,7 @@ def is_contractible(
     if not C.objects:
         return False
     try:
-        fin = to_finite(C, bound=1, budget=budget)
+        fin = _finite(C, 1, budget)
     except NotFinite:
         return False
     return is_contractible(fin)

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from catcw import fpcat
+from catcw import colimits, fpcat
 from catcw import (
     CoproductResult,
     EmptySet,
@@ -16,9 +16,11 @@ from catcw import (
     Functor,
     GroupoidComponent,
     GroupoidPresentation,
+    K0Witness,
     Path,
     PointedCategory,
     PushoutResult,
+    build,
     build_two_complex,
     chaotic,
     check_functor,
@@ -231,6 +233,94 @@ def test_a_repeated_pushout_builds_its_apex_once(presentations_built):
         assert presentations_built == [first.apex]
         assert again.apex == first.apex and again.apex is not first.apex
         assert again.apex.to_json() == first.apex.to_json()
+
+
+@pytest.fixture()
+def pushouts_made(monkeypatch):
+    """A list that records the key of every pushout computed rather than
+    read from the cache, which starts empty."""
+    clear_completion_cache()
+    made = []
+    parts = colimits._pushout_parts
+
+    def counting_parts(*key):
+        made.append(key)
+        return parts(*key)
+
+    monkeypatch.setattr(colimits, "_pushout_parts", counting_parts)
+    return made
+
+
+def _loop_span(images=("t",), source_objects=("a", "b"), mates=True):
+    """A span A -> B, A -> C gluing a loop s of A to B's involution t (or to
+    the word ``images``) and to C's loop u; A's second object b goes to
+    B's one object and to C's second."""
+    A = build(source_objects, [("s", "a", "a")])
+    B = c2_cat() if mates else build(["x"], [("t", "x", "x")], [(Path("x", ("t", "t")), Path("x"))])
+    C = build(["y", "z"], [("u", "y", "y")])
+    f = Functor(A, B, {"a": "x", "b": "x"}, {"s": Path("x", images)})
+    g = Functor(A, C, {"a": "y", "b": "z"}, {"s": Path("y", ("u",))})
+    return f, g
+
+
+def test_spans_that_differ_in_one_part_share_no_pushout(pushouts_made):
+    """A target's mate table, one generator image or the order of the
+    source's objects is part of the key: each such span is pushed out
+    anew, and answers as a cold run does."""
+    variants = [
+        _loop_span(),
+        _loop_span(mates=False),
+        _loop_span(images=("t", "t", "t")),
+        _loop_span(source_objects=("b", "a")),
+    ]
+    warm = [_answer(lambda f=f, g=g: pushout(f, g)) for f, g in variants]
+    assert len(pushouts_made) == 4
+    assert warm[1][2] == [] and warm[0][2] != []  # the mate tables differ
+    assert warm[2][1] != warm[0][1]  # L.t;L.t;L.t = R.u, not L.t = R.u
+    assert warm[3] == warm[0]  # same result, computed again
+    for (f, g), answer in zip(variants, warm):
+        clear_completion_cache()
+        assert _answer(lambda: pushout(f, g)) == answer
+
+
+def test_a_pushout_read_from_the_cache_is_its_own(pushouts_made):
+    """A hit gives a new apex and new injections over it: editing one
+    result's apex inverse table or injection maps does not show in the
+    next, each result verifies, and ``from_span`` is the caller's legs."""
+    for f, g in span_pool():
+        pushouts_made.clear()
+        first = pushout(f, g)
+        cold = _answer(lambda: pushout(f, g))
+        again = pushout(f, g)
+        assert len(pushouts_made) == 1
+        assert again.apex is not first.apex and again.apex == first.apex
+        assert again.inj_left is not first.inj_left and again.inj_right is not first.inj_right
+        assert again.inj_left.target is again.apex and again.inj_right.target is again.apex
+        assert again.from_span[0] is f and again.from_span[1] is g
+        assert again.verify()
+        first.apex.inverses.clear()
+        first.inj_left.gen_map.clear()
+        first.inj_right.object_map.clear()
+        assert _answer(lambda: pushout(f, g)) == cold
+
+
+def test_a_second_k0_round_trip_pushes_nothing_out(pushouts_made):
+    """The four suspension pushouts of a K0 round trip (witness, JSON,
+    parsed copy, both replays) are read from the cache the second time."""
+    X = PointedCategory(path2_cat(), "a")
+
+    def round_trip():
+        w = k0_vanishing_witness(X)
+        again = K0Witness.from_json(w.to_json())
+        assert w.replay() and again.replay()
+        return again.to_json()
+
+    first = round_trip()
+    assert pushouts_made  # a cold round trip pushes its spans out
+    pushouts_made.clear()
+    assert round_trip() == first
+    assert pushouts_made == []
+    clear_completion_cache()
 
 
 def test_discrete_cylinder_builds_only_its_apex(presentations_built):

@@ -300,15 +300,16 @@ def test_inverse_search_stops_at_its_candidate_cap(monkeypatch):
 
 
 def test_classifier_runs_to_finite_once(monkeypatch):
-    """After to_finite fails, the inverse-word search decides directly."""
+    """After the finite backend fails, the inverse-word search decides directly."""
     calls = []
+    finite = fpcat._finite
 
-    def counting_to_finite(*args, **kwargs):
+    def counting_finite(*args):
         calls.append(args)
-        return to_finite(*args, **kwargs)
+        return finite(*args)
 
-    monkeypatch.setattr(model_structure, "to_finite", counting_to_finite)
-    monkeypatch.setattr(cw, "to_finite", counting_to_finite)
+    monkeypatch.setattr(model_structure, "_finite", counting_finite)
+    monkeypatch.setattr(cw, "_finite", counting_finite)
     ab = build(
         ["*"],
         [("a", "*", "*"), ("b", "*", "*")],

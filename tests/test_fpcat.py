@@ -24,6 +24,7 @@ from catcw import (
     NonParallelRelation,
     NotFinite,
     Path,
+    PointedCategory,
     Quiver,
     build,
     chaotic,
@@ -33,12 +34,17 @@ from catcw import (
     completion_cache_info,
     compose_functors,
     cone_map,
+    cw_classify,
     finite_to_fp,
     from_json,
     functor_from_json,
     functors_equal,
     identity_functor,
     irreducible_words,
+    is_cofiber_sequence,
+    is_contractible,
+    is_groupoid_fp,
+    k0_vanishing_witness,
     normalize,
     pushout,
     to_finite,
@@ -572,7 +578,7 @@ def test_copies_of_one_presentation_build_its_completion_key_once(monkeypatch):
     shared, keys = fpcat._shared_completion, []
 
     def spy(cat, budget):
-        keys.append((*cat._key, budget))
+        keys.append((cat._key, budget))
         return shared(cat, budget)
 
     monkeypatch.setattr(fpcat, "_shared_completion", spy)
@@ -580,9 +586,9 @@ def test_copies_of_one_presentation_build_its_completion_key_once(monkeypatch):
     a.completion()
     b.completion()
     b.completion(100)
-    # one generator tuple and one relation tuple serve every copy and budget
+    # one key, its name tuples and its hash serve every copy and budget
     assert len(keys) == 3
-    assert all(k[1] is keys[0][1] and k[2] is keys[0][2] for k in keys)
+    assert all(k[0] is keys[0][0] for k in keys)
     info = completion_cache_info()
     assert (info.hits, info.misses, info.entries) == (1, 2, 2)
     rules = len(a.completion().rules)
@@ -679,7 +685,7 @@ def _cache_cases():
             fin = to_finite(cat, 32, budget)
         except (IncompleteSystem, NotFinite):
             fin = None
-        key = (*cat._key, budget)
+        key = (cat._key, budget)
         cases.append((cat.to_json(), budget, key, complete(cat, budget), fin))
     clear_completion_cache()
     return cases
@@ -813,7 +819,7 @@ def test_a_document_completes_under_the_names_it_was_read_to(monkeypatch):
         return intake[-1]
 
     def completion_spy(cat, budget):
-        completion.append((*cat._key, budget))
+        completion.append((cat._key, budget))
         return shared(cat, budget)
 
     monkeypatch.setattr(fpcat, "_read_fields", intake_spy)
@@ -824,7 +830,7 @@ def test_a_document_completes_under_the_names_it_was_read_to(monkeypatch):
     from_json(doc).completion()
     assert len(intake) == 2 and intake[1] == intake[0]
     assert len(completion) == 2
-    assert all(k[1] is cat._key[1] and k[2] is cat._key[2] for k in completion)
+    assert all(k[0] is cat._key for k in completion)
     assert completion_cache_info()[:3] == (1, 1, 1)  # hits, misses, entries
     clear_completion_cache()
 
@@ -1496,6 +1502,34 @@ def test_to_finite_matches_per_pair_oracle_on_pools():
     # the groupoids come back as multiplication-table presentations
     for cat in pool8() + [finite_to_fp(G) for G in groupoid_pool6()]:
         _assert_matches_oracles(cat, bound=64)
+
+
+def test_internal_readers_leave_the_shared_table_as_the_oracle_builds_it():
+    """``is_contractible``, ``is_groupoid_fp``, ``cw_classify``, the K0
+    witness and its replay, and the cofiber fallback to finite backends read
+    the table kept in the system's ``finite`` slot, not a copy; after all of
+    them have run, each table they read is still the per-pair oracle's."""
+    clear_completion_cache()
+    read = []
+    for cat in pool8():
+        is_contractible(cat)
+        is_groupoid_fp(cat)
+        cw_classify(cat)
+        read.append(cat)
+    witness = k0_vanishing_witness(PointedCategory(path2_cat(), "a"))
+    assert witness.replay()
+    read += [witness.px, witness.psx, witness.s2x.cat]
+    b, c = (build([x], [(t, x, x)], [(Path(x, (t,) * 16), Path(x))]) for x, t in ("xb", "yc"))
+    i = Functor(build(["pt"]), b, {"pt": "x"}, {})
+    q = Functor(b, c, {"x": "y"}, {"b": Path("y", ("c",) * 3)})
+    cert = is_cofiber_sequence(i, q)
+    assert cert.mode == "finite"
+    read += [cert.comparison.source, c]
+    for cat in read:
+        if cat.completion().complete:
+            assert cat.completion().finite  # the reader filled the shared slot
+            _assert_matches_oracles(cat)
+    clear_completion_cache()
 
 
 def test_to_finite_matches_per_pair_oracle_on_random_pointed():
