@@ -790,24 +790,48 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 # names, which compare in C; ``FpCategory.__init__`` builds it while it checks
 # the relations and hashes it once, and copies share it.
 #
+# The same cache keeps the K0 witness templates of ``ktheory``, under keys led
+# by the function that makes them, so they never meet a system's key.
+#
 # The cache is bounded by cost, not by entries.  A system costs
 # ``COMPLETION_ENTRY_CHARGE`` for its Python objects, plus one per rule, plus
 # one per cell of the table ``to_finite`` later puts in its ``finite`` slot
-# (charged when the slot fills).  Least recently used systems are dropped until
-# the total is within ``COMPLETION_CACHE_BOUND``; a system that alone exceeds
-# the bound is returned but not kept.  Many small systems stay cached while one
-# large table (S6 has 518,400 cells) is not pinned.
+# (charged when the slot fills); a witness template costs
+# ``COMPLETION_ENTRY_CHARGE`` plus the generators and relations of its stages.
+# Least recently used entries are dropped until the total is within
+# ``COMPLETION_CACHE_BOUND``; an entry that alone exceeds the bound is
+# returned but not kept.  Many small systems stay cached while one large
+# table (S6 has 518,400 cells) is not pinned.
 COMPLETION_ENTRY_CHARGE = 128
 COMPLETION_CACHE_BOUND = 65_536
 
-_completion_systems: dict[tuple, RewritingSystem] = {}
-# least recently used first, each system with ``[key, cost]``; systems hash by
+_completion_systems: dict[tuple, object] = {}
+# least recently used first, each entry with ``[key, cost]``; entries hash by
 # identity, so moving one to the recent end hashes none of the name tuples in
 # its key
-_completion_order: OrderedDict[RewritingSystem, list] = OrderedDict()
+_completion_order: OrderedDict[object, list] = OrderedDict()
 _completion_stats: Counter = Counter()  # hits, misses, cost
 
 CompletionCacheInfo = namedtuple("CompletionCacheInfo", "hits misses entries cost bound")
+
+
+def _cached(key: tuple):
+    """The entry kept under ``key``, now the most recently used, counted as
+    a hit; or None, counted as a miss."""
+    entry = _completion_systems.get(key)
+    if entry is None:
+        _completion_stats["misses"] += 1
+    else:
+        _completion_order.move_to_end(entry)
+        _completion_stats["hits"] += 1
+    return entry
+
+
+def _keep(key: tuple, entry, cost: int) -> None:
+    """Keep ``entry``, which hashes by identity, under ``key`` at ``cost``."""
+    _completion_systems[key] = entry
+    _completion_order[entry] = [key, 0]
+    _charge(entry, cost)
 
 
 def _shared_completion(cat: FpCategory, budget: int) -> RewritingSystem:
@@ -820,34 +844,29 @@ def _shared_completion(cat: FpCategory, budget: int) -> RewritingSystem:
     reference to ``cat``.
     """
     key = (cat._key, budget)
-    rs = _completion_systems.get(key)
-    if rs is not None:
-        _completion_order.move_to_end(rs)
-        _completion_stats["hits"] += 1
-        return rs
-    _completion_stats["misses"] += 1
-    rs = _completion_systems[key] = complete(cat, budget)
-    _completion_order[rs] = [key, 0]
-    _charge(rs, COMPLETION_ENTRY_CHARGE + len(rs.rules))
+    rs = _cached(key)
+    if rs is None:
+        rs = complete(cat, budget)
+        _keep(key, rs, COMPLETION_ENTRY_CHARGE + len(rs.rules))
     return rs
 
 
-def _charge(rs: RewritingSystem, cost: int) -> None:
-    """Add ``cost`` to a cached system, which becomes the most recently used;
+def _charge(entry, cost: int) -> None:
+    """Add ``cost`` to a cached entry, which becomes the most recently used;
     drop it if it alone exceeds the bound, then the least recently used
-    systems until the total is within it."""
-    slot = _completion_order[rs]
+    entries until the total is within it."""
+    slot = _completion_order[entry]
     slot[1] += cost
     _completion_stats["cost"] += cost
-    _completion_order.move_to_end(rs)
+    _completion_order.move_to_end(entry)
     if slot[1] > COMPLETION_CACHE_BOUND:
-        _drop(rs)
+        _drop(entry)
     while _completion_stats["cost"] > COMPLETION_CACHE_BOUND:
         _drop(next(iter(_completion_order)))
 
 
-def _drop(rs: RewritingSystem) -> None:
-    key, cost = _completion_order.pop(rs)
+def _drop(entry) -> None:
+    key, cost = _completion_order.pop(entry)
     del _completion_systems[key]
     _completion_stats["cost"] -= cost
 
@@ -882,11 +901,15 @@ def _shared(make, *key) -> FpCategory:
 
 def completion_cache_info() -> CompletionCacheInfo:
     """Hits, misses, entries, cost in use and cost bound of the cache behind
-    ``FpCategory.completion``.
+    ``FpCategory.completion``, ``k0_vanishing_witness`` and
+    ``K0Witness.from_json`` of text.
 
-    Direct calls to ``complete`` bypass the cache and are not counted.  A
-    system costs ``COMPLETION_ENTRY_CHARGE``, plus its rules, plus the cells
-    of its finite table once ``to_finite`` has built it.
+    ``entries`` and ``cost`` count completed systems and K0 witness
+    templates alike.  Direct calls to ``complete`` bypass the cache and are
+    not counted.  A system costs ``COMPLETION_ENTRY_CHARGE``, plus its
+    rules, plus the cells of its finite table once ``to_finite`` has built
+    it; a witness template costs ``COMPLETION_ENTRY_CHARGE`` plus the
+    generators and relations of its stages.
 
     >>> clear_completion_cache()
     >>> doc = build(["x"], [("t", "x", "x")], [(Path("x", ("t", "t")), Path("x"))]).to_json()
@@ -910,8 +933,9 @@ def completion_cache_info() -> CompletionCacheInfo:
 
 
 def clear_completion_cache() -> None:
-    """Forget every shared completion, the finite table built from each, and
-    the presentations shared between equal documents and equal constructions.
+    """Forget every shared completion, the finite table built from each, the
+    K0 witness templates, and the presentations and pushouts shared between
+    equal documents and equal constructions.
 
     Instances keep the systems and tables they already hold, so a memoised
     presentation such as ``sphere(n)`` still answers from its old system.
@@ -1026,6 +1050,7 @@ class FiniteCategory:
         gen_image: Mapping[str, int] | None = None,
     ):
         self.objects = tuple(objects)
+        self._obj_set = frozenset(self.objects)
         self.mor_src = tuple(mor_src)
         self.mor_dst = tuple(mor_dst)
         self.compose_table = dict(compose)
@@ -1304,11 +1329,14 @@ def finite_to_fp(C: FiniteCategory) -> FpCategory:
 
 
 def _check_object_map(source, target, object_map: Mapping) -> None:
-    """Every source object has an image, and every image is a target object."""
+    """Every source object has an image, and every image is a target object.
+
+    The target's objects are read from the set it keeps: its quiver's for a
+    presentation, its own for a finite category."""
     for x in source.objects:
         if x not in object_map:
             raise DanglingEndpoint(f"object {x!r} has no image")
-    tgt_objects = set(target.objects)
+    tgt_objects = target.quiver._obj_set if isinstance(target, FpCategory) else target._obj_set
     for y in object_map.values():
         if y not in tgt_objects:
             raise DanglingEndpoint(f"object image {y!r} is not in the target")

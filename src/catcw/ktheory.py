@@ -12,6 +12,7 @@ terminality of the double suspension.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from typing import Callable, Mapping, Union
 from .colimits import PushoutResult, chaotic, pushout
 from .cw import point_collapse
 from .fpcat import (
+    COMPLETION_ENTRY_CHARGE,
     DEFAULT_HOM_BOUND,
     DEFAULT_RULE_BUDGET,
     CatError,
@@ -27,12 +29,14 @@ from .fpcat import (
     FpCategory,
     Functor,
     Path,
+    _cached,
     _canonical_json,
     _finite,
     _hom_words,
     _image_word,
     _image_words,
     _json_object,
+    _keep,
     check_functor,
     finite_to_fp,
     from_json as category_from_json,
@@ -514,44 +518,62 @@ class K0Witness:
 
         Only ``doc`` itself may be JSON text: a string nested where a
         category belongs is a stage name, or else an error naming its field.
+
+        Text is read once per document: the witness read is kept as a
+        template in the completion cache, keyed by the text, and every call
+        gets its own copy of it (``_copied``).  A parsed document is read
+        each time.  Errors are not kept; they are raised again.
         """
-        obj = _json_object(json.loads(doc) if isinstance(doc, str) else doc, "witness")
-        if obj.get("format") not in K0_FORMATS_READ:
-            raise CatError("unrecognized witness format")
-        doc_stages = _json_object(obj["stages"], "stages")
-        stages = {"X": _read_category("input.category", obj["input"]["category"])}
-        for name in K0_STAGES[1:]:
-            stages[name] = _read_category(f"stages.{name}", doc_stages[name])
+        if not isinstance(doc, str):
+            return _read_witness(doc)
+        key = (_read_witness, doc)
+        template = _cached(key)
+        if template is not None:
+            return _copied(template.witness)
+        witness = _read_witness(json.loads(doc))
+        _keep_template(key, witness)
+        return witness
 
-        def read(field: str, value) -> FpCategory:
-            """A stage name reads as that stage, an object as a category."""
-            if not isinstance(value, str):
-                return _read_category(field, value)
-            if value not in stages:
-                raise CatError(f"{field}: unknown stage {value!r}")
-            return stages[value]
 
-        def within(cert: str) -> Callable:
-            return lambda field, value: read(f"{cert}.{field}", value)
+def _read_witness(doc: Mapping) -> K0Witness:
+    """``K0Witness.from_json`` of a parsed document."""
+    obj = _json_object(doc, "witness")
+    if obj.get("format") not in K0_FORMATS_READ:
+        raise CatError("unrecognized witness format")
+    doc_stages = _json_object(obj["stages"], "stages")
+    stages = {"X": _read_category("input.category", obj["input"]["category"])}
+    for name in K0_STAGES[1:]:
+        stages[name] = _read_category(f"stages.{name}", doc_stages[name])
 
-        return K0Witness(
-            PointedCategory(stages["X"], obj["input"]["basepoint"]),
-            stages["PX"],
-            PointedCategory(stages["SX"], doc_stages["SX_basepoint"]),
-            stages["PSX"],
-            PointedCategory(stages["S2X"], doc_stages["S2X_basepoint"]),
-            CofiberCertificate.from_json(_json_object(obj["cert1"], "cert1"), within("cert1")),
-            CofiberCertificate.from_json(_json_object(obj["cert2"], "cert2"), within("cert2")),
-            ContractibilityCertificate(
-                read("contract_PX.category", obj["contract_PX"]["category"]),
-                obj["contract_PX"]["objects"],
-            ),
-            ContractibilityCertificate(
-                read("contract_PSX.category", obj["contract_PSX"]["category"]),
-                obj["contract_PSX"]["objects"],
-            ),
-            obj["terminal_S2X"]["morphisms"],
-        )
+    def read(field: str, value) -> FpCategory:
+        """A stage name reads as that stage, an object as a category."""
+        if not isinstance(value, str):
+            return _read_category(field, value)
+        if value not in stages:
+            raise CatError(f"{field}: unknown stage {value!r}")
+        return stages[value]
+
+    def within(cert: str) -> Callable:
+        return lambda field, value: read(f"{cert}.{field}", value)
+
+    return K0Witness(
+        PointedCategory(stages["X"], obj["input"]["basepoint"]),
+        stages["PX"],
+        PointedCategory(stages["SX"], doc_stages["SX_basepoint"]),
+        stages["PSX"],
+        PointedCategory(stages["S2X"], doc_stages["S2X_basepoint"]),
+        CofiberCertificate.from_json(_json_object(obj["cert1"], "cert1"), within("cert1")),
+        CofiberCertificate.from_json(_json_object(obj["cert2"], "cert2"), within("cert2")),
+        ContractibilityCertificate(
+            read("contract_PX.category", obj["contract_PX"]["category"]),
+            obj["contract_PX"]["objects"],
+        ),
+        ContractibilityCertificate(
+            read("contract_PSX.category", obj["contract_PSX"]["category"]),
+            obj["contract_PSX"]["objects"],
+        ),
+        obj["terminal_S2X"]["morphisms"],
+    )
 
 
 def k0_vanishing_witness(
@@ -563,8 +585,27 @@ def k0_vanishing_witness(
     stages chain by construction, so what ``replay`` would add is
     ``_stages_hold``: the two contractibility checks and that Σ²X is the
     terminal category.
+
+    Each witness is assembled once per key: X's presentation key
+    (``X.cat._key``), its mate table as ordered pairs, the basepoint and
+    the budget.  The first witness is kept as a template in the completion
+    cache, and every later call gets its own copy of it (``_copied``), with
+    the caller's own ``X.cat`` as the input stage; ``_stages_hold`` runs on
+    every witness returned.  Errors are not kept; they are raised again.
     """
     X = as_pointed_fp(X)
+    key = (_assembled, X.cat._key, tuple(X.cat.inverses.items()), X.basepoint, budget)
+    template = _cached(key)
+    witness = _assembled(X, budget) if template is None else _copied(template.witness, X)
+    if not witness._stages_hold(budget):
+        raise CatError("freshly assembled witness failed to replay")
+    if template is None:
+        _keep_template(key, witness)
+    return witness
+
+
+def _assembled(X: PointedCategory, budget: int) -> K0Witness:
+    """The witness for X, before ``_stages_hold`` is checked."""
     sx, po1, unit1 = _suspension(X)
     cert1 = _cofiber_sequence(unit1, po1.inj_left, sx.basepoint, budget, po1)
     if not isinstance(cert1, CofiberCertificate):
@@ -574,7 +615,7 @@ def k0_vanishing_witness(
     if not isinstance(cert2, CofiberCertificate):
         raise CatError(f"second cofiber sequence failed: {cert2.reason}")
     px, psx = unit1.target, unit2.target
-    witness = K0Witness(
+    return K0Witness(
         X,
         px,
         sx,
@@ -586,6 +627,89 @@ def k0_vanishing_witness(
         ContractibilityCertificate(psx, len(psx.objects)),
         _finite(s2x.cat, 4, budget).n,
     )
-    if not witness._stages_hold(budget):
-        raise CatError("freshly assembled witness failed to replay")
-    return witness
+
+
+class _Template:
+    """A witness kept in the completion cache, which only ever hands out
+    copies of it.  Cache entries hash by identity; a witness does not hash."""
+
+    __slots__ = ("witness",)
+
+    def __init__(self, witness: K0Witness):
+        self.witness = witness
+
+
+def _keep_template(key: tuple, witness: K0Witness) -> None:
+    """Keep a copy of ``witness`` under ``key``, charged
+    ``COMPLETION_ENTRY_CHARGE`` plus the generators and relations of its
+    distinct stages."""
+    t = _copied(witness)
+    stages = {id(c): c for c in (t.x.cat, t.px, t.sx.cat, t.psx, t.s2x.cat)}.values()
+    cost = sum(len(c.generators) + len(c.relations) for c in stages)
+    _keep(key, _Template(t), COMPLETION_ENTRY_CHARGE + cost)
+
+
+def _copied(w: K0Witness, x: PointedCategory | None = None) -> K0Witness:
+    """A witness equal to ``w`` that shares nothing an edit could reach.
+
+    Each category is a ``copy()`` (``x.cat`` stands for w's input stage when
+    ``x`` is given), each functor, pushout and certificate is new, and the
+    values read from JSON are deep copies.  What ``w`` holds twice is copied
+    once, so the copy aliases where ``w`` does: ``cert.pushout.from_span[0]
+    is cert.i``, ``sx.cat is cert1.q.target``, and so on.
+    """
+    cats = {} if x is None else {id(w.x.cat): x.cat}
+    functors: dict = {}
+
+    def cat(c):
+        new = cats.get(id(c))
+        if new is None:
+            new = cats[id(c)] = c.copy()
+        return new
+
+    def functor(F):
+        if F is None:
+            return None
+        new = functors.get(id(F))
+        if new is None:
+            new = functors[id(F)] = Functor(cat(F.source), cat(F.target), F.object_map, F.gen_map)
+        return new
+
+    def pointed(P: PointedCategory) -> PointedCategory:
+        return PointedCategory(cat(P.cat), P.basepoint)
+
+    def cofiber(c: CofiberCertificate) -> CofiberCertificate:
+        po = c.pushout
+        if po is not None:
+            po = PushoutResult(
+                cat(po.apex),
+                functor(po.inj_left),
+                functor(po.inj_right),
+                (functor(po.from_span[0]), functor(po.from_span[1])),
+            )
+        return CofiberCertificate(
+            functor(c.i),
+            functor(c.q),
+            copy.deepcopy(c.basepoint),
+            copy.deepcopy(c.mode),
+            functor(c.comparison),
+            functor(c.inverse),
+            copy.deepcopy(c.hom_card),
+            po,
+        )
+
+    def contraction(c: ContractibilityCertificate) -> ContractibilityCertificate:
+        return ContractibilityCertificate(cat(c.category), copy.deepcopy(c.objects))
+
+    return K0Witness(
+        pointed(w.x) if x is None else x,
+        cat(w.px),
+        pointed(w.sx),
+        cat(w.psx),
+        pointed(w.s2x),
+        cofiber(w.cert1),
+        cofiber(w.cert2),
+        contraction(w.contract_px),
+        contraction(w.contract_psx),
+        copy.deepcopy(w.s2x_morphisms),
+    )

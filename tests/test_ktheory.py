@@ -464,16 +464,22 @@ def _counting(monkeypatch, name: str) -> list:
 def test_k0_witness_pushes_each_suspension_out_once(monkeypatch):
     """The recognition reads each suspension's pushout instead of building
     it again, and so does each replay of a certificate that keeps it; the
-    certificates are those is_cofiber_sequence gives."""
+    certificates are those is_cofiber_sequence gives.  A second build and a
+    second read of the same text copy the witnesses kept by the first, and
+    recognize nothing until they are replayed."""
     pushouts = _counting(monkeypatch, "pushout")
     searches = _counting(monkeypatch, "_strict_inverse")
+    recognitions = _counting(monkeypatch, "_cofiber_sequence")
     for C in pool8():
+        clear_completion_cache()
         pushouts.clear()
-        w = k0_vanishing_witness(PointedCategory(C, C.objects[0]))
+        X = PointedCategory(C, C.objects[0])
+        w = k0_vanishing_witness(X)
         assert len(pushouts) == 2
         # one K0 round trip: a pushout per suspension as the witness is
         # assembled and again as its JSON copy is read; no search
-        again = K0Witness.from_json(w.to_json())
+        text = w.to_json()
+        again = K0Witness.from_json(text)
         assert w.replay() and again.replay()
         assert len(pushouts) == 4
         assert searches == []
@@ -481,6 +487,18 @@ def test_k0_witness_pushes_each_suspension_out_once(monkeypatch):
             fresh = is_cofiber_sequence(cert.i, cert.q, stage.basepoint)
             assert fresh.to_json() == cert.to_json()
             assert (fresh.comparison, fresh.inverse) == (cert.comparison, cert.inverse)
+        pushouts.clear()
+        recognitions.clear()
+        w2 = k0_vanishing_witness(X)
+        again2 = K0Witness.from_json(text)
+        assert (pushouts, searches, recognitions) == ([], [], [])
+        assert w2.to_json() == again2.to_json() == text
+        assert w2.replay()
+        assert len(recognitions) == 2
+        assert again2.replay()
+        assert len(recognitions) == 4
+        assert (pushouts, searches) == ([], [])
+    clear_completion_cache()
 
 
 def test_a_second_k0_round_trip_builds_no_presentation(monkeypatch):
