@@ -99,7 +99,7 @@ def _load_pointed(path: str, basepoint: str | None) -> PointedCategory:
             bp = basepoint
         if bp is None:
             if not cat.objects:
-                raise InputError(f"{path}: empty category needs no basepoint")
+                raise InputError(f"{path}: the category has no object to serve as basepoint")
             bp = cat.objects[0]
         return PointedCategory(cat, bp)
     except (KeyError, TypeError) as exc:

@@ -22,7 +22,6 @@ from .fpcat import (
     _from_tuples,
     _is_str,
     _paths,
-    _shared,
     _shared_presentation,
     build,
     check_functor,
@@ -35,14 +34,17 @@ class EmptySet(CatError):
     """chaotic() needs a nonempty object set."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoproductResult:
     apex: FpCategory
     injections: tuple[Functor, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PushoutResult:
+    """A pushout's apex, its injections and the span it was built from: a
+    read-only value, kept inside K0 witnesses' certificates."""
+
     apex: FpCategory
     inj_left: Functor
     inj_right: Functor
@@ -79,7 +81,7 @@ def _renamed(cat: FpCategory, prefix: str) -> tuple[list, list, list, list]:
 def coproduct(cats: Sequence[FpCategory]) -> CoproductResult:
     """Disjoint union with numeric prefixes; injections are cofibrations.
 
-    The apex is shared between equal inputs (``fpcat._shared``)."""
+    The apex is shared between equal inputs (``fpcat._shared_presentation``)."""
     objects: list[str] = []
     gens: list = []
     rels: list = []
@@ -90,7 +92,9 @@ def coproduct(cats: Sequence[FpCategory]) -> CoproductResult:
         gens += g
         rels += r
         mates += m
-    apex = _shared(_from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates))
+    apex = _shared_presentation(
+        _from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates)
+    )
     injections = tuple(
         Functor(
             cat,
@@ -126,8 +130,9 @@ def pushout(f: Functor, g: Functor) -> PushoutResult:
     spans share one result (``fpcat._shared_presentation``), keyed by what
     the construction reads, as plain tuples: each target's presentation key
     and mate table, and the legs' images of A's objects and generators in
-    A's order.  Each call gets its own ``copy()`` of the apex, two new
-    injections over it, and the caller's legs as ``from_span``.
+    A's order.  Every equal call gets the one read-only apex, with two new
+    injections into it from the caller's B and C, and the caller's legs as
+    ``from_span``.
     """
     if f.source != g.source:
         raise CatError("span legs must share their source")
@@ -148,7 +153,6 @@ def pushout(f: Functor, g: Functor) -> PushoutResult:
         objects,
         tuple(images),
     )
-    apex = apex.copy()
     return PushoutResult(apex, Functor(B, apex, *left), Functor(C, apex, *right), (f, g))
 
 
@@ -243,10 +247,9 @@ def chaotic(names: Sequence[str]) -> FpCategory:
     Generators ``x>y`` for distinct objects; every composable pair collapses
     to the direct generator (or the identity), and every generator is
     invertible with mate the reversed generator.  Equal name lists share
-    one presentation (``fpcat._shared``); each call gets a copy.
+    one read-only presentation (``fpcat._shared_presentation``).
     """
-    names = list(names)
-    return _shared(_chaotic, *names)
+    return _shared_presentation(_chaotic, *names)
 
 
 def _chaotic(*names: str) -> FpCategory:

@@ -38,7 +38,7 @@ from .fpcat import (
     _json_list,
     _json_names,
     _json_object,
-    _shared,
+    _shared_presentation,
 )
 from .model_structure import (
     INVERSE_CANDIDATES,
@@ -65,9 +65,6 @@ class NegativeDimension(CatError, ValueError):
         super().__init__(f"sphere dimension must be nonnegative, got {n}")
 
 
-_SPHERES: dict[int, FpCategory] = {}
-
-
 def point_collapse(cat: FpCategory, pt: FpCategory | None = None) -> Functor:
     """The unique functor to the one-object category."""
     if pt is None:
@@ -82,20 +79,17 @@ def point_collapse(cat: FpCategory, pt: FpCategory | None = None) -> Functor:
 
 
 def sphere(n: int) -> FpCategory:
-    """The n-sphere presentation (one fixed representative per dimension)."""
+    """The n-sphere presentation (one fixed representative per dimension).
+
+    Each sphere is a construction's apex, shared through the presentation
+    cache, so equal calls get the one read-only presentation.
+    """
     if n < 0:
         raise NegativeDimension(n)
-    got = _SPHERES.get(n)
-    if got is not None:
-        return got
     if n == 0:
-        out = coproduct([terminal(), terminal()]).apex
-    else:
-        prev = sphere(n - 1)
-        p = point_collapse(prev)
-        out = one_sided_homotopy_pushout(p, p).apex
-    _SPHERES[n] = out
-    return out
+        return coproduct([terminal(), terminal()]).apex
+    p = point_collapse(sphere(n - 1))
+    return one_sided_homotopy_pushout(p, p).apex
 
 
 def attach_cells(
@@ -150,7 +144,8 @@ def _assemble(parts: Sequence[tuple]) -> FpCategory:
     ``attach_cells`` when there are words, and the one-complex's own, a
     pushout of ``["*", *T]`` (``L.``) and a chaotic cylinder on ``e.0.pt``,
     ``e.1.pt`` per edge e (``R.``).  The result is shared between equal
-    inputs (``fpcat._shared``), keyed by the plain tuples assembled here.
+    inputs (``fpcat._shared_presentation``), keyed by the plain tuples
+    assembled here.
     """
     objects: list[str] = []
     gens: list[tuple[str, str, str]] = []
@@ -182,7 +177,9 @@ def _assemble(parts: Sequence[tuple]) -> FpCategory:
             if w:
                 rels.append((bp, tuple(names[a] for a in w), bp, ()))
                 rels.append((bp, tuple(names[a ^ 1] for a in reversed(w)), bp, ()))
-    return _shared(_from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates))
+    return _shared_presentation(
+        _from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates)
+    )
 
 
 def build_one_complex(components: Sequence[tuple[Sequence[str], Sequence[str]]]) -> FpCategory:

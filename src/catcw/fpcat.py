@@ -26,6 +26,7 @@ import warnings
 from collections import Counter, OrderedDict, namedtuple
 from dataclasses import dataclass
 from itertools import chain
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .kernel import RuleTable
@@ -268,8 +269,8 @@ def _unit_index(relations: Iterable[Relation]) -> set[tuple[str, str, str]]:
 class _PresentationKey(tuple):
     """A presentation's objects, ``(name, src, dst)`` generators and
     ``(lhs.at, lhs.gens, rhs.at, rhs.gens)`` relations: a tuple that hashes
-    once.  Copies of a presentation share it, so the caches that key on it
-    hash no name tuple again; it equals the plain tuple of its parts."""
+    once, so the caches that key on it hash no name tuple again; it equals
+    the plain tuple of its parts."""
 
     def __init__(self, parts):
         self._hash = tuple.__hash__(self)
@@ -277,9 +278,38 @@ class _PresentationKey(tuple):
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # string hashes differ between processes: a loaded key hashes again
+        return _PresentationKey, (tuple(self),)
+
+
+def _reduce_read_only(self):
+    """``__reduce__`` for the classes whose attributes include read-only
+    mappings, which do not pickle: the attributes, with those mappings as
+    dicts, and their names, so that ``pickle`` and ``copy.deepcopy`` work."""
+    state = dict(self.__dict__)
+    proxied = tuple(k for k, v in state.items() if type(v) is MappingProxyType)
+    for k in proxied:
+        state[k] = state[k].copy()
+    return _restored, (type(self), state, proxied)
+
+
+def _restored(cls, state: dict, proxied: tuple):
+    """The instance ``_reduce_read_only`` took apart, not initialised again."""
+    obj = object.__new__(cls)
+    for k in proxied:
+        state[k] = MappingProxyType(state[k])
+    obj.__dict__.update(state)
+    return obj
+
 
 class FpCategory:
-    """A presentation: quiver, path relations, and mate pairs of inverses."""
+    """A presentation: quiver, path relations, and mate pairs of inverses.
+
+    Instances are read-only values, shared between equal documents and equal
+    constructions: ``inverses`` is a read-only mapping, and no attribute is
+    rebound after ``__init__``.
+    """
 
     def __init__(
         self,
@@ -316,8 +346,7 @@ class FpCategory:
                 raise NonParallelRelation(f"mates {g!r}, {m!r} have incompatible endpoints")
             if (gg.src, g, m) not in units:
                 raise NonParallelRelation(f"marked pair ({g!r}, {m!r}) lacks its unit relations")
-        self.inverses: dict[str, str] = inv
-        self._completions: dict[int, "RewritingSystem"] = {}
+        self.inverses: Mapping[str, str] = MappingProxyType(inv)
 
     @property
     def objects(self) -> tuple[str, ...]:
@@ -327,15 +356,6 @@ class FpCategory:
     def generators(self) -> tuple[Generator, ...]:
         return self.quiver.generators
 
-    def copy(self) -> "FpCategory":
-        """This presentation, not checked again, with its own inverse table and
-        no completions yet; the quiver, relations and completion key are shared."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        new.inverses = dict(self.inverses)
-        new._completions = {}
-        return new
-
     def identity(self, obj: str) -> Path:
         if not self.quiver.has_object(obj):
             raise DanglingEndpoint(f"unknown object {obj!r}")
@@ -344,14 +364,11 @@ class FpCategory:
     def completion(self, budget: int = DEFAULT_RULE_BUDGET) -> "RewritingSystem":
         """The completed system, shared with every equal presentation.
 
-        The first call per budget looks the presentation up by content in a
-        process-wide cache of finished completions, and this instance keeps
-        the system it gets.
+        Every call looks the presentation up by content in the process-wide
+        cache of finished completions; the instance keeps no system of its
+        own, so a system the cache drops is freed once its callers drop it.
         """
-        rs = self._completions.get(budget)
-        if rs is None:
-            rs = self._completions[budget] = _shared_completion(self, budget)
-        return rs
+        return _shared_completion(self, budget)
 
     def __eq__(self, other):
         return self is other or (
@@ -362,6 +379,7 @@ class FpCategory:
         )
 
     __hash__ = None  # type: ignore[assignment]
+    __reduce__ = _reduce_read_only
 
     def __repr__(self):
         return (
@@ -513,12 +531,12 @@ def from_json(doc: Union[str, Mapping]) -> FpCategory:
 
     ``_read_fields`` reads the document to plain tuples, which key the
     presentations read before: a presentation is built and checked only the
-    first time its key is read.  Each call returns a ``copy()``, so equal
-    documents share the quiver and relations but not the inverse table or
-    the completions.  Errors are not kept; they are raised again.
+    first time its key is read, and every call with an equal document gets
+    that one read-only presentation.  Errors are not kept; they are raised
+    again.
     """
     obj = json.loads(doc) if isinstance(doc, str) else doc
-    return _shared(_built, *_read_fields(obj))
+    return _shared_presentation(_built, *_read_fields(obj))
 
 
 def _from_tuples(
@@ -544,7 +562,7 @@ def discrete(names: Iterable[str]) -> FpCategory:
 
 
 def terminal(name: str = "pt") -> FpCategory:
-    return _shared(_point, name)
+    return _shared_presentation(_point, name)
 
 
 def _point(name) -> FpCategory:
@@ -788,20 +806,21 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
 # the relations), so presentations that differ only there share a system and
 # its finite table.  The key spells generators and relations as tuples of
 # names, which compare in C; ``FpCategory.__init__`` builds it while it checks
-# the relations and hashes it once, and copies share it.
+# the relations and hashes it once.
 #
-# The same cache keeps the K0 witness templates of ``ktheory``, under keys led
-# by the function that makes them, so they never meet a system's key.
+# The same cache keeps the K0 witnesses of ``ktheory``, under keys led by the
+# function that makes them, so they never meet a system's key.
 #
 # The cache is bounded by cost, not by entries.  A system costs
 # ``COMPLETION_ENTRY_CHARGE`` for its Python objects, plus one per rule, plus
 # one per cell of the table ``to_finite`` later puts in its ``finite`` slot
-# (charged when the slot fills); a witness template costs
-# ``COMPLETION_ENTRY_CHARGE`` plus the generators and relations of its stages.
+# (charged when the slot fills); a witness costs ``COMPLETION_ENTRY_CHARGE``
+# plus the generators and relations of its stages.
 # Least recently used entries are dropped until the total is within
 # ``COMPLETION_CACHE_BOUND``; an entry that alone exceeds the bound is
 # returned but not kept.  Many small systems stay cached while one large
-# table (S6 has 518,400 cells) is not pinned.
+# table (S6 has 518,400 cells) is not pinned: no presentation keeps a system
+# of its own, so a dropped table is freed once its callers drop it.
 COMPLETION_ENTRY_CHARGE = 128
 COMPLETION_CACHE_BOUND = 65_536
 
@@ -877,9 +896,9 @@ def _drop(entry) -> None:
 # keyed by the arguments of ``terminal`` and ``chaotic``, by the plain tuples
 # ``_from_tuples`` reads, or, for ``colimits.pushout``, by its span's plain
 # tuples, where the entry is the apex with its injections' maps.  The maker
-# leads the key, so equal tuples from two makers do not meet.  The cached
-# presentation is never handed out, only its copies.  These entries are small
-# and uniform, so a count bounds them.  Keys are typed: names equal in value
+# leads the key, so equal tuples from two makers do not meet.  Every caller
+# gets the one cached presentation, a read-only value.  These entries are
+# small and uniform, so a count bounds them.  Keys are typed: names equal in value
 # but not in type (``1`` and ``True``) do not meet.  Nested names are ``str``
 # already: the reader checks them, and the constructions make them by
 # concatenation.
@@ -888,15 +907,9 @@ INTAKE_CACHE_SIZE = 128
 
 @functools.lru_cache(maxsize=INTAKE_CACHE_SIZE, typed=True)
 def _shared_presentation(make, *key):
-    """What ``make(*key)`` builds and checks, made once per key."""
+    """What ``make(*key)`` builds and checks, made once per key and handed
+    to every caller.  Errors are not kept; they are raised again."""
     return make(*key)
-
-
-def _shared(make, *key) -> FpCategory:
-    """A ``copy()`` of the shared presentation ``make(*key)``: its own
-    inverse table and no completions, the quiver, relations and completion
-    key shared.  Errors are not kept; they are raised again."""
-    return _shared_presentation(make, *key).copy()
 
 
 def completion_cache_info() -> CompletionCacheInfo:
@@ -904,24 +917,24 @@ def completion_cache_info() -> CompletionCacheInfo:
     ``FpCategory.completion``, ``k0_vanishing_witness`` and
     ``K0Witness.from_json`` of text.
 
-    ``entries`` and ``cost`` count completed systems and K0 witness
-    templates alike.  Direct calls to ``complete`` bypass the cache and are
-    not counted.  A system costs ``COMPLETION_ENTRY_CHARGE``, plus its
-    rules, plus the cells of its finite table once ``to_finite`` has built
-    it; a witness template costs ``COMPLETION_ENTRY_CHARGE`` plus the
-    generators and relations of its stages.
+    ``entries`` and ``cost`` count completed systems and K0 witnesses
+    alike.  Direct calls to ``complete`` bypass the cache and are not
+    counted.  A system costs ``COMPLETION_ENTRY_CHARGE``, plus its rules,
+    plus the cells of its finite table once ``to_finite`` has built it; a
+    witness costs ``COMPLETION_ENTRY_CHARGE`` plus the generators and
+    relations of its stages.  Every ``completion()`` call asks the cache.
 
     >>> clear_completion_cache()
-    >>> doc = build(["x"], [("t", "x", "x")], [(Path("x", ("t", "t")), Path("x"))]).to_json()
-    >>> a, b = from_json(doc), from_json(doc)
-    >>> a is not b and a.completion() is b.completion()
+    >>> c2 = build(["x"], [("t", "x", "x")], [(Path("x", ("t", "t")), Path("x"))])
+    >>> a, b = c2.completion(), from_json(c2.to_json()).completion()
+    >>> a is b
     True
     >>> completion_cache_info()
     CompletionCacheInfo(hits=1, misses=1, entries=1, cost=129, bound=65536)
-    >>> to_finite(a).n  # a 2 x 2 table
+    >>> to_finite(c2).n  # a 2 x 2 table
     2
     >>> completion_cache_info()
-    CompletionCacheInfo(hits=1, misses=1, entries=1, cost=133, bound=65536)
+    CompletionCacheInfo(hits=2, misses=1, entries=1, cost=133, bound=65536)
     >>> clear_completion_cache()
     >>> completion_cache_info()
     CompletionCacheInfo(hits=0, misses=0, entries=0, cost=0, bound=65536)
@@ -934,11 +947,11 @@ def completion_cache_info() -> CompletionCacheInfo:
 
 def clear_completion_cache() -> None:
     """Forget every shared completion, the finite table built from each, the
-    K0 witness templates, and the presentations and pushouts shared between
-    equal documents and equal constructions.
+    K0 witnesses, and the presentations and pushouts shared between equal
+    documents and equal constructions.
 
-    Instances keep the systems and tables they already hold, so a memoised
-    presentation such as ``sphere(n)`` still answers from its old system.
+    Objects already handed out stay valid; the next call completes, builds
+    or reads again and shares the new result.
     """
     _completion_systems.clear()
     _completion_order.clear()
@@ -1033,9 +1046,11 @@ class FiniteCategory:
     g), matching Path order.  Instances built by ``to_finite`` carry the
     normal-form ``paths`` and a ``gen_image`` map from generator names.
 
-    ``copy()`` gives an instance with dicts of its own: ``to_finite`` keeps
-    one table per completion and hands each caller a copy, so a caller that
-    edits its table changes no other caller's.
+    Instances are read-only values: ``compose_table``, ``identities``,
+    ``gen_image`` and ``inverses()`` are read-only mappings, and no
+    attribute is rebound after ``__init__``.  ``to_finite`` keeps one such
+    table per completion for catcw's own readers, and hands each caller a
+    ``copy()``, whose dicts are the caller's to edit.
     """
 
     def __init__(
@@ -1053,13 +1068,13 @@ class FiniteCategory:
         self._obj_set = frozenset(self.objects)
         self.mor_src = tuple(mor_src)
         self.mor_dst = tuple(mor_dst)
-        self.compose_table = dict(compose)
-        self.identities = dict(identities)
+        self.compose_table: Mapping[tuple[int, int], int] = MappingProxyType(dict(compose))
+        self.identities: Mapping[str, int] = MappingProxyType(dict(identities))
         self.labels = tuple(labels) if labels is not None else tuple(
             f"m{i}" for i in range(len(mor_src))
         )
         self.paths = tuple(paths) if paths is not None else None
-        self.gen_image = dict(gen_image) if gen_image is not None else None
+        self.gen_image = MappingProxyType(dict(gen_image)) if gen_image is not None else None
         self._hom: dict[tuple[str, str], tuple[int, ...]] = {}
         for s in self.objects:
             for d in self.objects:
@@ -1069,7 +1084,7 @@ class FiniteCategory:
             buckets.setdefault((self.mor_src[i], self.mor_dst[i]), []).append(i)
         for k, v in buckets.items():
             self._hom[k] = tuple(v)
-        self._inverses: dict[int, int] | None = None
+        self._inverses: Mapping[int, int] | None = None
         self.validate()
 
     @property
@@ -1083,10 +1098,10 @@ class FiniteCategory:
         """This category with dicts of its own, not validated again; the tuples are shared."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__)
-        new.compose_table = dict(self.compose_table)
-        new.identities = dict(self.identities)
+        new.compose_table = self.compose_table.copy()
+        new.identities = self.identities.copy()
         if self.gen_image is not None:
-            new.gen_image = dict(self.gen_image)
+            new.gen_image = self.gen_image.copy()
         new._inverses = None
         return new
 
@@ -1167,8 +1182,9 @@ class FiniteCategory:
                 return gens
         return [i for i in range(self.n) if not self.is_identity(i)]
 
-    def inverses(self) -> dict[int, int]:
-        """Two-sided inverses, computed once: i -> j with i;j and j;i identities."""
+    def inverses(self) -> Mapping[int, int]:
+        """Two-sided inverses, computed once: i -> j with i;j and j;i
+        identities, as a read-only mapping."""
         if self._inverses is None:
             inv: dict[int, int] = {}
             for f in range(self.n):
@@ -1179,7 +1195,7 @@ class FiniteCategory:
                     ):
                         inv[f] = g
                         break
-            self._inverses = inv
+            self._inverses = MappingProxyType(inv)
         return self._inverses
 
     def __eq__(self, other):
@@ -1195,6 +1211,7 @@ class FiniteCategory:
         )
 
     __hash__ = None  # type: ignore[assignment]
+    __reduce__ = _reduce_read_only
 
     def __repr__(self):
         return f"FiniteCategory({len(self.objects)} objects, {self.n} morphisms)"
@@ -1221,9 +1238,9 @@ def to_finite(
     with its largest hom-set size; its cells are charged to the shared
     system in the completion cache, which may drop it.  The bound only
     decides whether ``NotFinite`` is raised, so any bound at least that size
-    answers from the slot; a smaller one builds again and raises.  Each call returns a
-    ``copy()``, so equal presentations share the work but not the dicts.
-    Errors are not kept; they are raised again.
+    answers from the slot; a smaller one builds again and raises.  Each call
+    returns a ``copy()``, so equal presentations share the work but not the
+    dicts.  Errors are not kept; they are raised again.
 
     >>> c3 = build(["x"], [("t", "x", "x")], [(Path("x", ("t",) * 3), Path("x"))], ["t"])
     >>> fin = to_finite(c3)
@@ -1239,9 +1256,9 @@ def to_finite(
 
 
 def _finite(cat: FpCategory, bound: int, budget: int) -> FiniteCategory:
-    """The table ``to_finite`` copies: the one kept in the system's
-    ``finite`` slot, built there on first use.  catcw's own readers take it
-    as it is and must not edit it."""
+    """The table ``to_finite`` copies: the read-only one kept in the
+    system's ``finite`` slot, built there on first use.  catcw's own readers
+    take it as it is."""
     rs = _require_complete(cat, budget)
     if rs.finite and bound >= rs.finite[0]:
         return rs.finite[1]
@@ -1347,7 +1364,9 @@ class Functor:
 
     ``gen_map`` sends each generator name to a Path (presentation target) or
     a morphism id (finite target).  Construction checks only shape; semantic
-    validity is ``check_functor``.
+    validity is ``check_functor``.  Instances are read-only values, shared
+    inside pushouts and K0 witnesses: ``object_map`` and ``gen_map`` are
+    read-only mappings, and no attribute is rebound after ``__init__``.
     """
 
     def __init__(
@@ -1360,8 +1379,8 @@ class Functor:
             raise TypeError(f"Functor target must be a category, got {type(target).__name__}")
         self.source = source
         self.target = target
-        self.object_map = dict(object_map)
-        self.gen_map = dict(gen_map)
+        self.object_map: Mapping = MappingProxyType(dict(object_map))
+        self.gen_map: Mapping = MappingProxyType(dict(gen_map))
         _check_object_map(source, target, self.object_map)
         for g in source.quiver.generators:
             if g.name not in self.gen_map:
@@ -1394,6 +1413,7 @@ class Functor:
         )
 
     __hash__ = None  # type: ignore[assignment]
+    __reduce__ = _reduce_read_only
 
     def __repr__(self):
         return f"Functor({self.source!r} -> {self.target!r})"

@@ -12,10 +12,10 @@ terminality of the double suspension.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import json
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Mapping, Union
 
 from .colimits import PushoutResult, chaotic, pushout
@@ -37,6 +37,7 @@ from .fpcat import (
     _image_words,
     _json_object,
     _keep,
+    _reduce_read_only,
     check_functor,
     finite_to_fp,
     from_json as category_from_json,
@@ -55,6 +56,27 @@ K0_STAGES = ("X", "PX", "SX", "PSX", "S2X")
 
 def _write_category(field: str, cat) -> dict:
     return cat.to_json_obj()
+
+
+def _frozen(value):
+    """A JSON value read from a document, made read-only: objects become
+    read-only mappings and arrays tuples, which write the same JSON."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, list):
+        return tuple(map(_frozen, value))
+    return value
+
+
+def _thawed(value):
+    """A value ``_frozen`` made read-only, as the JSON value it was read
+    from: mappings become dicts and tuples lists, so ``to_json_obj`` gives
+    what ``json.dumps`` writes."""
+    if isinstance(value, Mapping):
+        return {k: _thawed(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return list(map(_thawed, value))
+    return value
 
 
 def _read_category(field: str, value) -> FpCategory:
@@ -145,7 +167,7 @@ class CofiberFailure:
         return False
 
 
-@dataclass
+@dataclass(frozen=True)
 class CofiberCertificate:
     """Witness that A -i-> B -q-> C exhibits C as the cofiber B ⊔_A 1.
 
@@ -159,6 +181,11 @@ class CofiberCertificate:
     ``pushout`` is the pushout of i along A -> 1 that the certificate was
     recognized against, kept so that ``verify`` need not build it again; it
     takes no part in ``==``, ``repr`` or the JSON.
+
+    Certificates are read-only values, shared inside kept K0 witnesses:
+    fields cannot be set, ``hom_card`` is a read-only mapping, and the
+    values read from JSON are read-only too (``_frozen``); ``to_json_obj``
+    writes them as plain JSON values again (``_thawed``).
     """
 
     i: Functor
@@ -167,8 +194,10 @@ class CofiberCertificate:
     mode: str
     comparison: Functor
     inverse: Functor | None
-    hom_card: dict | None
+    hom_card: Mapping | None
     pushout: PushoutResult | None = dataclasses.field(default=None, compare=False, repr=False)
+
+    __reduce__ = _reduce_read_only
 
     def to_json_obj(self, write_category: Callable = _write_category) -> dict:
         """``write_category(field, category)`` gives the value of ``A``, ``B``
@@ -179,11 +208,11 @@ class CofiberCertificate:
             "C": write_category("C", self.q.target),
             "i": self.i.to_json_obj(),
             "q": self.q.to_json_obj(),
-            "basepoint": self.basepoint,
-            "mode": self.mode,
+            "basepoint": _thawed(self.basepoint),
+            "mode": _thawed(self.mode),
             "comparison": self.comparison.to_json_obj(),
             "inverse": self.inverse.to_json_obj() if self.inverse else None,
-            "hom_card": self.hom_card,
+            "hom_card": _thawed(self.hom_card),
         }
 
     def to_json(self) -> str:
@@ -223,7 +252,14 @@ class CofiberCertificate:
             functor_from_json(C, po.apex, obj["inverse"]) if obj["inverse"] else None
         )
         return CofiberCertificate(
-            i, q, obj["basepoint"], obj["mode"], comparison, inverse, obj["hom_card"], po
+            i,
+            q,
+            _frozen(obj["basepoint"]),
+            _frozen(obj["mode"]),
+            comparison,
+            inverse,
+            _frozen(obj["hom_card"]),
+            po,
         )
 
 
@@ -389,15 +425,15 @@ def _cofiber_sequence(
     images = [c_form[rs_c.normalize(m.apply_path(p))] for p in apex_fin.paths]
     if apex_fin.n != c_fin.n or len(set(images)) != c_fin.n:
         return CofiberFailure("cofiber_mismatch", (apex_fin.n, c_fin.n))
-    hom_card = {
+    hom_card = MappingProxyType({
         f"{x}|{y}": len(apex_fin.hom(x, y))
         for x in apex_fin.objects
         for y in apex_fin.objects
-    }
+    })
     return CofiberCertificate(i, q, basepoint, "finite", m, None, hom_card, po)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContractibilityCertificate:
     category: FpCategory
     objects: int
@@ -410,10 +446,13 @@ class ContractibilityCertificate:
         )
 
     def to_json_obj(self, write_category: Callable = _write_category) -> dict:
-        return {"category": write_category("category", self.category), "objects": self.objects}
+        return {
+            "category": write_category("category", self.category),
+            "objects": _thawed(self.objects),
+        }
 
 
-@dataclass
+@dataclass(frozen=True)
 class K0Witness:
     """Replayable proof object that [X] = 0 in K₀.
 
@@ -426,6 +465,10 @@ class K0Witness:
     holds the name of the stage it is ``==`` to ("X", "PX", "SX", "PSX",
     "S2X"), and the category in full only when it is no such stage.
     Format-1 documents, which hold every category in full, still read.
+
+    Witnesses are read-only values: one is kept per input and handed to
+    every caller, so fields cannot be set, and every stage, functor and
+    certificate in it is read-only too.
     """
 
     x: PointedCategory
@@ -473,7 +516,7 @@ class K0Witness:
             "terminal_S2X": {
                 "objects": len(self.s2x.cat.objects),
                 "generators": len(self.s2x.cat.generators),
-                "morphisms": self.s2x_morphisms,
+                "morphisms": _thawed(self.s2x_morphisms),
             },
             "scope": K0_SCOPE_NOTE,
         }
@@ -519,19 +562,19 @@ class K0Witness:
         Only ``doc`` itself may be JSON text: a string nested where a
         category belongs is a stage name, or else an error naming its field.
 
-        Text is read once per document: the witness read is kept as a
-        template in the completion cache, keyed by the text, and every call
-        gets its own copy of it (``_copied``).  A parsed document is read
-        each time.  Errors are not kept; they are raised again.
+        Text is read once per document: the witness read is kept in the
+        completion cache, keyed by the text, and every call with that text
+        gets that one read-only witness.  A parsed document is read each
+        time.  Errors are not kept; they are raised again.
         """
         if not isinstance(doc, str):
             return _read_witness(doc)
         key = (_read_witness, doc)
-        template = _cached(key)
-        if template is not None:
-            return _copied(template.witness)
+        kept = _cached(key)
+        if kept is not None:
+            return kept.witness
         witness = _read_witness(json.loads(doc))
-        _keep_template(key, witness)
+        _keep_witness(key, witness)
         return witness
 
 
@@ -566,13 +609,13 @@ def _read_witness(doc: Mapping) -> K0Witness:
         CofiberCertificate.from_json(_json_object(obj["cert2"], "cert2"), within("cert2")),
         ContractibilityCertificate(
             read("contract_PX.category", obj["contract_PX"]["category"]),
-            obj["contract_PX"]["objects"],
+            _frozen(obj["contract_PX"]["objects"]),
         ),
         ContractibilityCertificate(
             read("contract_PSX.category", obj["contract_PSX"]["category"]),
-            obj["contract_PSX"]["objects"],
+            _frozen(obj["contract_PSX"]["objects"]),
         ),
-        obj["terminal_S2X"]["morphisms"],
+        _frozen(obj["terminal_S2X"]["morphisms"]),
     )
 
 
@@ -588,19 +631,19 @@ def k0_vanishing_witness(
 
     Each witness is assembled once per key: X's presentation key
     (``X.cat._key``), its mate table as ordered pairs, the basepoint and
-    the budget.  The first witness is kept as a template in the completion
-    cache, and every later call gets its own copy of it (``_copied``), with
-    the caller's own ``X.cat`` as the input stage; ``_stages_hold`` runs on
-    every witness returned.  Errors are not kept; they are raised again.
+    the budget.  The witness is kept in the completion cache, and every
+    call with an equal key gets that one read-only witness, whose input
+    stage is ``==`` to the caller's ``X``; ``_stages_hold`` runs on every
+    witness returned.  Errors are not kept; they are raised again.
     """
     X = as_pointed_fp(X)
     key = (_assembled, X.cat._key, tuple(X.cat.inverses.items()), X.basepoint, budget)
-    template = _cached(key)
-    witness = _assembled(X, budget) if template is None else _copied(template.witness, X)
+    kept = _cached(key)
+    witness = _assembled(X, budget) if kept is None else kept.witness
     if not witness._stages_hold(budget):
         raise CatError("freshly assembled witness failed to replay")
-    if template is None:
-        _keep_template(key, witness)
+    if kept is None:
+        _keep_witness(key, witness)
     return witness
 
 
@@ -629,9 +672,9 @@ def _assembled(X: PointedCategory, budget: int) -> K0Witness:
     )
 
 
-class _Template:
-    """A witness kept in the completion cache, which only ever hands out
-    copies of it.  Cache entries hash by identity; a witness does not hash."""
+class _Kept:
+    """A witness kept in the completion cache.  Cache entries hash by
+    identity; a witness does not hash."""
 
     __slots__ = ("witness",)
 
@@ -639,77 +682,9 @@ class _Template:
         self.witness = witness
 
 
-def _keep_template(key: tuple, witness: K0Witness) -> None:
-    """Keep a copy of ``witness`` under ``key``, charged
-    ``COMPLETION_ENTRY_CHARGE`` plus the generators and relations of its
-    distinct stages."""
-    t = _copied(witness)
-    stages = {id(c): c for c in (t.x.cat, t.px, t.sx.cat, t.psx, t.s2x.cat)}.values()
+def _keep_witness(key: tuple, w: K0Witness) -> None:
+    """Keep ``w`` under ``key``, charged ``COMPLETION_ENTRY_CHARGE`` plus the
+    generators and relations of its distinct stages."""
+    stages = {id(c): c for c in (w.x.cat, w.px, w.sx.cat, w.psx, w.s2x.cat)}.values()
     cost = sum(len(c.generators) + len(c.relations) for c in stages)
-    _keep(key, _Template(t), COMPLETION_ENTRY_CHARGE + cost)
-
-
-def _copied(w: K0Witness, x: PointedCategory | None = None) -> K0Witness:
-    """A witness equal to ``w`` that shares nothing an edit could reach.
-
-    Each category is a ``copy()`` (``x.cat`` stands for w's input stage when
-    ``x`` is given), each functor, pushout and certificate is new, and the
-    values read from JSON are deep copies.  What ``w`` holds twice is copied
-    once, so the copy aliases where ``w`` does: ``cert.pushout.from_span[0]
-    is cert.i``, ``sx.cat is cert1.q.target``, and so on.
-    """
-    cats = {} if x is None else {id(w.x.cat): x.cat}
-    functors: dict = {}
-
-    def cat(c):
-        new = cats.get(id(c))
-        if new is None:
-            new = cats[id(c)] = c.copy()
-        return new
-
-    def functor(F):
-        if F is None:
-            return None
-        new = functors.get(id(F))
-        if new is None:
-            new = functors[id(F)] = Functor(cat(F.source), cat(F.target), F.object_map, F.gen_map)
-        return new
-
-    def pointed(P: PointedCategory) -> PointedCategory:
-        return PointedCategory(cat(P.cat), P.basepoint)
-
-    def cofiber(c: CofiberCertificate) -> CofiberCertificate:
-        po = c.pushout
-        if po is not None:
-            po = PushoutResult(
-                cat(po.apex),
-                functor(po.inj_left),
-                functor(po.inj_right),
-                (functor(po.from_span[0]), functor(po.from_span[1])),
-            )
-        return CofiberCertificate(
-            functor(c.i),
-            functor(c.q),
-            copy.deepcopy(c.basepoint),
-            copy.deepcopy(c.mode),
-            functor(c.comparison),
-            functor(c.inverse),
-            copy.deepcopy(c.hom_card),
-            po,
-        )
-
-    def contraction(c: ContractibilityCertificate) -> ContractibilityCertificate:
-        return ContractibilityCertificate(cat(c.category), copy.deepcopy(c.objects))
-
-    return K0Witness(
-        pointed(w.x) if x is None else x,
-        cat(w.px),
-        pointed(w.sx),
-        cat(w.psx),
-        pointed(w.s2x),
-        cofiber(w.cert1),
-        cofiber(w.cert2),
-        contraction(w.contract_px),
-        contraction(w.contract_psx),
-        copy.deepcopy(w.s2x_morphisms),
-    )
+    _keep(key, _Kept(w), COMPLETION_ENTRY_CHARGE + cost)

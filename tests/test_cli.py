@@ -192,6 +192,16 @@ def test_cone_rejects_unknown_basepoint(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["cone", "suspend", "k0-witness"])
+def test_pointed_verbs_on_an_empty_category_name_the_missing_basepoint(tmp_path, capsys, verb):
+    path = cat_file(tmp_path, "empty.json", build([]))
+    assert main([verb, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "the category has no object to serve as basepoint"
+    assert captured.err == f"input error: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("verb", ["cone", "suspend"])
 def test_cone_and_suspend_take_no_budget(capsys, z_file, verb):
     with pytest.raises(SystemExit) as exc:
@@ -217,7 +227,7 @@ def test_k0_witness_detects_tampering(tmp_path, capsys):
     path = cat_file(tmp_path, "one.json", terminal_cat())
     out = str(tmp_path / "w.json")
     assert main(["k0-witness", path, "-o", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads((tmp_path / "w.json").read_text())
     doc["terminal_S2X"]["morphisms"] = 5
     tampered = dump(tmp_path, "tampered.json", doc)
     capsys.readouterr()
@@ -245,7 +255,7 @@ def test_k0_witness_unknown_stage_is_input_error(tmp_path, capsys):
     path = cat_file(tmp_path, "one.json", terminal_cat())
     out = str(tmp_path / "w.json")
     assert main(["k0-witness", path, "-o", out]) == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads((tmp_path / "w.json").read_text())
     doc["cert1"]["B"] = "QX"
     tampered = dump(tmp_path, "tampered.json", doc)
     capsys.readouterr()

@@ -231,8 +231,7 @@ def test_a_repeated_pushout_builds_its_apex_once(presentations_built):
         presentations_built.clear()
         first, again = pushout(f, g), pushout(f, g)
         assert presentations_built == [first.apex]
-        assert again.apex == first.apex and again.apex is not first.apex
-        assert again.apex.to_json() == first.apex.to_json()
+        assert again.apex is first.apex
 
 
 @pytest.fixture()
@@ -283,25 +282,33 @@ def test_spans_that_differ_in_one_part_share_no_pushout(pushouts_made):
         assert _answer(lambda: pushout(f, g)) == answer
 
 
-def test_a_pushout_read_from_the_cache_is_its_own(pushouts_made):
-    """A hit gives a new apex and new injections over it: editing one
-    result's apex inverse table or injection maps does not show in the
-    next, each result verifies, and ``from_span`` is the caller's legs."""
+def test_a_pushout_read_from_the_cache_is_read_only(pushouts_made):
+    """A hit gives the one shared apex, with injections into it from the
+    caller's targets: editing the apex inverse table or an injection map
+    raises, each result verifies, ``from_span`` is the caller's legs, and
+    the next call answers as a cold run does."""
     for f, g in span_pool():
         pushouts_made.clear()
         first = pushout(f, g)
-        cold = _answer(lambda: pushout(f, g))
         again = pushout(f, g)
         assert len(pushouts_made) == 1
-        assert again.apex is not first.apex and again.apex == first.apex
-        assert again.inj_left is not first.inj_left and again.inj_right is not first.inj_right
+        assert again.apex is first.apex
         assert again.inj_left.target is again.apex and again.inj_right.target is again.apex
+        assert again.inj_left.source is f.target and again.inj_right.source is g.target
         assert again.from_span[0] is f and again.from_span[1] is g
         assert again.verify()
-        first.apex.inverses.clear()
-        first.inj_left.gen_map.clear()
-        first.inj_right.object_map.clear()
-        assert _answer(lambda: pushout(f, g)) == cold
+        for mapping in (
+            first.apex.inverses,
+            first.inj_left.gen_map,
+            first.inj_left.object_map,
+            first.inj_right.gen_map,
+            first.inj_right.object_map,
+        ):
+            with pytest.raises(TypeError):
+                mapping["junk"] = "junk"
+        warm = _answer(lambda: pushout(f, g))
+        clear_completion_cache()
+        assert _answer(lambda: pushout(f, g)) == warm
 
 
 def test_a_second_k0_round_trip_pushes_nothing_out(pushouts_made):
@@ -340,7 +347,7 @@ def _digest(docs) -> str:
 
 
 def _cat_doc(cat):
-    return {**cat.to_json_obj(), "inverses": cat.inverses}
+    return {**cat.to_json_obj(), "inverses": dict(cat.inverses)}
 
 
 def _cw_build_docs(capsys):
@@ -418,10 +425,7 @@ def _varied(cat: FpCategory, change: str) -> FpCategory:
     table emptied: a presentation that must not share ``cat``'s entry."""
     if change == "relations":
         return FpCategory(cat.quiver, cat.relations[::-1], cat.inverses)
-    out = cat.copy()
-    if change == "mates":
-        out.inverses.clear()
-    return out
+    return FpCategory(cat.quiver, cat.relations, {} if change == "mates" else cat.inverses)
 
 
 def _varied_span(f: Functor, g: Functor, change: str) -> tuple[Functor, Functor]:
@@ -501,8 +505,8 @@ def test_shared_constructions_answer_as_cold_runs(kind, names, seed, change, bro
     """After an equal or a varied input has filled the presentation cache,
     a construction answers as it does after ``clear_completion_cache()``:
     JSON, ``==``, inverse-table order, injections, or error type and text.
-    Each call gets its own instance and inverse table; editing one does not
-    show in the next call."""
+    Every call gets the one shared instance, whose inverse table cannot be
+    edited."""
     make, variant = _constructions(kind, names, seed, change, broken)
     clear_completion_cache()
     _answer(variant)
@@ -517,7 +521,7 @@ def test_shared_constructions_answer_as_cold_runs(kind, names, seed, change, bro
         return
     assert hit
     a, b = _answer(make)[1], _answer(make)[1]
-    assert a is not b and a.inverses is not b.inverses
-    a.inverses.clear()
-    a.inverses["junk"] = "junk"
+    assert a is b
+    with pytest.raises(TypeError):
+        a.inverses["junk"] = "junk"
     assert _answer(make) == cold

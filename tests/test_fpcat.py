@@ -2,9 +2,11 @@
 
 import copy
 import dataclasses
+import gc
 import itertools
 import json
 import random
+import weakref
 from collections import OrderedDict
 
 import pytest
@@ -516,19 +518,20 @@ def _same_system(rs, cold):
 
 def test_equal_presentations_share_one_completion():
     clear_completion_cache()
-    doc = c3_cat().to_json()
-    a, b = from_json(doc), from_json(doc)
+    a = c3_cat()
+    b = from_json(a.to_json())
+    assert a is not b
     ra, rb = a.completion(), b.completion()
     assert ra is rb and ra.quiver is a.quiver
     assert rb.status == "complete"
-    assert b.completion() is rb  # the instance's own dict answers first
+    assert b.completion() is rb  # every call asks the cache
     info = completion_cache_info()
-    assert (info.hits, info.misses, info.entries) == (1, 1, 1)
+    assert (info.hits, info.misses, info.entries) == (2, 1, 1)
 
 
 def test_copies_of_equal_documents_get_one_system(monkeypatch):
-    """One ``RewritingSystem`` per miss, handed to every copy, so a table
-    ``to_finite`` builds through one copy is the other copies' too."""
+    """One ``RewritingSystem`` per miss, handed to every equal presentation,
+    so a table ``to_finite`` builds through one is the others' too."""
     clear_completion_cache()
     init, built = fpcat.RewritingSystem.__init__, []
 
@@ -537,12 +540,13 @@ def test_copies_of_equal_documents_get_one_system(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(fpcat.RewritingSystem, "__init__", spy)
-    doc = c3_cat().to_json()
-    a, b = from_json(doc), from_json(doc)
+    a = c3_cat()
+    doc = a.to_json()
+    b = from_json(doc)
     assert a is not b and a.completion() is b.completion()
-    assert from_json(doc).completion() is from_json(doc).completion()
+    assert from_json(doc) is b and b.completion() is a.completion()
     assert built == [a.completion()]
-    assert completion_cache_info()[:2] == (3, 1)  # hits, misses
+    assert completion_cache_info()[:2] == (4, 1)  # hits, misses
     assert b.completion().finite == []
     fin = to_finite(a)
     assert b.completion().finite == [3, fin] and to_finite(b) == fin
@@ -614,14 +618,14 @@ def test_completion_cache_key_is_budget_and_relation_order():
     marked = build(["x"], gens, rels, ["a", "b"])
     assert marked.inverses and marked.relations == cat.relations
     assert marked.completion(100).rules is cat.completion(100).rules
-    assert completion_cache_info().hits == 1
+    assert completion_cache_info().hits == 2
     # two documents that differ only in relation order: a miss, not a hit
     obj = chaotic(["p", "q", "r"]).to_json_obj()
     from_json(obj).completion()
     obj["relations"] = obj["relations"][::-1]
     from_json(obj).completion()
     info = completion_cache_info()
-    assert (info.hits, info.misses, info.entries) == (1, 5, 5)
+    assert (info.hits, info.misses, info.entries) == (2, 5, 5)
 
 
 def test_incomplete_completion_is_shared_as_incomplete():
@@ -698,22 +702,18 @@ _CACHE_CASES = _cache_cases()
 @given(
     charge=st.integers(0, 8),
     bound=st.integers(4, 60),
-    calls=st.lists(
-        st.tuples(st.integers(0, len(_CACHE_CASES) - 1), st.booleans(), st.integers(0, 2)),
-        max_size=40,
-    ),
+    calls=st.lists(st.tuples(st.integers(0, len(_CACHE_CASES) - 1), st.booleans()), max_size=40),
 )
 def test_cost_bounded_cache_agrees_with_cold_runs_and_an_lru_model(charge, bound, calls):
-    """Random ``completion`` and ``to_finite`` calls, on a fresh copy or on
-    one of the last two copies of the same document, under a small bound:
-    every answer equals the cold one, the cost in use stays within the
-    bound, and systems, costs, order and hits follow a reference LRU in
-    which a system costs the charge, its rules and its table's cells.  A
-    copy holds the system it was given, so a table built in a dropped
-    system is charged to nothing."""
+    """Random ``completion`` and ``to_finite`` calls on the documents'
+    shared presentations, under a small bound: every answer equals the cold
+    one, the cost in use stays within the bound, and systems, costs, order
+    and hits follow a reference LRU in which a system costs the charge, its
+    rules and its table's cells.  Every call asks the cache, and no
+    presentation keeps a system, so a table built in a system the cache did
+    not keep is charged to nothing."""
     model = OrderedDict()  # key -> [cost, generation]
     filled = set()  # (key, generation) of the slots holding a table
-    copies = {}  # case -> [(copy, generation), ...]
     generations = itertools.count()
     hits = 0
 
@@ -729,21 +729,17 @@ def test_cost_bounded_cache_agrees_with_cold_runs_and_an_lru_model(charge, bound
         mp.setattr(fpcat, "COMPLETION_ENTRY_CHARGE", charge)
         mp.setattr(fpcat, "COMPLETION_CACHE_BOUND", bound)
         clear_completion_cache()
-        for i, table, reuse in calls:
+        for i, table in calls:
             doc, budget, key, cold, cold_fin = _CACHE_CASES[i]
-            if 0 < reuse <= len(copies.get(i, ())):
-                cat, gen = copies[i][-reuse]  # its own system answers; the cache is not asked
+            cat = from_json(doc)
+            if key in model:
+                model.move_to_end(key)
+                gen = model[key][1]
+                hits += 1
             else:
-                cat = from_json(doc)
-                if key in model:
-                    model.move_to_end(key)
-                    gen = model[key][1]
-                    hits += 1
-                else:
-                    gen = next(generations)
-                    model[key] = [0, gen]
-                    charge_model(key, charge + len(cold.rules))
-                copies.setdefault(i, []).append((cat, gen))
+                gen = next(generations)
+                model[key] = [0, gen]
+                charge_model(key, charge + len(cold.rules))
             if not table:
                 assert _same_system(cat.completion(budget), cold)
             elif cold_fin is None:
@@ -784,13 +780,31 @@ def test_a_table_costlier_than_the_bound_is_returned_but_not_kept():
     assert fin.n == 257 and len(fin.compose_table) == 66_049
     assert fin.compose(1, 256) == 0  # t;t^256 is the identity
     assert completion_cache_info()[1:] == (before.misses + 1, *before[2:])
-    # the instance keeps its system and table; an equal presentation completes again
-    assert to_finite(big, 257) == fin
-    assert _cyclic(257).completion().rules == big.completion().rules
+    # no presentation keeps the dropped system: the next call completes and builds again
+    again = to_finite(big, 257)
+    assert again == fin and again.paths is not fin.paths
+    assert completion_cache_info()[1:] == (before.misses + 2, *before[2:])
+    assert _cyclic(257).completion().rules == big.completion().rules  # kept, with no table
     info = completion_cache_info()
-    assert info.misses == before.misses + 2 and info.entries == 4
+    assert info.misses == before.misses + 3 and info.entries == 4
     for cat in small:
         assert from_json(cat.to_json()).completion().finite  # still cached, table and all
+    clear_completion_cache()
+
+
+def test_a_table_costlier_than_the_bound_is_freed_with_its_last_caller():
+    """The cache drops C257's system once its 66,049 cells are charged, and
+    no presentation keeps a system of its own: the kept table lives only
+    while a caller holds it, although the presentation cache still holds
+    the presentation it was built for."""
+    clear_completion_cache()
+    cat = from_json(_cyclic(257).to_json())
+    kept = fpcat._finite(cat, 257, fpcat.DEFAULT_RULE_BUDGET)
+    assert from_json(cat.to_json()) is cat
+    table = weakref.ref(kept)
+    del kept
+    gc.collect()
+    assert table() is None
     clear_completion_cache()
 
 
@@ -970,19 +984,20 @@ def test_shared_intake_reads_as_the_field_reader(docs):
     assert _reading(from_json, twin) == _reading(_reference_reader, twin)
 
 
-def test_equal_documents_read_to_distinct_instances():
+def test_equal_documents_read_to_one_instance():
+    """Equal documents read to the one shared presentation, whose inverse
+    table cannot be edited; it equals a cold read in ``==`` and JSON."""
     clear_completion_cache()
     doc = c3_cat().to_json_obj()
     a, b = from_json(doc), from_json(doc)
     assert _intake_cache_info()[:2] == (1, 1)  # hits, misses
-    assert a is not b and a == b
-    assert a.quiver is b.quiver and a.relations is b.relations
-    assert a.inverses == b.inverses and a.inverses is not b.inverses
-    assert a._completions is not b._completions
-    b.inverses.clear()
+    assert a is b
+    with pytest.raises(TypeError):
+        b.inverses["t"] = "t"
     assert a.inverses == {"t": "t^-1", "t^-1": "t"}
-    assert a.completion() is b.completion()  # the inverse table is not in the key
-    assert from_json(doc).inverses == a.inverses  # the shared presentation is untouched
+    clear_completion_cache()
+    cold = from_json(doc)
+    assert cold is not a and cold == a and cold.to_json() == a.to_json()
 
 
 def test_a_hit_builds_and_checks_nothing(monkeypatch):
@@ -1596,6 +1611,8 @@ def test_equal_presentations_share_one_build():
     fin = to_finite(from_json(doc))
     widest, shared = from_json(doc).completion().finite
     assert widest == 3 and shared == fin and shared is not fin
+    with pytest.raises(TypeError):  # the kept table is read-only
+        shared.compose_table[(0, 0)] = 0
     # the bound only decides NotFinite: every bound from the widest hom-set up
     # reads the one table, and each caller gets a copy of it
     for bound in (64, 3, 1000):
@@ -1620,6 +1637,9 @@ def test_editing_a_returned_table_leaves_the_shared_one_intact():
     assert again != fin
     again.validate()
     _assert_matches_oracles(dihedral(5))
+    clear_completion_cache()
+    cold = to_finite(dihedral(5))
+    assert cold == again and cold.gen_image == again.gen_image
 
 
 def test_presentations_differing_only_in_inverses_share_one_table():
@@ -1656,9 +1676,11 @@ def test_clearing_the_cache_drops_its_tables():
     slot = held.completion().finite
     clear_completion_cache()
     fresh = from_json(doc)
+    assert fresh is not held
     assert to_finite(fresh) == fin and fresh.completion().finite is not slot
-    # an instance keeps the table it holds
-    assert to_finite(held).paths is slot[1].paths
+    # what was handed out stays valid; an older instance reads the new table
+    assert slot[1] == fin and fin.n == 3
+    assert to_finite(held).paths is fresh.completion().finite[1].paths
 
 
 def test_shared_table_equals_a_cold_one():

@@ -237,6 +237,21 @@ def test_cofiber_certificate_falls_back_to_finite_backends():
     assert again.verify()
 
 
+def test_finite_mode_results_are_json_values():
+    """``to_json_obj`` of a finite-mode certificate, and of a witness that
+    holds one, built or read, is plain JSON: ``json.dumps`` writes the bytes
+    of ``to_json``."""
+    cert = is_cofiber_sequence(*_cyclic_quotient(3))
+    assert cert.mode == "finite"
+    w = dataclasses.replace(k0_vanishing_witness(pointed_sphere_zero()), cert1=cert)
+    read = CofiberCertificate.from_json(cert.to_json()), K0Witness.from_json(w.to_json())
+    for value in (cert, w, *read):
+        assert json.dumps(value.to_json_obj(), sort_keys=True, separators=(",", ":")) == (
+            value.to_json()
+        )
+    assert read[1].cert1.hom_card == {"L.x|L.x": 16}
+
+
 def test_cofiber_finite_fallback_rejects_a_map_that_is_not_onto():
     i, q = _cyclic_quotient(2)
     r = is_cofiber_sequence(i, q)
