@@ -22,11 +22,11 @@ from .fpcat import (
     _from_tuples,
     _is_str,
     _paths,
-    _shared_presentation,
     build,
     check_functor,
     compose_functors,
     functors_equal,
+    share,
 )
 
 
@@ -81,7 +81,7 @@ def _renamed(cat: FpCategory, prefix: str) -> tuple[list, list, list, list]:
 def coproduct(cats: Sequence[FpCategory]) -> CoproductResult:
     """Disjoint union with numeric prefixes; injections are cofibrations.
 
-    The apex is shared between equal inputs (``fpcat._shared_presentation``)."""
+    The apex is shared between equal inputs (``fpcat.share``)."""
     objects: list[str] = []
     gens: list = []
     rels: list = []
@@ -92,9 +92,7 @@ def coproduct(cats: Sequence[FpCategory]) -> CoproductResult:
         gens += g
         rels += r
         mates += m
-    apex = _shared_presentation(
-        _from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates)
-    )
+    apex = share(_from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates))
     injections = tuple(
         Functor(
             cat,
@@ -127,7 +125,7 @@ def pushout(f: Functor, g: Functor) -> PushoutResult:
     """Pushout of the span B <-f- A -g-> C in presentations.
 
     ``inj_left`` embeds f's target, ``inj_right`` embeds g's target.  Equal
-    spans share one result (``fpcat._shared_presentation``), keyed by what
+    spans share one result (``fpcat.share``), keyed by what
     the construction reads, as plain tuples: each target's presentation key
     and mate table, and the legs' images of A's objects and generators in
     A's order.  Every equal call gets the one read-only apex, with two new
@@ -144,7 +142,7 @@ def pushout(f: Functor, g: Functor) -> PushoutResult:
     for G in A.quiver.generators:
         at, gens = _image(f.gen_map[G.name], "L.", B)  # f's before g's, as the construction reads them
         images.append((at, gens, *_image(g.gen_map[G.name], "R.", C)))
-    apex, left, right = _shared_presentation(
+    apex, left, right = share(
         _pushout_parts,
         B._key,
         tuple(B.inverses.items()),
@@ -247,9 +245,9 @@ def chaotic(names: Sequence[str]) -> FpCategory:
     Generators ``x>y`` for distinct objects; every composable pair collapses
     to the direct generator (or the identity), and every generator is
     invertible with mate the reversed generator.  Equal name lists share
-    one read-only presentation (``fpcat._shared_presentation``).
+    one read-only presentation (``fpcat.share``).
     """
-    return _shared_presentation(_chaotic, *names)
+    return share(_chaotic, *names)
 
 
 def _chaotic(*names: str) -> FpCategory:

@@ -38,7 +38,7 @@ from .fpcat import (
     _json_list,
     _json_names,
     _json_object,
-    _shared_presentation,
+    share,
 )
 from .model_structure import (
     INVERSE_CANDIDATES,
@@ -81,11 +81,15 @@ def point_collapse(cat: FpCategory, pt: FpCategory | None = None) -> Functor:
 def sphere(n: int) -> FpCategory:
     """The n-sphere presentation (one fixed representative per dimension).
 
-    Each sphere is a construction's apex, shared through the presentation
-    cache, so equal calls get the one read-only presentation.
+    Each sphere is shared by its dimension (``fpcat.share``), so equal calls
+    get the one read-only presentation and a repeated call builds nothing.
     """
     if n < 0:
         raise NegativeDimension(n)
+    return share(_sphere, n)
+
+
+def _sphere(n: int) -> FpCategory:
     if n == 0:
         return coproduct([terminal(), terminal()]).apex
     p = point_collapse(sphere(n - 1))
@@ -144,8 +148,7 @@ def _assemble(parts: Sequence[tuple]) -> FpCategory:
     ``attach_cells`` when there are words, and the one-complex's own, a
     pushout of ``["*", *T]`` (``L.``) and a chaotic cylinder on ``e.0.pt``,
     ``e.1.pt`` per edge e (``R.``).  The result is shared between equal
-    inputs (``fpcat._shared_presentation``), keyed by the plain tuples
-    assembled here.
+    inputs (``fpcat.share``), keyed by the plain tuples assembled here.
     """
     objects: list[str] = []
     gens: list[tuple[str, str, str]] = []
@@ -177,9 +180,7 @@ def _assemble(parts: Sequence[tuple]) -> FpCategory:
             if w:
                 rels.append((bp, tuple(names[a] for a in w), bp, ()))
                 rels.append((bp, tuple(names[a ^ 1] for a in reversed(w)), bp, ()))
-    return _shared_presentation(
-        _from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates)
-    )
+    return share(_from_tuples, tuple(objects), tuple(gens), tuple(rels), tuple(mates))
 
 
 def build_one_complex(components: Sequence[tuple[Sequence[str], Sequence[str]]]) -> FpCategory:

@@ -20,7 +20,6 @@ checking, and everything downstream.
 from __future__ import annotations
 
 import bisect
-import functools
 import json
 import warnings
 from collections import Counter, OrderedDict, namedtuple
@@ -266,11 +265,11 @@ def _unit_index(relations: Iterable[Relation]) -> set[tuple[str, str, str]]:
     return units
 
 
-class _PresentationKey(tuple):
-    """A presentation's objects, ``(name, src, dst)`` generators and
-    ``(lhs.at, lhs.gens, rhs.at, rhs.gens)`` relations: a tuple that hashes
-    once, so the caches that key on it hash no name tuple again; it equals
-    the plain tuple of its parts."""
+class _Key(tuple):
+    """A tuple that hashes once, so the cache of shared values hashes no
+    name tuple in it again; it equals the plain tuple of its parts.  A
+    presentation's key is one: its objects, ``(name, src, dst)`` generators
+    and ``(lhs.at, lhs.gens, rhs.at, rhs.gens)`` relations."""
 
     def __init__(self, parts):
         self._hash = tuple.__hash__(self)
@@ -280,7 +279,7 @@ class _PresentationKey(tuple):
 
     def __reduce__(self):
         # string hashes differ between processes: a loaded key hashes again
-        return _PresentationKey, (tuple(self),)
+        return _Key, (tuple(self),)
 
 
 def _reduce_read_only(self):
@@ -327,9 +326,9 @@ class FpCategory:
             rels.append((lhs, rhs))
             names.append((lhs.at, lhs.gens, rhs.at, rhs.gens))
         self.relations: tuple[Relation, ...] = tuple(rels)
-        # the key of the completion and pushout caches: objects, generators
-        # and relations as names
-        self._key = _PresentationKey((
+        # the key of this presentation's shared system, table and pushouts:
+        # objects, generators and relations as names
+        self._key = _Key((
             quiver.objects,
             tuple((g.name, g.src, g.dst) for g in quiver.generators),
             tuple(names),
@@ -355,6 +354,9 @@ class FpCategory:
     @property
     def generators(self) -> tuple[Generator, ...]:
         return self.quiver.generators
+
+    def _size(self) -> int:
+        return len(self.quiver.generators) + len(self.relations)
 
     def identity(self, obj: str) -> Path:
         if not self.quiver.has_object(obj):
@@ -536,7 +538,7 @@ def from_json(doc: Union[str, Mapping]) -> FpCategory:
     again.
     """
     obj = json.loads(doc) if isinstance(doc, str) else doc
-    return _shared_presentation(_built, *_read_fields(obj))
+    return share(_built, *_read_fields(obj))
 
 
 def _from_tuples(
@@ -562,7 +564,7 @@ def discrete(names: Iterable[str]) -> FpCategory:
 
 
 def terminal(name: str = "pt") -> FpCategory:
-    return _shared_presentation(_point, name)
+    return share(_point, name)
 
 
 def _point(name) -> FpCategory:
@@ -574,11 +576,7 @@ def _point(name) -> FpCategory:
 
 
 class RewritingSystem:
-    """Oriented, interreduced rules over a presentation's generator words.
-
-    ``finite`` is empty until ``to_finite`` has built this system's table,
-    then ``[largest hom-set size, table]``.
-    """
+    """Oriented, interreduced rules over a presentation's generator words."""
 
     def __init__(self, quiver: Quiver, rules: Sequence[Relation], status: str, table: RuleTable):
         """``table`` is ``rules`` encoded over ``quiver``'s generators, in order."""
@@ -586,12 +584,14 @@ class RewritingSystem:
         self.rules = tuple(rules)
         self.status = status  # "complete" | "incomplete"
         self._table = table
-        self.finite: list = []
         self._names = tuple(g.name for g in quiver.generators)
 
     @property
     def complete(self) -> bool:
         return self.status == "complete"
+
+    def _size(self) -> int:
+        return len(self.rules)
 
     def reduce_word(self, word: tuple[int, ...]) -> tuple[int, ...]:
         return self._table.reduce(word)
@@ -799,164 +799,145 @@ def complete(cat: FpCategory, budget: int = DEFAULT_RULE_BUDGET) -> RewritingSys
     return RewritingSystem(cat.quiver, out, status, table)
 
 
-# Presentations with equal objects, generators (in order) and relations (in
-# order) complete to the same system under the same budget, and these are all
-# that ``complete`` and ``to_finite`` read.  The inverse table is left out of
-# the key on purpose: neither reads it (its unit relations are already among
-# the relations), so presentations that differ only there share a system and
-# its finite table.  The key spells generators and relations as tuples of
-# names, which compare in C; ``FpCategory.__init__`` builds it while it checks
-# the relations and hashes it once.
+# One cache keeps every value catcw shares between equal inputs and hands
+# each caller the one kept value, which is read-only:
+# - the documents ``from_json`` reads, keyed by what ``_read_fields`` reads
+#   (``build`` reads nothing else);
+# - the constructions' presentations, keyed by the arguments of
+#   ``terminal``, ``chaotic`` and ``cw.sphere`` or by the plain tuples
+#   ``_from_tuples`` reads, and for ``colimits.pushout`` the apex with its
+#   injections' maps, keyed by the span's plain tuples;
+# - completed systems, keyed by ``cat._key`` and the budget, and the finite
+#   table of each with its largest hom-set size, under the same key;
+# - the K0 witnesses of ``ktheory``, keyed by their input or document text.
+# The function that makes a value leads its key, so equal tuples from two
+# makers never meet.  The keys of ``share`` are typed: names equal in value
+# but not in type (``1`` and ``True``) do not meet.  Nested names are
+# ``str`` already: the reader checks them, and the constructions make them
+# by concatenation.
 #
-# The same cache keeps the K0 witnesses of ``ktheory``, under keys led by the
-# function that makes them, so they never meet a system's key.
+# A system's key leaves the inverse table out on purpose: neither
+# ``complete`` nor ``to_finite`` reads it (its unit relations are already
+# among the relations), so presentations that differ only there share a
+# system and its table.
 #
-# The cache is bounded by cost, not by entries.  A system costs
-# ``COMPLETION_ENTRY_CHARGE`` for its Python objects, plus one per rule, plus
-# one per cell of the table ``to_finite`` later puts in its ``finite`` slot
-# (charged when the slot fills); a witness costs ``COMPLETION_ENTRY_CHARGE``
-# plus the generators and relations of its stages.
-# Least recently used entries are dropped until the total is within
-# ``COMPLETION_CACHE_BOUND``; an entry that alone exceeds the bound is
-# returned but not kept.  Many small systems stay cached while one large
-# table (S6 has 518,400 cells) is not pinned: no presentation keeps a system
-# of its own, so a dropped table is freed once its callers drop it.
+# The cache is bounded by cost, not by entries.  An entry costs
+# ``COMPLETION_ENTRY_CHARGE`` for its Python objects plus its size: the
+# generators and relations of a presentation or apex, the rules of a
+# system, the cells of a table, and the generators and relations of a
+# witness's distinct stages.  Least recently used entries are dropped until
+# the total is within ``COMPLETION_CACHE_BOUND``; a value that alone costs
+# more is returned but not kept.  Many small values stay cached while one
+# large table (S6 has 518,400 cells) is not pinned: no presentation keeps
+# its system or table, so a dropped table is freed once its callers drop it.
 COMPLETION_ENTRY_CHARGE = 128
-COMPLETION_CACHE_BOUND = 65_536
+COMPLETION_CACHE_BOUND = 131_072
 
-_completion_systems: dict[tuple, object] = {}
-# least recently used first, each entry with ``[key, cost]``; entries hash by
-# identity, so moving one to the recent end hashes none of the name tuples in
-# its key
-_completion_order: OrderedDict[object, list] = OrderedDict()
-_completion_stats: Counter = Counter()  # hits, misses, cost
+# key -> [value, cost, key], least recently used first; a hit moves its entry
+# by the kept key, which matches by identity, so a large key is compared once
+_shared: OrderedDict[tuple, list] = OrderedDict()
+_shared_stats: Counter = Counter()  # hits, misses, cost
 
 CompletionCacheInfo = namedtuple("CompletionCacheInfo", "hits misses entries cost bound")
 
 
-def _cached(key: tuple):
-    """The entry kept under ``key``, now the most recently used, counted as
+def _lookup(key: tuple):
+    """The value kept under ``key``, now the most recently used, counted as
     a hit; or None, counted as a miss."""
-    entry = _completion_systems.get(key)
+    entry = _shared.get(key)
     if entry is None:
-        _completion_stats["misses"] += 1
-    else:
-        _completion_order.move_to_end(entry)
-        _completion_stats["hits"] += 1
-    return entry
+        _shared_stats["misses"] += 1
+        return None
+    _shared.move_to_end(entry[2])
+    _shared_stats["hits"] += 1
+    return entry[0]
 
 
-def _keep(key: tuple, entry, cost: int) -> None:
-    """Keep ``entry``, which hashes by identity, under ``key`` at ``cost``."""
-    _completion_systems[key] = entry
-    _completion_order[entry] = [key, 0]
-    _charge(entry, cost)
+def _keep(key: tuple, value):
+    """``value``, kept under ``key`` unless it alone costs more than the
+    bound; the least recently used entries are then dropped until the
+    total is within it."""
+    cost = COMPLETION_ENTRY_CHARGE + _size(value)
+    if cost <= COMPLETION_CACHE_BOUND:
+        _shared[key] = [value, cost, key]
+        _shared_stats["cost"] += cost
+        while _shared_stats["cost"] > COMPLETION_CACHE_BOUND:
+            _shared_stats["cost"] -= _shared.popitem(last=False)[1][1]
+    return value
+
+
+def _size(value) -> int:
+    """What keeping ``value`` costs beyond ``COMPLETION_ENTRY_CHARGE``: its
+    ``_size()``, or for a tuple the sizes of its parts."""
+    if type(value) is tuple:
+        return sum(map(_size, value))
+    size = getattr(value, "_size", None)
+    return 0 if size is None else size()
+
+
+def share(make, *key):
+    """What ``make(*key)`` builds and checks, made once per key and handed
+    to every caller.  Errors are not kept; they are raised again."""
+    typed = _Key((make, *key, *map(type, key)))
+    value = _lookup(typed)
+    return _keep(typed, make(*key)) if value is None else value
 
 
 def _shared_completion(cat: FpCategory, budget: int) -> RewritingSystem:
     """The one system of ``cat``'s completion, made on a miss by completing
-    ``cat`` itself; it is returned even when it alone exceeds the bound and
-    so is not kept.
+    ``cat`` itself.
 
     The key is ``cat._key`` and the budget.  The system keeps ``cat``'s
     quiver, which every presentation with that key has equal, and no
     reference to ``cat``.
     """
-    key = (cat._key, budget)
-    rs = _cached(key)
-    if rs is None:
-        rs = complete(cat, budget)
-        _keep(key, rs, COMPLETION_ENTRY_CHARGE + len(rs.rules))
-    return rs
-
-
-def _charge(entry, cost: int) -> None:
-    """Add ``cost`` to a cached entry, which becomes the most recently used;
-    drop it if it alone exceeds the bound, then the least recently used
-    entries until the total is within it."""
-    slot = _completion_order[entry]
-    slot[1] += cost
-    _completion_stats["cost"] += cost
-    _completion_order.move_to_end(entry)
-    if slot[1] > COMPLETION_CACHE_BOUND:
-        _drop(entry)
-    while _completion_stats["cost"] > COMPLETION_CACHE_BOUND:
-        _drop(next(iter(_completion_order)))
-
-
-def _drop(entry) -> None:
-    key, cost = _completion_order.pop(entry)
-    del _completion_systems[key]
-    _completion_stats["cost"] -= cost
-
-
-# One cache holds every presentation catcw would otherwise build again for
-# equal input: the documents ``from_json`` reads, keyed by what ``_read_fields``
-# reads (``build`` reads nothing else), and the constructions' presentations,
-# keyed by the arguments of ``terminal`` and ``chaotic``, by the plain tuples
-# ``_from_tuples`` reads, or, for ``colimits.pushout``, by its span's plain
-# tuples, where the entry is the apex with its injections' maps.  The maker
-# leads the key, so equal tuples from two makers do not meet.  Every caller
-# gets the one cached presentation, a read-only value.  These entries are
-# small and uniform, so a count bounds them.  Keys are typed: names equal in value
-# but not in type (``1`` and ``True``) do not meet.  Nested names are ``str``
-# already: the reader checks them, and the constructions make them by
-# concatenation.
-INTAKE_CACHE_SIZE = 128
-
-
-@functools.lru_cache(maxsize=INTAKE_CACHE_SIZE, typed=True)
-def _shared_presentation(make, *key):
-    """What ``make(*key)`` builds and checks, made once per key and handed
-    to every caller.  Errors are not kept; they are raised again."""
-    return make(*key)
+    key = (complete, cat._key, budget)
+    rs = _lookup(key)
+    return _keep(key, complete(cat, budget)) if rs is None else rs
 
 
 def completion_cache_info() -> CompletionCacheInfo:
-    """Hits, misses, entries, cost in use and cost bound of the cache behind
-    ``FpCategory.completion``, ``k0_vanishing_witness`` and
-    ``K0Witness.from_json`` of text.
+    """Hits, misses, entries, cost in use and cost bound of the one cache
+    of shared values: presentations, pushouts, completed systems, their
+    finite tables and K0 witnesses.
 
-    ``entries`` and ``cost`` count completed systems and K0 witnesses
-    alike.  Direct calls to ``complete`` bypass the cache and are not
-    counted.  A system costs ``COMPLETION_ENTRY_CHARGE``, plus its rules,
-    plus the cells of its finite table once ``to_finite`` has built it; a
-    witness costs ``COMPLETION_ENTRY_CHARGE`` plus the generators and
-    relations of its stages.  Every ``completion()`` call asks the cache.
+    Direct calls to ``complete`` bypass the cache and are not counted.
+    Every ``completion()`` call asks the cache, and so do ``from_json``,
+    the constructions and ``to_finite``, which asks for the table first and
+    for the system only on a miss.  An entry costs
+    ``COMPLETION_ENTRY_CHARGE`` plus its size: generators and relations,
+    rules, or cells.
 
     >>> clear_completion_cache()
     >>> c2 = build(["x"], [("t", "x", "x")], [(Path("x", ("t", "t")), Path("x"))])
     >>> a, b = c2.completion(), from_json(c2.to_json()).completion()
-    >>> a is b
+    >>> a is b  # the read document is a second entry, of 2 parts
     True
     >>> completion_cache_info()
-    CompletionCacheInfo(hits=1, misses=1, entries=1, cost=129, bound=65536)
-    >>> to_finite(c2).n  # a 2 x 2 table
+    CompletionCacheInfo(hits=1, misses=2, entries=2, cost=259, bound=131072)
+    >>> to_finite(c2).n  # a 2 x 2 table: a third entry
     2
     >>> completion_cache_info()
-    CompletionCacheInfo(hits=2, misses=1, entries=1, cost=133, bound=65536)
+    CompletionCacheInfo(hits=2, misses=3, entries=3, cost=391, bound=131072)
     >>> clear_completion_cache()
     >>> completion_cache_info()
-    CompletionCacheInfo(hits=0, misses=0, entries=0, cost=0, bound=65536)
+    CompletionCacheInfo(hits=0, misses=0, entries=0, cost=0, bound=131072)
     """
-    s = _completion_stats
+    s = _shared_stats
     return CompletionCacheInfo(
-        s["hits"], s["misses"], len(_completion_systems), s["cost"], COMPLETION_CACHE_BOUND
+        s["hits"], s["misses"], len(_shared), s["cost"], COMPLETION_CACHE_BOUND
     )
 
 
 def clear_completion_cache() -> None:
-    """Forget every shared completion, the finite table built from each, the
-    K0 witnesses, and the presentations and pushouts shared between equal
-    documents and equal constructions.
+    """Forget every shared value: presentations, pushouts, completions, the
+    finite table built from each, and K0 witnesses.
 
     Objects already handed out stay valid; the next call completes, builds
     or reads again and shares the new result.
     """
-    _completion_systems.clear()
-    _completion_order.clear()
-    _completion_stats.clear()
-    _shared_presentation.cache_clear()
+    _shared.clear()
+    _shared_stats.clear()
 
 
 def normalize(cat: FpCategory, p: Path, budget: int = DEFAULT_RULE_BUDGET) -> Path:
@@ -1090,6 +1071,9 @@ class FiniteCategory:
     @property
     def n(self) -> int:
         return len(self.mor_src)
+
+    def _size(self) -> int:
+        return len(self.compose_table)
 
     def hom(self, src: str, dst: str) -> tuple[int, ...]:
         return self._hom[(src, dst)]
@@ -1234,11 +1218,11 @@ def to_finite(
     form ``g = g'a`` has its prefix ``g'`` earlier in discovery order, and
     ``f;g = right[f;g'][a]`` costs one lookup per cell.
 
-    The table is built once per completion and kept in its ``finite`` slot
-    with its largest hom-set size; its cells are charged to the shared
-    system in the completion cache, which may drop it.  The bound only
-    decides whether ``NotFinite`` is raised, so any bound at least that size
-    answers from the slot; a smaller one builds again and raises.  Each call
+    The table is built once per completion and kept in the cache of shared
+    values with its largest hom-set size, under the system's key; it is
+    charged its cells, and the cache may drop it.  The bound only decides
+    whether ``NotFinite`` is raised, so any bound at least that size answers
+    from the kept table; a smaller one builds again and raises.  Each call
     returns a ``copy()``, so equal presentations share the work but not the
     dicts.  Errors are not kept; they are raised again.
 
@@ -1256,12 +1240,14 @@ def to_finite(
 
 
 def _finite(cat: FpCategory, bound: int, budget: int) -> FiniteCategory:
-    """The table ``to_finite`` copies: the read-only one kept in the
-    system's ``finite`` slot, built there on first use.  catcw's own readers
-    take it as it is."""
+    """The table ``to_finite`` copies: the read-only one kept with its
+    largest hom-set size, built on first use.  catcw's own readers take it
+    as it is."""
+    key = (_finite, cat._key, budget)
+    kept = _lookup(key)
+    if kept is not None and bound >= kept[0]:
+        return kept[1]
     rs = _require_complete(cat, budget)
-    if rs.finite and bound >= rs.finite[0]:
-        return rs.finite[1]
     idx = cat.quiver.gen_index
     names = tuple(g.name for g in cat.quiver.generators)
     words: list[tuple[str, tuple[int, ...]]] = []  # (src, word) in discovery order
@@ -1315,10 +1301,7 @@ def _finite(cat: FpCategory, bound: int, budget: int) -> FiniteCategory:
         paths=paths,
         gen_image=gen_image,
     )
-    rs.finite[:] = [max(map(len, hom_forms.values()), default=0), fin]
-    if rs in _completion_order:  # a dropped or uncached system's table costs the cache nothing
-        _charge(rs, len(compose))
-    return fin
+    return _keep(key, (max(map(len, hom_forms.values()), default=0), fin))[1]
 
 
 def finite_to_fp(C: FiniteCategory) -> FpCategory:

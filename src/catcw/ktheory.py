@@ -21,7 +21,6 @@ from typing import Callable, Mapping, Union
 from .colimits import PushoutResult, chaotic, pushout
 from .cw import point_collapse
 from .fpcat import (
-    COMPLETION_ENTRY_CHARGE,
     DEFAULT_HOM_BOUND,
     DEFAULT_RULE_BUDGET,
     CatError,
@@ -29,7 +28,6 @@ from .fpcat import (
     FpCategory,
     Functor,
     Path,
-    _cached,
     _canonical_json,
     _finite,
     _hom_words,
@@ -37,11 +35,13 @@ from .fpcat import (
     _image_words,
     _json_object,
     _keep,
+    _lookup,
     _reduce_read_only,
     check_functor,
     finite_to_fp,
     from_json as category_from_json,
     functor_from_json,
+    share,
 )
 from .model_structure import INVERSE_WORD_LEN, is_contractible
 
@@ -524,6 +524,11 @@ class K0Witness:
     def to_json(self) -> str:
         return _canonical_json(self.to_json_obj())
 
+    def _size(self) -> int:
+        """The generators and relations of the distinct stages."""
+        stages = {id(c): c for c in (self.x.cat, self.px, self.sx.cat, self.psx, self.s2x.cat)}
+        return sum(c._size() for c in stages.values())
+
     def _stages_hold(self, budget: int) -> bool:
         """The checks that building a witness does not already make: both
         cones are contractible, and Σ²X has one object, no generators and a
@@ -563,19 +568,18 @@ class K0Witness:
         category belongs is a stage name, or else an error naming its field.
 
         Text is read once per document: the witness read is kept in the
-        completion cache, keyed by the text, and every call with that text
-        gets that one read-only witness.  A parsed document is read each
-        time.  Errors are not kept; they are raised again.
+        cache of shared values, keyed by the text, and every call with that
+        text gets that one read-only witness.  A parsed document is read
+        each time.  Errors are not kept; they are raised again.
         """
         if not isinstance(doc, str):
             return _read_witness(doc)
-        key = (_read_witness, doc)
-        kept = _cached(key)
-        if kept is not None:
-            return kept.witness
-        witness = _read_witness(json.loads(doc))
-        _keep_witness(key, witness)
-        return witness
+        return share(_read_text, doc)
+
+
+def _read_text(text: str) -> K0Witness:
+    """``K0Witness.from_json`` of JSON text, which the cache keys by."""
+    return _read_witness(json.loads(text))
 
 
 def _read_witness(doc: Mapping) -> K0Witness:
@@ -631,20 +635,19 @@ def k0_vanishing_witness(
 
     Each witness is assembled once per key: X's presentation key
     (``X.cat._key``), its mate table as ordered pairs, the basepoint and
-    the budget.  The witness is kept in the completion cache, and every
-    call with an equal key gets that one read-only witness, whose input
-    stage is ``==`` to the caller's ``X``; ``_stages_hold`` runs on every
-    witness returned.  Errors are not kept; they are raised again.
+    the budget.  The witness is kept in the cache of shared values once its
+    checks pass, and every call with an equal key gets that one read-only
+    witness, whose input stage is ``==`` to the caller's ``X``;
+    ``_stages_hold`` runs on every witness returned.  Errors are not kept;
+    they are raised again.
     """
     X = as_pointed_fp(X)
     key = (_assembled, X.cat._key, tuple(X.cat.inverses.items()), X.basepoint, budget)
-    kept = _cached(key)
-    witness = _assembled(X, budget) if kept is None else kept.witness
+    kept = _lookup(key)
+    witness = _assembled(X, budget) if kept is None else kept
     if not witness._stages_hold(budget):
         raise CatError("freshly assembled witness failed to replay")
-    if kept is None:
-        _keep_witness(key, witness)
-    return witness
+    return _keep(key, witness) if kept is None else witness
 
 
 def _assembled(X: PointedCategory, budget: int) -> K0Witness:
@@ -671,20 +674,3 @@ def _assembled(X: PointedCategory, budget: int) -> K0Witness:
         _finite(s2x.cat, 4, budget).n,
     )
 
-
-class _Kept:
-    """A witness kept in the completion cache.  Cache entries hash by
-    identity; a witness does not hash."""
-
-    __slots__ = ("witness",)
-
-    def __init__(self, witness: K0Witness):
-        self.witness = witness
-
-
-def _keep_witness(key: tuple, w: K0Witness) -> None:
-    """Keep ``w`` under ``key``, charged ``COMPLETION_ENTRY_CHARGE`` plus the
-    generators and relations of its distinct stages."""
-    stages = {id(c): c for c in (w.x.cat, w.px, w.sx.cat, w.psx, w.s2x.cat)}.values()
-    cost = sum(len(c.generators) + len(c.relations) for c in stages)
-    _keep(key, _Kept(w), COMPLETION_ENTRY_CHARGE + cost)

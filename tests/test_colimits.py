@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from catcw import colimits, fpcat
+from catcw import colimits
 from catcw import (
     CoproductResult,
     EmptySet,
@@ -25,6 +25,7 @@ from catcw import (
     chaotic,
     check_functor,
     clear_completion_cache,
+    completion_cache_info,
     cone_unit,
     cofibrant_replacement,
     compose_functors,
@@ -502,7 +503,7 @@ def _constructions(kind, names, seed, change, broken):
 @example(kind="chaotic", names=["p", "q", "p"], seed=0, change="none", broken=None)
 @example(kind="pushout", names=[], seed=3, change="mates", broken="unknown")
 def test_shared_constructions_answer_as_cold_runs(kind, names, seed, change, broken):
-    """After an equal or a varied input has filled the presentation cache,
+    """After an equal or a varied input has filled the cache of shared values,
     a construction answers as it does after ``clear_completion_cache()``:
     JSON, ``==``, inverse-table order, injections, or error type and text.
     Every call gets the one shared instance, whose inverse table cannot be
@@ -511,15 +512,15 @@ def test_shared_constructions_answer_as_cold_runs(kind, names, seed, change, bro
     clear_completion_cache()
     _answer(variant)
     first = _answer(make)
-    hits = fpcat._shared_presentation.cache_info().hits
+    before = completion_cache_info()
     warm = _answer(make)
-    hit = fpcat._shared_presentation.cache_info().hits > hits
+    after = completion_cache_info()
     clear_completion_cache()
     cold = _answer(make)
     assert first == cold and warm == cold
     if isinstance(cold[0], type):  # an error: raised again, never kept
         return
-    assert hit
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)  # one hit
     a, b = _answer(make)[1], _answer(make)[1]
     assert a is b
     with pytest.raises(TypeError):

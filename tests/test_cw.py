@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import arrow_cat, c2_cat, groupoid_pool6, pool8, random_pointed
 
-from catcw import cw, fpcat, model_structure
+from catcw import colimits, cw, fpcat, model_structure
 from catcw import (
     CatError,
     DuplicateName,
@@ -25,6 +25,7 @@ from catcw import (
     build_one_complex,
     build_two_complex,
     chaotic,
+    clear_completion_cache,
     coproduct,
     cw_classify,
     find_equivalence,
@@ -87,6 +88,33 @@ def test_sphere_rejects_negative_dimension():
 
 def test_sphere_presentations_are_cached():
     assert sphere(3) is sphere(3)
+
+
+def test_a_warm_sphere_builds_nothing(monkeypatch):
+    """Spheres are shared by dimension: a repeated ``sphere(3)`` is one hit,
+    with no ``build`` and no presentation made or checked."""
+    sphere(3)
+    made = []
+    init = fpcat.FpCategory.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append("FpCategory")
+        init(self, *args, **kwargs)
+
+    def counting_build(*args, **kwargs):
+        made.append("build")
+        return fpcat.build(*args, **kwargs)
+
+    monkeypatch.setattr(fpcat.FpCategory, "__init__", counting_init)
+    monkeypatch.setattr(colimits, "build", counting_build)
+    before = fpcat.completion_cache_info()
+    assert sphere(3) is sphere(3)
+    after = fpcat.completion_cache_info()
+    assert made == []
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+    clear_completion_cache()
+    sphere(3)  # a cold sphere makes presentations, so the spies would see one
+    assert "FpCategory" in made and "build" in made
 
 
 def test_point_collapse_hits_the_point():

@@ -51,7 +51,7 @@ from catcw import (
     pushout,
     to_finite,
 )
-from catcw import fpcat
+from catcw import K0Witness, fpcat, ktheory
 from catcw.fpcat import _critical_pairs, _encode, _interreduce, _normal_forms, _orient
 from catcw.kernel import RuleTable
 from conftest import (
@@ -305,9 +305,10 @@ def test_warm_intake_hashes_and_compares_no_path(monkeypatch):
 
     monkeypatch.setattr(Path, "__hash__", counting_hash)
     monkeypatch.setattr(Path, "__eq__", counting_eq)
-    hits = completion_cache_info().hits
+    before = completion_cache_info()
     rs = from_json(doc).completion()
-    assert completion_cache_info().hits == hits + 1 and rs.complete
+    # two hits, the document and its system, and no miss
+    assert completion_cache_info()[:2] == (before.hits + 2, before.misses) and rs.complete
     assert calls == {"hash": 0, "eq": 0}
     assert hash(Path("x")) == hash(("x", ())) and calls["hash"] == 1  # the wrapper counts
 
@@ -501,7 +502,7 @@ def test_budget_below_relation_count_is_a_value_error():
 
 
 # ---------------------------------------------------------------------------
-# The shared completion cache
+# The one cache of shared values
 
 
 def _braid():
@@ -516,6 +517,13 @@ def _same_system(rs, cold):
     return rs.rules == cold.rules and rs.status == cold.status
 
 
+def _kept_table(cat, budget=fpcat.DEFAULT_RULE_BUDGET):
+    """The ``(largest hom-set size, table)`` kept for ``cat``'s completion
+    under ``budget``, read without counting a hit; None when none is kept."""
+    entry = fpcat._shared.get((fpcat._finite, cat._key, budget))
+    return None if entry is None else entry[0]
+
+
 def test_equal_presentations_share_one_completion():
     clear_completion_cache()
     a = c3_cat()
@@ -526,7 +534,7 @@ def test_equal_presentations_share_one_completion():
     assert rb.status == "complete"
     assert b.completion() is rb  # every call asks the cache
     info = completion_cache_info()
-    assert (info.hits, info.misses, info.entries) == (2, 1, 1)
+    assert (info.hits, info.misses, info.entries) == (2, 2, 2)  # the document and the system
 
 
 def test_copies_of_equal_documents_get_one_system(monkeypatch):
@@ -546,13 +554,14 @@ def test_copies_of_equal_documents_get_one_system(monkeypatch):
     assert a is not b and a.completion() is b.completion()
     assert from_json(doc) is b and b.completion() is a.completion()
     assert built == [a.completion()]
-    assert completion_cache_info()[:2] == (4, 1)  # hits, misses
-    assert b.completion().finite == []
+    assert completion_cache_info()[:2] == (5, 2)  # hits, misses: the document, then the system
+    assert _kept_table(b) is None
     fin = to_finite(a)
-    assert b.completion().finite == [3, fin] and to_finite(b) == fin
+    assert _kept_table(b) == (3, fin) and to_finite(b) == fin
+    assert completion_cache_info()[:2] == (7, 3)  # a table miss, then a table hit
     c = from_json(doc)
     c.completion(100)
-    assert len(built) == completion_cache_info().misses == 2
+    assert len(built) == 2 and completion_cache_info()[:2] == (8, 4)
 
 
 def test_presentations_differing_only_in_inverses_share_one_system():
@@ -594,10 +603,14 @@ def test_copies_of_one_presentation_build_its_completion_key_once(monkeypatch):
     assert len(keys) == 3
     assert all(k[0] is keys[0][0] for k in keys)
     info = completion_cache_info()
-    assert (info.hits, info.misses, info.entries) == (1, 2, 2)
+    # the chaotic category, the document read from it and two systems
+    assert (info.hits, info.misses, info.entries) == (2, 4, 4)
     rules = len(a.completion().rules)
     assert rules == len(a.completion(100).rules)
-    assert info.cost == 2 * (fpcat.COMPLETION_ENTRY_CHARGE + rules)
+    size = len(a.generators) + len(a.relations)
+    assert info.cost == 2 * (fpcat.COMPLETION_ENTRY_CHARGE + rules) + 2 * (
+        fpcat.COMPLETION_ENTRY_CHARGE + size
+    )
 
 
 def test_completion_cache_key_is_budget_and_relation_order():
@@ -625,7 +638,8 @@ def test_completion_cache_key_is_budget_and_relation_order():
     obj["relations"] = obj["relations"][::-1]
     from_json(obj).completion()
     info = completion_cache_info()
-    assert (info.hits, info.misses, info.entries) == (2, 5, 5)
+    # the chaotic category, then a document and its system twice
+    assert (info.hits, info.misses, info.entries) == (2, 8, 8)
 
 
 def test_incomplete_completion_is_shared_as_incomplete():
@@ -640,7 +654,7 @@ def test_incomplete_completion_is_shared_as_incomplete():
 def test_completion_cache_holds_at_most_its_bound():
     clear_completion_cache()
     bound = completion_cache_info().bound
-    assert bound == fpcat.COMPLETION_CACHE_BOUND == 65_536
+    assert bound == fpcat.COMPLETION_CACHE_BOUND == 131_072
     assert fpcat.COMPLETION_ENTRY_CHARGE == 128
     fits = bound // 128  # a one-object presentation has no rules
     for i in range(fits + 5):
@@ -676,9 +690,10 @@ def test_cached_completion_equals_a_cold_one():
 
 
 def _cache_cases():
-    """``(doc, budget, key, cold system, cold table or None)`` for pool8 at
-    the default budget and 12 seeded ``random_pointed`` draws at budget 20;
-    the table is None where ``to_finite`` raises at bound 32."""
+    """``(doc, budget, document key, document size, cold system, cold table
+    or None)`` for pool8 at the default budget and 12 seeded
+    ``random_pointed`` draws at budget 20; the table is None where
+    ``to_finite`` raises at bound 32."""
     rng = random.Random(47)
     cats = [(cat, 500) for cat in pool8()]
     cats += [(random_pointed(rng).cat, 20) for _ in range(12)]
@@ -689,76 +704,134 @@ def _cache_cases():
             fin = to_finite(cat, 32, budget)
         except (IncompleteSystem, NotFinite):
             fin = None
-        key = (cat._key, budget)
-        cases.append((cat.to_json(), budget, key, complete(cat, budget), fin))
+        doc = cat.to_json()
+        fields = fpcat._read_fields(json.loads(doc))
+        key = (fpcat._built, *fields, *map(type, fields))  # typed, led by the maker
+        size = len(cat.generators) + len(cat.relations)
+        cases.append((doc, budget, key, size, complete(cat, budget), fin))
+    clear_completion_cache()
+    return cases
+
+
+def _presentation_size(value) -> int:
+    """Generators plus relations of a presentation, or of a pushout's apex."""
+    cat = value[0] if isinstance(value, tuple) else value
+    return len(cat.generators) + len(cat.relations)
+
+
+def _witness_cases():
+    """``(text, witness size, inner lookups)`` for three pool8 members
+    pointed at their first object: the ``(key, size)`` of each lookup a
+    cold read of the text makes before it keeps the witness, in order.
+    Each is of a presentation (the stages, the point) or of a pushout,
+    whose makers look nothing else up, so a read makes these lookups
+    whatever the cache holds."""
+    cases = []
+    for cat in pool8()[1:4]:
+        clear_completion_cache()
+        text = k0_vanishing_witness(PointedCategory(cat, cat.objects[0])).to_json()
+        clear_completion_cache()
+        looked, lookup = [], fpcat._lookup
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fpcat, "_lookup", lambda key: looked.append(key) or lookup(key))
+            mp.setattr(ktheory, "_lookup", fpcat._lookup)
+            w = K0Witness.from_json(text)
+        stages = {id(c): c for c in (w.x.cat, w.px, w.sx.cat, w.psx, w.s2x.cat)}.values()
+        size = sum(_presentation_size(c) for c in stages)
+        assert looked[0] == (ktheory._read_text, text, str)
+        inner = [(k, _presentation_size(fpcat._shared[k][0])) for k in looked[1:]]
+        cases.append((text, size, inner))
     clear_completion_cache()
     return cases
 
 
 _CACHE_CASES = _cache_cases()
+_WITNESS_CASES = _witness_cases()
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     charge=st.integers(0, 8),
-    bound=st.integers(4, 60),
-    calls=st.lists(st.tuples(st.integers(0, len(_CACHE_CASES) - 1), st.booleans()), max_size=40),
+    bound=st.integers(4, 120),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["document", "completion", "table", "witness"]),
+            st.integers(0, 10**6),
+        ),
+        max_size=40,
+    ),
 )
 def test_cost_bounded_cache_agrees_with_cold_runs_and_an_lru_model(charge, bound, calls):
-    """Random ``completion`` and ``to_finite`` calls on the documents'
-    shared presentations, under a small bound: every answer equals the cold
-    one, the cost in use stays within the bound, and systems, costs, order
-    and hits follow a reference LRU in which a system costs the charge, its
-    rules and its table's cells.  Every call asks the cache, and no
-    presentation keeps a system, so a table built in a system the cache did
-    not keep is charged to nothing."""
-    model = OrderedDict()  # key -> [cost, generation]
-    filled = set()  # (key, generation) of the slots holding a table
-    generations = itertools.count()
-    hits = 0
+    """Random ``from_json``, ``completion``, ``to_finite`` and
+    ``K0Witness.from_json`` calls under a small bound: every answer equals
+    the cold one, the cost in use stays within the bound, and keys, costs,
+    order, hits and misses follow one reference LRU of presentations,
+    systems, tables and witnesses, in which an entry costs the charge plus
+    its generators and relations, rules, cells, or the generators and
+    relations of its distinct stages, and a value that alone costs more
+    than the bound is not kept."""
+    model = OrderedDict()  # key -> cost
+    counts = {"hits": 0, "misses": 0}
 
-    def charge_model(key, cost):
-        model[key][0] += cost
-        model.move_to_end(key)
-        if model[key][0] > bound:
-            del model[key]
-        while sum(c for c, _ in model.values()) > bound:
-            model.popitem(last=False)
+    def look(key) -> bool:
+        if key in model:
+            model.move_to_end(key)
+            counts["hits"] += 1
+            return True
+        counts["misses"] += 1
+        return False
+
+    def keep(key, size) -> None:
+        if charge + size <= bound:
+            model[key] = charge + size
+            while sum(model.values()) > bound:
+                model.popitem(last=False)
+
+    def shared(key, size) -> None:
+        if not look(key):
+            keep(key, size)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fpcat, "COMPLETION_ENTRY_CHARGE", charge)
         mp.setattr(fpcat, "COMPLETION_CACHE_BOUND", bound)
         clear_completion_cache()
-        for i, table in calls:
-            doc, budget, key, cold, cold_fin = _CACHE_CASES[i]
-            cat = from_json(doc)
-            if key in model:
-                model.move_to_end(key)
-                gen = model[key][1]
-                hits += 1
+        for op, n in calls:
+            if op == "witness":
+                text, size, inner = _WITNESS_CASES[n % len(_WITNESS_CASES)]
+                key = (ktheory._read_text, text, str)
+                if not look(key):
+                    for k, s in inner:
+                        shared(k, s)
+                    keep(key, size)
+                assert K0Witness.from_json(text).to_json() == text
             else:
-                gen = next(generations)
-                model[key] = [0, gen]
-                charge_model(key, charge + len(cold.rules))
-            if not table:
-                assert _same_system(cat.completion(budget), cold)
-            elif cold_fin is None:
-                with pytest.raises((IncompleteSystem, NotFinite)):
-                    to_finite(cat, 32, budget)
-            else:
-                fin = to_finite(cat, 32, budget)
-                assert list(fin.compose_table.items()) == list(cold_fin.compose_table.items())
-                assert fin.paths == cold_fin.paths
-                if (key, gen) not in filled:
-                    filled.add((key, gen))
-                    if key in model and model[key][1] == gen:
-                        charge_model(key, len(cold_fin.compose_table))
+                doc, budget, doc_key, doc_size, cold, cold_fin = _CACHE_CASES[n % len(_CACHE_CASES)]
+                shared(doc_key, doc_size)
+                cat = from_json(doc)
+                system = (fpcat.complete, cat._key, budget)
+                if op == "completion":
+                    shared(system, len(cold.rules))
+                    assert _same_system(cat.completion(budget), cold)
+                elif op == "table":
+                    table = (fpcat._finite, cat._key, budget)
+                    if not look(table):
+                        shared(system, len(cold.rules))
+                        if cold_fin is not None:
+                            keep(table, len(cold_fin.compose_table))
+                    if cold_fin is None:
+                        with pytest.raises((IncompleteSystem, NotFinite)):
+                            to_finite(cat, 32, budget)
+                    else:
+                        fin = to_finite(cat, 32, budget)
+                        assert list(fin.compose_table.items()) == list(cold_fin.compose_table.items())
+                        assert fin.paths == cold_fin.paths
             info = completion_cache_info()
             assert info.cost <= bound
-            assert [k for k, _ in fpcat._completion_order.values()] == list(model)
-            assert [c for _, c in fpcat._completion_order.values()] == [c for c, _ in model.values()]
-            assert info.cost == sum(c for c, _ in model.values())
-            assert (info.hits, info.entries, info.bound) == (hits, len(model), bound)
+            assert list(fpcat._shared) == list(model)
+            assert [c for _, c, _ in fpcat._shared.values()] == list(model.values())
+            assert info.cost == sum(model.values())
+            assert (info.hits, info.misses) == (counts["hits"], counts["misses"])
+            assert (info.entries, info.bound) == (len(model), bound)
     clear_completion_cache()
 
 
@@ -767,39 +840,41 @@ def _cyclic(n):
 
 
 def test_a_table_costlier_than_the_bound_is_returned_but_not_kept():
-    """C257's table has 257 * 257 = 66,049 cells, past the bound of 65,536:
-    it is returned, its entry is dropped, and the other entries stay."""
+    """C363's table has 363 * 363 = 131,769 cells, past the bound of
+    131,072: it is returned and not kept, its system is kept, and the other
+    entries stay."""
     clear_completion_cache()
     small = [_cyclic(n) for n in (2, 3, 4)]
     for cat in small:
         to_finite(cat)
     before = completion_cache_info()
-    assert before.entries == 3
-    big = _cyclic(257)
-    fin = to_finite(big, 257)
-    assert fin.n == 257 and len(fin.compose_table) == 66_049
-    assert fin.compose(1, 256) == 0  # t;t^256 is the identity
-    assert completion_cache_info()[1:] == (before.misses + 1, *before[2:])
-    # no presentation keeps the dropped system: the next call completes and builds again
-    again = to_finite(big, 257)
+    assert before.entries == 6  # a system and a table each
+    big = _cyclic(363)
+    fin = to_finite(big, 363)
+    assert fin.n == 363 and len(fin.compose_table) == 131_769
+    assert fin.compose(1, 362) == 0  # t;t^362 is the identity
+    info = completion_cache_info()  # a table miss, then a system miss
+    assert info[:3] == (before.hits, before.misses + 2, before.entries + 1)
+    rules = len(complete(big).rules)
+    assert info.cost == before.cost + fpcat.COMPLETION_ENTRY_CHARGE + rules
+    assert _kept_table(big) is None
+    # the next call finds the system and builds the table again
+    again = to_finite(big, 363)
     assert again == fin and again.paths is not fin.paths
-    assert completion_cache_info()[1:] == (before.misses + 2, *before[2:])
-    assert _cyclic(257).completion().rules == big.completion().rules  # kept, with no table
-    info = completion_cache_info()
-    assert info.misses == before.misses + 3 and info.entries == 4
+    assert completion_cache_info() == (info.hits + 1, info.misses + 1, *info[2:])
     for cat in small:
-        assert from_json(cat.to_json()).completion().finite  # still cached, table and all
+        assert _kept_table(cat)  # still kept
     clear_completion_cache()
 
 
 def test_a_table_costlier_than_the_bound_is_freed_with_its_last_caller():
-    """The cache drops C257's system once its 66,049 cells are charged, and
-    no presentation keeps a system of its own: the kept table lives only
-    while a caller holds it, although the presentation cache still holds
-    the presentation it was built for."""
+    """The cache does not keep C363's table of 131,769 cells, and no
+    presentation keeps its system or table: the table lives only while a
+    caller holds it, although the cache still holds the presentation it
+    was built for."""
     clear_completion_cache()
-    cat = from_json(_cyclic(257).to_json())
-    kept = fpcat._finite(cat, 257, fpcat.DEFAULT_RULE_BUDGET)
+    cat = from_json(_cyclic(363).to_json())
+    kept = fpcat._finite(cat, 363, fpcat.DEFAULT_RULE_BUDGET)
     assert from_json(cat.to_json()) is cat
     table = weakref.ref(kept)
     del kept
@@ -812,9 +887,10 @@ def test_a_system_costlier_than_the_bound_is_returned_but_not_kept(monkeypatch):
     clear_completion_cache()
     cat = chaotic(["p", "q", "r"])
     cold = complete(cat)
+    clear_completion_cache()
     monkeypatch.setattr(fpcat, "COMPLETION_CACHE_BOUND", 128 + len(cold.rules) - 1)
     build(["x"]).completion()
-    assert _same_system(chaotic(["p", "q", "r"]).completion(), cold)
+    assert _same_system(cat.completion(), cold)
     assert completion_cache_info()[1:4] == (2, 1, 128)  # misses, entries, cost
     clear_completion_cache()
 
@@ -845,7 +921,7 @@ def test_a_document_completes_under_the_names_it_was_read_to(monkeypatch):
     assert len(intake) == 2 and intake[1] == intake[0]
     assert len(completion) == 2
     assert all(k[0] is cat._key for k in completion)
-    assert completion_cache_info()[:3] == (1, 1, 1)  # hits, misses, entries
+    assert completion_cache_info()[:3] == (2, 2, 2)  # hits, misses, entries: document and system
     clear_completion_cache()
 
 
@@ -870,10 +946,6 @@ def test_a_synthesized_mate_builds_the_completion_key_from_its_relations():
 
 # ---------------------------------------------------------------------------
 # Intake shared between equal documents
-
-
-def _intake_cache_info():
-    return fpcat._shared_presentation.cache_info()
 
 
 @st.composite
@@ -990,7 +1062,7 @@ def test_equal_documents_read_to_one_instance():
     clear_completion_cache()
     doc = c3_cat().to_json_obj()
     a, b = from_json(doc), from_json(doc)
-    assert _intake_cache_info()[:2] == (1, 1)  # hits, misses
+    assert completion_cache_info()[:2] == (1, 1)  # hits, misses
     assert a is b
     with pytest.raises(TypeError):
         b.inverses["t"] = "t"
@@ -1034,22 +1106,33 @@ def test_documents_differing_in_order_miss():
     from_json(doc)
     from_json({**doc, "relations": doc["relations"][::-1]})
     from_json({**doc, "invertible": doc["invertible"][::-1]})
-    assert _intake_cache_info()[:2] == (0, 3)
+    assert completion_cache_info()[:2] == (0, 3)
     from_json(json.dumps(doc))
-    assert _intake_cache_info()[:2] == (1, 3)
+    assert completion_cache_info()[:2] == (1, 3)
 
 
 def test_intake_cache_holds_at_most_its_bound_and_clears():
+    """Documents share the one cost bound: a one-object document costs the
+    entry charge alone, so the cache keeps as many as fit, drops the least
+    recently read first, and forgets them all when cleared."""
     clear_completion_cache()
-    bound = fpcat.INTAKE_CACHE_SIZE
-    assert bound == 128
-    assert _intake_cache_info().maxsize == bound
-    for i in range(bound + 5):
-        from_json({"objects": [f"o{i}"], "generators": [], "relations": [], "invertible": []})
-        assert _intake_cache_info().currsize <= bound
-    assert _intake_cache_info().currsize == bound
+    bound, charge = fpcat.COMPLETION_CACHE_BOUND, fpcat.COMPLETION_ENTRY_CHARGE
+    fits = bound // charge
+
+    def read(i):
+        return from_json({"objects": [f"o{i}"], "generators": [], "relations": [], "invertible": []})
+
+    for i in range(fits + 5):
+        read(i)
+        info = completion_cache_info()
+        assert info.cost <= bound and info.cost == charge * info.entries
+    assert completion_cache_info()[1:] == (fits + 5, fits, bound, bound)  # misses, entries, cost, bound
+    read(fits + 4)  # the most recently read document is kept
+    assert completion_cache_info()[:2] == (1, fits + 5)
+    read(0)  # the least recently read was dropped
+    assert completion_cache_info()[:2] == (1, fits + 6)
     clear_completion_cache()
-    assert _intake_cache_info() == (0, 0, bound, 0)
+    assert completion_cache_info() == (0, 0, 0, 0, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -1542,7 +1625,7 @@ def test_internal_readers_leave_the_shared_table_as_the_oracle_builds_it():
     read += [cert.comparison.source, c]
     for cat in read:
         if cat.completion().complete:
-            assert cat.completion().finite  # the reader filled the shared slot
+            assert _kept_table(cat)  # the reader built the kept table
             _assert_matches_oracles(cat)
     clear_completion_cache()
 
@@ -1609,7 +1692,7 @@ def test_equal_presentations_share_one_build():
     clear_completion_cache()
     doc = c3_cat().to_json()
     fin = to_finite(from_json(doc))
-    widest, shared = from_json(doc).completion().finite
+    widest, shared = _kept_table(from_json(doc))
     assert widest == 3 and shared == fin and shared is not fin
     with pytest.raises(TypeError):  # the kept table is read-only
         shared.compose_table[(0, 0)] = 0
@@ -1618,12 +1701,34 @@ def test_equal_presentations_share_one_build():
     for bound in (64, 3, 1000):
         again = to_finite(from_json(doc), bound)
         assert again == fin and again is not fin and again.paths is shared.paths
-    assert from_json(doc).completion().finite[1] is shared
+    assert _kept_table(from_json(doc))[1] is shared
     with pytest.raises(NotFinite):
         to_finite(from_json(doc), bound=2)
     # the budget is part of the key: another completion builds its own table
     other = to_finite(from_json(doc), budget=100)
     assert other == fin and other.paths is not shared.paths
+
+
+def test_no_public_handle_changes_a_later_to_finite():
+    """A system has no table slot, the table ``to_finite`` hands out is the
+    caller's own, and the kept table's mappings are read-only: after a
+    caller empties every dict it was handed, an equal document still reads
+    C2's table."""
+    clear_completion_cache()
+    doc = c2_cat().to_json()
+    assert not hasattr(from_json(doc).completion(), "finite")
+    fin = to_finite(from_json(doc))
+    for m in (fin.compose_table, fin.identities, fin.gen_image):
+        m.clear()
+    kept = _kept_table(from_json(doc))[1]
+    for m in (kept.compose_table, kept.identities, kept.gen_image, kept.inverses()):
+        key = next(iter(m))
+        with pytest.raises(TypeError):
+            m[key] = m[key]
+        with pytest.raises(TypeError):
+            del m[key]
+    again = to_finite(from_json(doc))
+    assert again.n == 2 and again == kept and again.compose_table == kept.compose_table
 
 
 def test_editing_a_returned_table_leaves_the_shared_one_intact():
@@ -1653,7 +1758,7 @@ def test_presentations_differing_only_in_inverses_share_one_table():
     plain, marked = build(["x"], gens, rels), build(["x"], gens, rels, ["a", "b"])
     assert marked.inverses and not plain.inverses and marked.relations == plain.relations
     assert to_finite(marked) == to_finite(plain)
-    assert marked.completion().finite is plain.completion().finite
+    assert _kept_table(marked) is _kept_table(plain) is not None
 
 
 def test_to_finite_errors_are_raised_again():
@@ -1665,7 +1770,7 @@ def test_to_finite_errors_are_raised_again():
     for cat in (_braid(), _braid()):
         with pytest.raises(IncompleteSystem):
             to_finite(cat, budget=4)
-    assert a4.completion().finite == []
+    assert _kept_table(a4) is None
 
 
 def test_clearing_the_cache_drops_its_tables():
@@ -1673,14 +1778,14 @@ def test_clearing_the_cache_drops_its_tables():
     doc = c3_cat().to_json()
     held = from_json(doc)
     fin = to_finite(held)
-    slot = held.completion().finite
+    kept = _kept_table(held)
     clear_completion_cache()
     fresh = from_json(doc)
     assert fresh is not held
-    assert to_finite(fresh) == fin and fresh.completion().finite is not slot
+    assert to_finite(fresh) == fin and _kept_table(fresh) is not kept
     # what was handed out stays valid; an older instance reads the new table
-    assert slot[1] == fin and fin.n == 3
-    assert to_finite(held).paths is fresh.completion().finite[1].paths
+    assert kept[1] == fin and fin.n == 3
+    assert to_finite(held).paths is _kept_table(fresh)[1].paths
 
 
 def test_shared_table_equals_a_cold_one():
@@ -1695,7 +1800,7 @@ def test_shared_table_equals_a_cold_one():
             cold = to_finite(from_json(doc), bound, budget)
         except (IncompleteSystem, NotFinite):
             continue
-        assert from_json(doc).completion(budget).finite[1] == cold
+        assert _kept_table(from_json(doc), budget)[1] == cold
         # a hit, field by field and in insertion order, against the per-pair oracle
         _assert_matches_oracles(from_json(doc), bound, budget)
         shared += 1

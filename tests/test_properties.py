@@ -36,7 +36,7 @@ from catcw import (
     terminal,
     to_finite,
 )
-from catcw import fpcat, ktheory
+from catcw import fpcat
 from catcw.fpcat import DEFAULT_RULE_BUDGET
 from conftest import pool8, random_pointed
 
@@ -85,7 +85,8 @@ def _pointed(choice):
 
 
 def _kept() -> int:
-    return sum(isinstance(e, ktheory._Kept) for e in fpcat._completion_order)
+    """The number of K0 witnesses the cache of shared values holds."""
+    return sum(isinstance(value, K0Witness) for value, _, _ in fpcat._shared.values())
 
 
 def _witness_parts(w) -> tuple[list, list]:
